@@ -33,9 +33,8 @@ from .errors import (
     OutOfHypothesisError,
     RiemqnError,
     SingularRetractionError,
-    TransportArgumentError,
 )
-from .linesearch import LineSearchConfig, StepEval, line_search, search_step, wolfe_check
+from .linesearch import LineSearchConfig, StepEval, search_step, wolfe_check
 from .manifolds import (
     Oblique,
     Point,
@@ -52,10 +51,7 @@ from .manifolds import (
     retract,
     scaling_sigma,
     tangency_defect,
-    transport,
     transport_direction,
-    transport_step,
-    transport_vector,
 )
 from .problems import (
     OffDiagonalInstance,

@@ -13,13 +13,11 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError
-from .linesearch import LineSearchConfig
 from .problems import ProblemInstance, generate_instance
 from .profiles import ProfileTable, performance_profile
 from .solver import RunResult, SolverConfig, config_from_id, solve, solver_id
@@ -72,21 +70,8 @@ def parse_config(data: Mapping) -> BenchConfig:
     if not isinstance(solver_entries, list) or not solver_entries:
         raise ConfigError("'solvers' must be a non-empty list")
 
-    ls_data = data.get("line_search", {})
-    if not isinstance(ls_data, Mapping):
-        raise ConfigError("'line_search' must be an object")
-    ls_kwargs = dict(ls_data)
-    if "max_ls_evals" in ls_kwargs:
-        ls_kwargs["max_evals"] = int(ls_kwargs.pop("max_ls_evals"))
-    try:
-        line_search = LineSearchConfig(**ls_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad line_search config: {exc}") from exc
-
-    base = SolverConfig(
-        line_search=line_search,
-        tol=float(data.get("tol", 1e-6)),
-        max_iters=int(data.get("max_iters", 10000)),
+    base = SolverConfig.from_dict(
+        {key: data[key] for key in ("tol", "max_iters", "line_search") if key in data}
     )
     solvers = []
     seen = set()
@@ -150,27 +135,17 @@ def _record(instance_index: int, sid: str, result: RunResult) -> RunRecord:
     )
 
 
-def run_grid(config: BenchConfig, threads: int = 1) -> list[RunRecord]:
+def run_grid(config: BenchConfig) -> list[RunRecord]:
     """Execute every (instance, solver) pair and return sorted records."""
     instances: list[ProblemInstance] = [
         generate_instance(config.kind, config.dims, config.seed_base + i)
         for i in range(config.instances)
     ]
-    jobs = [
-        (i, inst, solver_id(cfg), cfg)
+    records = [
+        _record(i, solver_id(cfg), solve(inst, inst.initial_point(), cfg))
         for i, inst in enumerate(instances)
         for cfg in config.solvers
     ]
-
-    def run_one(job) -> RunRecord:
-        i, inst, sid, cfg = job
-        return _record(i, sid, solve(inst, inst.initial_point(), cfg))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, jobs))
-    else:
-        records = [run_one(job) for job in jobs]
     records.sort(key=lambda r: (r.instance, r.solver))
     return records
 
@@ -246,16 +221,14 @@ def write_profiles(records: list[RunRecord], out_dir: Path) -> dict[str, Profile
     return tables
 
 
-def run_benchmark(
-    config: BenchConfig, out_dir: str | Path, threads: int = 1, measure: str = "iters"
-) -> dict:
+def run_benchmark(config: BenchConfig, out_dir: str | Path, measure: str = "iters") -> dict:
     """Run the grid, write runs.csv, both profile CSVs, and summary.json."""
     if measure not in ("iters", "time"):
         raise ConfigError(f"unknown measure: {measure!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    records = run_grid(config, threads=threads)
+    records = run_grid(config)
     write_runs_csv(records, out / "runs.csv")
     tables = write_profiles(records, out)
 

@@ -23,7 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an instance x solver grid from a JSON config")
     run_p.add_argument("--config", required=True, help="JSON config file")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--measure", choices=("iters", "time"), default="iters")
 
     prof_p = sub.add_parser("profile", help="rebuild performance profiles from runs.csv")
@@ -44,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    summary = run_benchmark(
-        config, args.out, threads=args.threads, measure=args.measure
-    )
+    summary = run_benchmark(config, args.out, measure=args.measure)
     json.dump(summary, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

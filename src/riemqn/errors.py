@@ -25,10 +25,6 @@ class DegenerateTransportError(RiemqnError, ValueError):
     """A transported vector vanished, so no scaling factor exists."""
 
 
-class TransportArgumentError(RiemqnError, ValueError):
-    """The inverse-retraction map moves only the displacement vector itself."""
-
-
 class DegenerateStepError(RiemqnError, ValueError):
     """The previous step collapsed to zero; curvature data is unusable."""
 

@@ -6,12 +6,14 @@ a trial step alpha along eta is accepted when
     f(R_x(alpha * eta)) <= f(x) + c1 * alpha * <g, eta>          (Armijo)
     <grad f(R_x(alpha * eta)), T(eta)>  >=  c2 * <g, eta>        (curvature)
 
-where T carries eta across the displacement alpha * eta.  The search brackets
-by doubling and then zooms; zoom progress is guaranteed by bisection, with a
-safeguarded quadratic fit for its first trial to cut evaluations on stiff
-objectives.  Gradients are only evaluated for trials that pass Armijo.  Any
-step returned passes both predicates exactly as ``wolfe_check`` re-evaluates
-them.
+where T carries eta across the displacement alpha * eta.  The same transport
+call also returns the images of the step and of the gradient at x, which the
+solver's memory uses, so an accepted step needs no further transport.  The
+search brackets by doubling and then zooms; zoom progress is guaranteed by
+bisection, with a safeguarded quadratic fit for its first trial to cut
+evaluations on stiff objectives.  Gradients are only evaluated for trials
+that pass Armijo.  Any step returned passes both predicates exactly as
+``wolfe_check`` re-evaluates them.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class StepEval:
     f_new: float
     g_new: Tangent
     t_eta: Tangent
+    s: Tangent
+    t_g: Tangent
     dphi: float
 
 
@@ -75,17 +79,22 @@ def _probe(problem, x: Point, eta: Tangent, alpha: float) -> _Probe:
     return _Probe(alpha=alpha, x_new=x_new, f_new=problem.cost(x_new))
 
 
-def _complete(problem, x: Point, eta: Tangent, kind: TransportKind, p: _Probe) -> StepEval:
+def _complete(
+    problem, x: Point, eta: Tangent, g0: Tangent, kind: TransportKind, p: _Probe
+) -> StepEval:
     g_new = problem.grad(p.x_new)
-    t_eta = transport_direction(kind, x, eta, p.alpha, destination=p.x_new)
+    t_eta, s, t_g = transport_direction(kind, x, eta, p.alpha, g0, p.x_new)
     dphi = inner(p.x_new, g_new, t_eta)
     return StepEval(
-        alpha=p.alpha, x_new=p.x_new, f_new=p.f_new, g_new=g_new, t_eta=t_eta, dphi=dphi
+        alpha=p.alpha,
+        x_new=p.x_new,
+        f_new=p.f_new,
+        g_new=g_new,
+        t_eta=t_eta,
+        s=s,
+        t_g=t_g,
+        dphi=dphi,
     )
-
-
-def evaluate_step(problem, x: Point, eta: Tangent, alpha: float, kind: TransportKind) -> StepEval:
-    return _complete(problem, x, eta, kind, _probe(problem, x, eta, alpha))
 
 
 def wolfe_check(
@@ -104,7 +113,7 @@ def wolfe_check(
     d0 = inner(x, g0, eta)
     if not d0 < 0.0:
         raise ContractViolationError("eta is not a descent direction")
-    ev = evaluate_step(problem, x, eta, alpha, kind)
+    ev = _complete(problem, x, eta, g0, kind, _probe(problem, x, eta, alpha))
     armijo_ok = ev.f_new <= f0 + cfg.c1 * alpha * d0
     curvature_ok = ev.dphi >= cfg.c2 * d0
     return armijo_ok, curvature_ok
@@ -168,7 +177,7 @@ def search_step(
             if not armijo(p) or p.f_new >= f_lo:
                 a_hi, f_hi = a, p.f_new
             else:
-                ev = _complete(problem, x, eta, kind, p)
+                ev = _complete(problem, x, eta, g0, kind, p)
                 if curvature(ev):
                     return ev
                 if ev.dphi * (a_hi - a_lo) >= 0.0:
@@ -182,7 +191,7 @@ def search_step(
         p = probe(alpha)
         if not armijo(p) or (not first and p.f_new >= prev_f):
             return zoom(prev_alpha, prev_f, alpha, p.f_new)
-        ev = _complete(problem, x, eta, kind, p)
+        ev = _complete(problem, x, eta, g0, kind, p)
         if curvature(ev):
             return ev
         if alpha >= cfg.alpha_max:
@@ -190,14 +199,3 @@ def search_step(
         prev_alpha, prev_f = alpha, p.f_new
         alpha = min(2.0 * alpha, cfg.alpha_max)
         first = False
-
-
-def line_search(
-    problem,
-    x: Point,
-    eta: Tangent,
-    cfg: LineSearchConfig,
-    kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION,
-) -> float:
-    """Step size satisfying both Wolfe predicates, as checked by ``wolfe_check``."""
-    return search_step(problem, x, eta, cfg, kind).alpha

@@ -4,13 +4,18 @@ Both manifolds carry the metric induced by the ambient Euclidean/Frobenius
 inner product.  The retraction is metric projection: add the tangent vector
 in ambient coordinates and renormalize (column-wise on the oblique manifold).
 
-Three transport-like maps move tangent data from an iterate to its successor:
+After a step alpha * eta from x to x_new = R_x(alpha * eta), one call,
+``transport_direction``, carries the step data across: it returns the images
+``(T(eta), s, T(g))`` of the direction, of the step and of the gradient at x.
+Three transport-like maps are available:
 
 * ``DIFFERENTIATED_RETRACTION`` -- the derivative of the retraction, the
-  default and a genuine (linear) vector transport;
-* ``PROJECTION`` -- orthogonal projection onto the destination tangent space;
-* ``INVERSE_RETRACTION`` -- the negated inverse retraction evaluated back at
-  the starting point.  It is defined only for the displacement vector itself.
+  default and a genuine (linear) vector transport.  ``x + alpha * eta`` is
+  normalized once and the map is applied to all three vectors;
+* ``PROJECTION`` -- orthogonal projection onto the tangent space at x_new;
+* ``INVERSE_RETRACTION`` -- the negated inverse retraction of x taken at
+  x_new.  It is defined only for the displacement itself: it gives s, and
+  ``T(eta) = s / alpha``.  The gradient falls back to projection.
 
 Every transport output is re-projected onto the destination tangent space to
 suppress accumulated drift, so tangency holds to machine precision rather
@@ -31,7 +36,6 @@ from .errors import (
     DegenerateTransportError,
     InvalidPointError,
     SingularRetractionError,
-    TransportArgumentError,
 )
 from .rng import SplitMix64
 
@@ -76,13 +80,13 @@ class Sphere:
     def _project(self, x_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
         return v_arr - np.dot(x_arr, v_arr) * x_arr
 
-    def _transport_dr(self, x_arr, eta_arr, v_arr) -> np.ndarray:
+    def _transport_dr(self, x_arr, eta_arr, vs) -> list[np.ndarray]:
         y = x_arr + eta_arr
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
             raise SingularRetractionError("transport through a singular retraction")
         u = y / ny
-        return (v_arr - u * np.dot(u, v_arr)) / ny
+        return [(v - u * np.dot(u, v)) / ny for v in vs]
 
     def _inverse_retraction(self, w_arr, v_arr) -> np.ndarray:
         d = float(np.dot(w_arr, v_arr))
@@ -123,13 +127,13 @@ class Oblique:
     def _project(self, x_arr, v_arr) -> np.ndarray:
         return v_arr - x_arr * np.sum(x_arr * v_arr, axis=0)
 
-    def _transport_dr(self, x_arr, eta_arr, v_arr) -> np.ndarray:
+    def _transport_dr(self, x_arr, eta_arr, vs) -> list[np.ndarray]:
         y = x_arr + eta_arr
         norms = np.linalg.norm(y, axis=0)
         if np.any(norms == 0.0):
             raise SingularRetractionError("transport through a singular retraction")
         u = y / norms
-        return (v_arr - u * np.sum(u * v_arr, axis=0)) / norms
+        return [(v - u * np.sum(u * v, axis=0)) / norms for v in vs]
 
     def _inverse_retraction(self, w_arr, v_arr) -> np.ndarray:
         d = np.sum(w_arr * v_arr, axis=0)
@@ -282,79 +286,33 @@ def inverse_retraction(w: Point, v: Point) -> Tangent:
     return Tangent(w, w.manifold._inverse_retraction(w.ambient, v.ambient))
 
 
-def _transport_at(
-    kind: TransportKind, x: Point, eta: Tangent, xi: Tangent, w: Point
-) -> Tangent:
-    if kind is TransportKind.INVERSE_RETRACTION:
-        if xi is not eta and not np.array_equal(xi.ambient, eta.ambient):
-            raise TransportArgumentError(
-                "inverse-retraction transport moves only the displacement itself"
-            )
-        raw = -w.manifold._inverse_retraction(w.ambient, x.ambient)
-    elif kind is TransportKind.DIFFERENTIATED_RETRACTION:
-        raw = x.manifold._transport_dr(x.ambient, eta.ambient, xi.ambient)
-    elif kind is TransportKind.PROJECTION:
-        raw = xi.ambient
-    else:
-        raise ContractViolationError(f"unknown transport kind: {kind!r}")
-    return project_tangent(w, raw)
+def transport_direction(
+    kind: TransportKind, x: Point, eta: Tangent, alpha: float, g: Tangent, x_new: Point
+) -> tuple[Tangent, Tangent, Tangent]:
+    """Carry the step data at x to x_new = retract(x, alpha * eta).
 
-
-def transport(
-    kind: TransportKind,
-    x: Point,
-    eta: Tangent,
-    xi: Tangent,
-    destination: Point | None = None,
-) -> Tangent:
-    """Move xi from the tangent space at x to the one at retract(x, eta).
-
-    ``INVERSE_RETRACTION`` accepts only ``xi == eta``; the transported vector
-    is the negated inverse retraction of x taken at the destination point.
-    ``destination``, when given, must equal retract(x, eta) and merely skips
-    recomputing it.
+    Returns ``(t_eta, s, t_g)``: the images of the direction eta, of the step
+    alpha * eta and of the gradient g, all tangent at x_new.  The
+    inverse-retraction map is defined only for the displacement itself: it
+    gives ``s = -R_{x_new}^{-1}(x)`` and ``t_eta = s / alpha``, and g falls
+    back to projection onto the tangent space at x_new.
     """
     _require_base(x, eta, "eta")
-    _require_base(x, xi, "xi")
-    w = retract(x, eta) if destination is None else destination
-    return _transport_at(kind, x, eta, xi, w)
-
-
-def transport_direction(
-    kind: TransportKind, x: Point, eta: Tangent, alpha: float, destination: Point | None = None
-) -> Tangent:
-    """Image of the search direction eta under the step transport for alpha*eta."""
+    _require_base(x, g, "g")
+    if not alpha > 0.0:
+        raise ContractViolationError("step size must be positive")
     if kind is TransportKind.INVERSE_RETRACTION:
-        step = alpha * eta
-        return transport(kind, x, step, step, destination=destination) / alpha
-    return transport(kind, x, alpha * eta, eta, destination=destination)
-
-
-def transport_step(
-    kind: TransportKind, x: Point, eta: Tangent, alpha: float, destination: Point | None = None
-) -> Tangent:
-    """Image of the full step alpha*eta under the step transport."""
-    step = alpha * eta
-    return transport(kind, x, step, step, destination=destination)
-
-
-def transport_vector(
-    kind: TransportKind,
-    x: Point,
-    eta: Tangent,
-    alpha: float,
-    v: Tangent,
-    destination: Point | None = None,
-) -> Tangent:
-    """Move an arbitrary tangent vector (e.g. the old gradient) to the new point.
-
-    The inverse-retraction map is defined only for the displacement, so it
-    falls back to projection transport here.
-    """
-    effective = (
-        TransportKind.PROJECTION if kind is TransportKind.INVERSE_RETRACTION else kind
-    )
-    return transport(effective, x, alpha * eta, v, destination=destination)
+        raw = -x_new.manifold._inverse_retraction(x_new.ambient, x.ambient)
+        s = project_tangent(x_new, raw)
+        return s / alpha, s, project_tangent(x_new, g.ambient)
+    step = float(alpha) * eta.ambient
+    if kind is TransportKind.DIFFERENTIATED_RETRACTION:
+        raws = x.manifold._transport_dr(x.ambient, step, (eta.ambient, step, g.ambient))
+    elif kind is TransportKind.PROJECTION:
+        raws = (eta.ambient, step, g.ambient)
+    else:
+        raise ContractViolationError(f"unknown transport kind: {kind!r}")
+    return tuple(project_tangent(x_new, raw) for raw in raws)
 
 
 def scaling_sigma(x_next: Point, eta_prev_norm: float, t_eta: Tangent) -> float:

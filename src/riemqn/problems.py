@@ -34,8 +34,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray) -> None:
+    # an inf or nan entry makes the defect inf or nan, so this also rejects
+    # non-finite data without a separate pass over the matrix
     defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if defect > SYMMETRY_TOL:
+    if not defect <= SYMMETRY_TOL:
+        bad = np.argwhere(~np.isfinite(a))
+        if len(bad):
+            first = tuple(bad[0].tolist())
+            raise ConfigError(f"matrix has {len(bad)} non-finite entries, the first at {first}")
         raise ContractViolationError(f"matrix is not symmetric (defect {defect:.3e})")
 
 

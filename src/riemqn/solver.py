@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .directions import (
     DEFAULT_NU_HAT,
@@ -46,8 +46,6 @@ from .manifolds import (
     inner,
     norm,
     scaling_sigma,
-    transport_step,
-    transport_vector,
 )
 from .problems import ProblemInstance
 
@@ -162,31 +160,35 @@ class SolverConfig:
             if "z_mode" in data:
                 code = data["z_mode"]
                 kwargs["z_mode"] = _Z_FROM_CODE[code] if code in _Z_FROM_CODE else ZMode(code)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for key in ("xi", "nu_hat", "hz_mu", "tol"):
-            if key in data and data[key] is not None:
-                kwargs[key] = float(data[key])
-        if "nu_hat" in data and data["nu_hat"] is None:
-            kwargs["nu_hat"] = None
-        if "preconvex_mu_reciprocal" in data:
-            kwargs["preconvex_mu_reciprocal"] = bool(data["preconvex_mu_reciprocal"])
-        if "max_iters" in data:
-            kwargs["max_iters"] = int(data["max_iters"])
-        if "record_trace" in data:
-            kwargs["record_trace"] = bool(data["record_trace"])
-        if "line_search" in data:
-            ls = dict(data["line_search"])
-            if "max_ls_evals" in ls:
-                ls["max_evals"] = int(ls.pop("max_ls_evals"))
-            ls_known = {"c1", "c2", "alpha_init", "alpha_max", "max_evals"}
-            bad = set(ls) - ls_known
-            if bad:
-                raise ConfigError(f"unknown line_search keys: {sorted(bad)}")
-            merged = dataclasses.asdict(base.line_search)
-            merged.update(ls)
-            kwargs["line_search"] = LineSearchConfig(**merged)
-        return dataclasses.replace(base, **kwargs)
+            for key in ("xi", "nu_hat", "hz_mu", "tol"):
+                if key in data and data[key] is not None:
+                    kwargs[key] = float(data[key])
+            if "nu_hat" in data and data["nu_hat"] is None:
+                kwargs["nu_hat"] = None
+            if "preconvex_mu_reciprocal" in data:
+                kwargs["preconvex_mu_reciprocal"] = bool(data["preconvex_mu_reciprocal"])
+            if "max_iters" in data:
+                kwargs["max_iters"] = int(data["max_iters"])
+            if "record_trace" in data:
+                kwargs["record_trace"] = bool(data["record_trace"])
+            if "line_search" in data:
+                if not isinstance(data["line_search"], Mapping):
+                    raise ConfigError("'line_search' must be an object")
+                ls = dict(data["line_search"])
+                if "max_ls_evals" in ls:
+                    ls["max_evals"] = int(ls.pop("max_ls_evals"))
+                ls_known = {"c1", "c2", "alpha_init", "alpha_max", "max_evals"}
+                bad = set(ls) - ls_known
+                if bad:
+                    raise ConfigError(f"unknown line_search keys: {sorted(bad)}")
+                merged = dataclasses.asdict(base.line_search)
+                merged.update(ls)
+                kwargs["line_search"] = LineSearchConfig(**merged)
+            return dataclasses.replace(base, **kwargs)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad solver config: {exc}") from exc
 
 
 def solver_id(cfg: SolverConfig) -> str:
@@ -345,11 +347,9 @@ def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
     return cg_direction(g, beta, memory.sigma, memory.t_eta)
 
 
-def _build_memory(x, g, gnorm, gde, eta, ev, cfg, nu_hat, diag) -> StepMemory:
-    kind = cfg.transport
-    s = transport_step(kind, x, eta, ev.alpha, destination=ev.x_new)
-    t_g = transport_vector(kind, x, eta, ev.alpha, g, destination=ev.x_new)
-    y = ev.g_new - t_g
+def _build_memory(gnorm, gde, eta, ev, cfg, nu_hat, diag) -> StepMemory:
+    s = ev.s
+    y = ev.g_new - ev.t_g
     z = compute_z(cfg.z_mode, s, y, nu_hat)
     ss = inner(s.point, s, s)
     sz = inner(s.point, s, z)
@@ -367,7 +367,7 @@ def _build_memory(x, g, gnorm, gde, eta, ev, cfg, nu_hat, diag) -> StepMemory:
         y=y,
         z=z,
         t_eta=ev.t_eta,
-        t_g=t_g,
+        t_g=ev.t_g,
         sigma=sigma,
         g_prev_norm=gnorm,
         g_prev_dot_eta=gde,
@@ -444,7 +444,7 @@ def solve(
         if callback is not None:
             callback(row)
         try:
-            memory = _build_memory(x, g, gnorm, gde, eta, ev, cfg, nu_hat, diag)
+            memory = _build_memory(gnorm, gde, eta, ev, cfg, nu_hat, diag)
         except (DegenerateStepError, DegenerateTransportError, DegenerateZError):
             x, f, g = ev.x_new, ev.f_new, ev.g_new
             k += 1

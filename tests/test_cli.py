@@ -82,7 +82,7 @@ class TestBenchmark:
     def test_rerun_identical_except_timing(self, tmp_path):
         cfg = load_config(small_config(tmp_path))
         run_benchmark(cfg, tmp_path / "a")
-        run_benchmark(cfg, tmp_path / "b", threads=2)
+        run_benchmark(cfg, tmp_path / "b")
         rows_a = read_csv_rows(tmp_path / "a" / "runs.csv")
         rows_b = read_csv_rows(tmp_path / "b" / "runs.csv")
         for ra, rb in zip(rows_a, rows_b):

@@ -12,7 +12,6 @@ from riemqn import (
     Tangent,
     TransportKind,
     inner,
-    line_search,
     random_point,
     random_tangent,
     rayleigh_instance,
@@ -66,7 +65,7 @@ class TestWolfeCheck:
         d0 = inner(self.x, self.g, eta)
         x_new = retract(self.x, alpha * eta)
         f_new = self.inst.cost(x_new)
-        t_eta = transport_direction(DR, self.x, eta, alpha)
+        t_eta, _, _ = transport_direction(DR, self.x, eta, alpha, self.g, x_new)
         dphi = inner(x_new, self.inst.grad(x_new), t_eta)
         want = (f_new <= f0 + self.cfg.c1 * alpha * d0, dphi >= self.cfg.c2 * d0)
         assert got == want
@@ -96,7 +95,7 @@ class TestLineSearch:
         for kind in TransportKind:
             x = random_point(inst.manifold, rng)
             eta = -inst.grad(x)
-            alpha = line_search(inst, x, eta, self.cfg, kind)
+            alpha = search_step(inst, x, eta, self.cfg, kind).alpha
             assert wolfe_check(inst, x, eta, alpha, self.cfg, kind) == (True, True)
 
     def test_wolfe_interval_exists_and_is_found(self):
@@ -108,15 +107,15 @@ class TestLineSearch:
         grid = np.linspace(1e-3, 2.0, 300)
         window = [a for a in grid if wolfe_check(inst, x, eta, float(a), cfg, DR) == (True, True)]
         assert window, "scan found no Wolfe step; test problem is misconfigured"
-        alpha = line_search(inst, x, eta, cfg, DR)
+        alpha = search_step(inst, x, eta, cfg, DR).alpha
         assert wolfe_check(inst, x, eta, alpha, cfg, DR) == (True, True)
 
     def test_rescaled_direction_still_satisfies_wolfe(self):
         inst = diag_rayleigh(1.0, 3.0)
         x = Point(Sphere(2), np.array([1.0, 1.0]) / np.sqrt(2.0))
         eta = -inst.grad(x)
-        a1 = line_search(inst, x, eta, self.cfg, DR)
-        a2 = line_search(inst, x, 2.0 * eta, self.cfg, DR)
+        a1 = search_step(inst, x, eta, self.cfg, DR).alpha
+        a2 = search_step(inst, x, 2.0 * eta, self.cfg, DR).alpha
         assert wolfe_check(inst, x, eta, a1, self.cfg, DR) == (True, True)
         assert wolfe_check(inst, x, 2.0 * eta, a2, self.cfg, DR) == (True, True)
 
@@ -138,7 +137,7 @@ class TestLineSearch:
         # absurdly long direction forces many shrink steps; tiny budget fails
         eta = -1e18 * inst.grad(x)
         with pytest.raises(LineSearchFailedError):
-            line_search(inst, x, eta, LineSearchConfig(max_evals=5), DR)
+            search_step(inst, x, eta, LineSearchConfig(max_evals=5), DR)
 
     def test_search_step_fields_consistent(self):
         inst = rayleigh_instance(10, seed=12)
@@ -148,15 +147,17 @@ class TestLineSearch:
         ev = search_step(inst, x, eta, self.cfg, DR)
         assert ev.f_new == inst.cost(ev.x_new)
         assert np.array_equal(ev.g_new.ambient, inst.grad(ev.x_new).ambient)
-        want = transport_direction(DR, x, eta, ev.alpha)
-        assert np.array_equal(ev.t_eta.ambient, want.ambient)
+        g = inst.grad(x)
+        want = transport_direction(DR, x, eta, ev.alpha, g, ev.x_new)
+        for got, w in zip((ev.t_eta, ev.s, ev.t_g), want):
+            assert np.array_equal(got.ambient, w.ambient)
         assert ev.dphi == inner(ev.x_new, ev.g_new, ev.t_eta)
 
     def test_nondescent_rejected(self):
         inst = rayleigh_instance(10, seed=12)
         x = random_point(inst.manifold, SplitMix64(6))
         with pytest.raises(ContractViolationError):
-            line_search(inst, x, inst.grad(x), self.cfg, DR)
+            search_step(inst, x, inst.grad(x), self.cfg, DR)
 
     def test_inverse_retraction_transport_accepted_steps(self):
         inst = rayleigh_instance(12, seed=19)

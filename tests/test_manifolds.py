@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemqn import (
     AntipodalPointsError,
@@ -12,7 +14,6 @@ from riemqn import (
     Sphere,
     SplitMix64,
     Tangent,
-    TransportArgumentError,
     TransportKind,
     inner,
     inverse_retraction,
@@ -23,10 +24,7 @@ from riemqn import (
     retract,
     scaling_sigma,
     tangency_defect,
-    transport,
     transport_direction,
-    transport_step,
-    transport_vector,
 )
 
 DR = TransportKind.DIFFERENTIATED_RETRACTION
@@ -185,59 +183,121 @@ class TestProjectTangent:
             assert tangency_defect(t) <= 1e-10 * max(1.0, norm(t))
 
 
+def _step_data(manifold, seed, alpha):
+    rng = SplitMix64(seed)
+    x = random_point(manifold, rng)
+    eta = random_tangent(x, rng)
+    g = random_tangent(x, rng)
+    return x, eta, g, retract(x, alpha * eta)
+
+
+def _dr_closed_form(x, step, v):
+    # (v - u <u, v>) / |y| column by column, with y = x + step and u = y / |y|
+    y = x + step
+    ny = np.sqrt(np.sum(y * y, axis=0))
+    u = y / ny
+    return (v - u * np.sum(u * v, axis=0)) / ny
+
+
+def _max_abs(a):
+    return float(np.max(np.abs(a)))
+
+
+manifolds_st = st.one_of(
+    st.builds(Sphere, st.integers(2, 8)),
+    st.builds(Oblique, st.integers(2, 6), st.integers(1, 4)),
+)
+
+
 class TestTransport:
-    def test_zero_displacement_identity(self):
-        rng = SplitMix64(37)
-        for manifold in MANIFOLDS:
-            x = random_point(manifold, rng)
-            zero = Tangent(x, np.zeros(manifold.ambient_shape))
-            xi = random_tangent(x, rng)
-            for kind in (DR, PROJ):
-                out = transport(kind, x, zero, xi)
-                assert np.max(np.abs(out.ambient - xi.ambient)) <= 1e-12 * max(1.0, norm(xi))
-            out = transport(INVRET, x, zero, zero)
-            assert norm(out) <= 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(
+        manifold=manifolds_st,
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-6.0, 3.0),
+    )
+    def test_step_transport_properties(self, manifold, seed, log_alpha):
+        alpha = 10.0**log_alpha
+        x, eta, g, x_new = _step_data(manifold, seed, alpha)
+        step = alpha * eta.ambient
+        for kind in (DR, PROJ, INVRET):
+            outs = transport_direction(kind, x, eta, alpha, g, x_new)
+            for out in outs:
+                assert out.point is x_new
+                assert tangency_defect(out) <= 1e-10 * max(1.0, norm(out))
+            t_eta, s, t_g = outs
+            if kind is INVRET:
+                assert _max_abs(alpha * t_eta.ambient - s.ambient) <= 1e-14 * max(1.0, norm(s))
+                # the gradient falls back to projection
+                want = transport_direction(PROJ, x, eta, alpha, g, x_new)[2]
+                assert np.array_equal(t_g.ambient, want.ambient)
+                continue
+            if kind is DR:
+                for got, v in zip(outs, (eta.ambient, step, g.ambient)):
+                    want = _dr_closed_form(x.ambient, step, v)
+                    assert _max_abs(got.ambient - want) <= 1e-12 * max(1.0, _max_abs(want))
+            else:
+                assert np.array_equal(s.ambient, project_tangent(x_new, step).ambient)
+            # t_g is linear in g for the two vector transports
+            h = random_tangent(x, SplitMix64(seed + 1))
+            combo = 2.0 * g - 3.0 * h
+            lhs = transport_direction(kind, x, eta, alpha, combo, x_new)[2]
+            rhs = (
+                2.0 * transport_direction(kind, x, eta, alpha, g, x_new)[2]
+                - 3.0 * transport_direction(kind, x, eta, alpha, h, x_new)[2]
+            )
+            assert _max_abs(lhs.ambient - rhs.ambient) <= 1e-12 * max(1.0, norm(combo))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        manifold=manifolds_st,
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-6.0, 3.0),
+    )
+    def test_zero_displacement_identity(self, manifold, seed, log_alpha):
+        alpha = 10.0**log_alpha
+        rng = SplitMix64(seed)
+        x = random_point(manifold, rng)
+        g = random_tangent(x, rng)
+        zero = Tangent(x, np.zeros(manifold.ambient_shape))
+        x_new = retract(x, alpha * zero)
+        assert x_new is x
+        for kind in (DR, PROJ, INVRET):
+            t_eta, s, t_g = transport_direction(kind, x, zero, alpha, g, x_new)
+            # invret divides s by alpha, so bound the step image alpha * t_eta
+            assert alpha * norm(t_eta) <= 1e-12
+            assert norm(s) <= 1e-12
+            assert _max_abs(t_g.ambient - g.ambient) <= 1e-12 * max(1.0, norm(g))
 
     def test_differentiated_retraction_closed_form(self):
         x = sphere_point(1.0, 0.0)
         eta = Tangent(x, np.array([0.0, 1.0]))
-        got = transport(DR, x, eta, eta)
-        # independent evaluation of (1/|y|)(xi - u <u, xi>) with y = x + eta
-        y = x.ambient + eta.ambient
-        ny = np.sqrt(float(y @ y))
-        u = y / ny
-        want = (eta.ambient - u * float(u @ eta.ambient)) / ny
-        assert np.allclose(got.ambient, want, atol=1e-15)
-        assert np.allclose(got.ambient, np.array([-0.5, 0.5]) / np.sqrt(2.0), atol=1e-15)
+        g = Tangent(x, np.array([0.0, 2.0]))
+        t_eta, s, t_g = transport_direction(DR, x, eta, 1.0, g, retract(x, eta))
+        want = np.array([-0.5, 0.5]) / np.sqrt(2.0)
+        assert np.allclose(t_eta.ambient, want, atol=1e-15)
+        assert np.allclose(s.ambient, want, atol=1e-15)
+        assert np.allclose(t_g.ambient, 2.0 * want, atol=1e-15)
 
-    def test_linearity(self):
-        rng = SplitMix64(41)
-        for manifold in MANIFOLDS:
-            x = random_point(manifold, rng)
-            eta = random_tangent(x, rng)
-            xi = random_tangent(x, rng)
-            zeta = random_tangent(x, rng)
-            for kind in (DR, PROJ):
-                lhs = transport(kind, x, eta, 2.0 * xi - 3.0 * zeta)
-                rhs = 2.0 * transport(kind, x, eta, xi) - 3.0 * transport(kind, x, eta, zeta)
-                assert np.max(np.abs(lhs.ambient - rhs.ambient)) <= 1e-12
-
-    def test_destination_tangency(self):
-        rng = SplitMix64(43)
-        for manifold in MANIFOLDS:
-            for kind in (DR, PROJ, INVRET):
-                x = random_point(manifold, rng)
-                eta = random_tangent(x, rng)
-                xi = eta if kind is INVRET else random_tangent(x, rng)
-                out = transport(kind, x, eta, xi)
-                assert tangency_defect(out) <= 1e-10 * max(1.0, norm(out))
-
-    def test_inverse_retraction_requires_displacement(self):
-        rng = SplitMix64(47)
-        x = random_point(Sphere(4), rng)
+    def test_step_is_alpha_times_direction(self):
+        rng = SplitMix64(67)
+        x = random_point(Oblique(4, 2), rng)
         eta = random_tangent(x, rng)
-        with pytest.raises(TransportArgumentError):
-            transport(INVRET, x, eta, 2.0 * eta)
+        g = random_tangent(x, rng)
+        alpha = 0.37
+        x_new = retract(x, alpha * eta)
+        for kind in (DR, PROJ, INVRET):
+            t_eta, s, _ = transport_direction(kind, x, eta, alpha, g, x_new)
+            assert np.allclose(s.ambient, alpha * t_eta.ambient, rtol=1e-12, atol=1e-14)
+
+    def test_contract_checks(self):
+        rng = SplitMix64(48)
+        x, eta, g, x_new = _step_data(Sphere(4), 47, 0.5)
+        other = random_point(Sphere(4), rng)
+        with pytest.raises(ContractViolationError):
+            transport_direction(DR, x, eta, 0.5, random_tangent(other, rng), x_new)
+        with pytest.raises(ContractViolationError):
+            transport_direction(DR, x, eta, 0.0, g, x_new)
 
     def test_inverse_retraction_roundtrip(self):
         # retracting the inverse retraction recovers the target point
@@ -254,55 +314,27 @@ class TestTransport:
         with pytest.raises(AntipodalPointsError):
             inverse_retraction(w, v)
 
-    def test_explicit_destination_matches(self):
-        rng = SplitMix64(59)
-        x = random_point(Sphere(5), rng)
-        eta = random_tangent(x, rng)
-        xi = random_tangent(x, rng)
-        w = retract(x, eta)
-        a = transport(DR, x, eta, xi)
-        b = transport(DR, x, eta, xi, destination=w)
-        assert np.array_equal(a.ambient, b.ambient)
-
     def test_consistency_orders_with_differentiated_retraction(self):
-        # residual of T(a*eta) against DR_x(a*eta)[a*eta] shrinks at least
-        # quadratically in a for the projection and inverse-retraction maps
+        # residual of the step image s against DR_x(a*eta)[a*eta] shrinks at
+        # least quadratically in a for the projection and inverse-retraction maps
         rng = SplitMix64(61)
         alphas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         for manifold in MANIFOLDS:
             x = random_point(manifold, rng)
             eta = random_tangent(x, rng, unit=True)
+            g = random_tangent(x, rng)
+
+            def step_image(kind, a):
+                x_new = retract(x, a * eta)
+                return transport_direction(kind, x, eta, a, g, x_new)[1]
+
             for kind in (PROJ, INVRET):
-                residuals = []
-                for a in alphas:
-                    step = float(a) * eta
-                    reference = transport(DR, x, step, step)
-                    other = transport(kind, x, step, step)
-                    residuals.append(norm(other - reference))
-                residuals = np.array(residuals)
+                residuals = np.array(
+                    [norm(step_image(kind, float(a)) - step_image(DR, float(a))) for a in alphas]
+                )
                 assert np.all(residuals > 0.0)
                 slope = np.polyfit(np.log(alphas), np.log(residuals), 1)[0]
                 assert slope >= 1.8
-            # the differentiated retraction is its own reference
-            step = 0.1 * eta
-            assert norm(transport(DR, x, step, step) - transport(DR, x, step, step)) == 0.0
-
-    def test_direction_step_vector_helpers(self):
-        rng = SplitMix64(67)
-        x = random_point(Oblique(4, 2), rng)
-        eta = random_tangent(x, rng)
-        g = random_tangent(x, rng)
-        alpha = 0.37
-        for kind in (DR, PROJ, INVRET):
-            t_eta = transport_direction(kind, x, eta, alpha)
-            s = transport_step(kind, x, eta, alpha)
-            assert np.allclose(s.ambient, alpha * t_eta.ambient, rtol=1e-12, atol=1e-14)
-            moved = transport_vector(kind, x, eta, alpha, g)
-            assert tangency_defect(moved) <= 1e-10 * max(1.0, norm(moved))
-        # for linear transports, moving the direction matches the direct call
-        want = transport(DR, x, alpha * eta, eta)
-        got = transport_direction(DR, x, eta, alpha)
-        assert np.array_equal(want.ambient, got.ambient)
 
 
 class TestScalingSigma:

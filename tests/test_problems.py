@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from riemqn import (
+    ConfigError,
     ContractViolationError,
+    OffDiagonalInstance,
     Oblique,
     Point,
     Sphere,
@@ -15,6 +17,7 @@ from riemqn import (
     norm,
     offdiag_instance,
     random_point,
+    RayleighInstance,
     random_tangent,
     rayleigh_instance,
 )
@@ -186,6 +189,38 @@ class TestOffDiagonal:
         other = random_point(Oblique(5, 4), SplitMix64(1))
         with pytest.raises(ContractViolationError):
             inst.grad(other)
+
+
+def _inf_diagonal(a):
+    a = np.array(a)
+    np.fill_diagonal(a, np.inf)
+    return a
+
+
+def _all_nan(a):
+    return np.full_like(a, np.nan)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteData:
+    @pytest.mark.parametrize("spoil", [_inf_diagonal, _all_nan], ids=["inf_diagonal", "all_nan"])
+    def test_rayleigh_rejected(self, spoil):
+        inst = rayleigh_instance(5, seed=3)
+        with pytest.raises(ConfigError, match="non-finite"):
+            RayleighInstance(matrix=spoil(inst.matrix), x0=inst.x0, seed=3)
+
+    @pytest.mark.parametrize("spoil", [_inf_diagonal, _all_nan], ids=["inf_diagonal", "all_nan"])
+    def test_offdiag_rejected(self, spoil):
+        inst = offdiag_instance(5, 3, 2, seed=3)
+        matrices = (inst.matrices[0], spoil(inst.matrices[1]))
+        with pytest.raises(ConfigError, match="non-finite"):
+            OffDiagonalInstance(matrices=matrices, x0=inst.x0, seed=3)
+
+    def test_finite_asymmetry_still_a_contract_violation(self):
+        a = np.array(rayleigh_instance(4, seed=3).matrix)
+        a[0, 1] += 1.0
+        with pytest.raises(ContractViolationError, match="not symmetric"):
+            RayleighInstance(matrix=a, x0=rayleigh_instance(4, seed=3).x0, seed=3)
 
 
 class TestGradientFiniteDifferences:
