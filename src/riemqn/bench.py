@@ -18,8 +18,9 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError
-from .problems import ProblemInstance, generate_instance
+from .problems import ProblemInstance, check_dims, generate_instance
 from .profiles import ProfileTable, performance_profile
+from .schema import integer
 from .solver import RunResult, SolverConfig, config_from_id, solve, solver_id
 
 RUNS_HEADER = [
@@ -54,17 +55,18 @@ def parse_config(data: Mapping) -> BenchConfig:
     unknown = set(data) - {"problem", "solvers", "tol", "max_iters", "line_search"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        prob = data["problem"]
-        solver_entries = data["solvers"]
-    except KeyError as exc:
-        raise ConfigError(f"config missing required key: {exc}") from exc
+    missing = {"problem", "solvers"} - set(data)
+    if missing:
+        raise ConfigError(f"config missing required keys: {sorted(missing)}")
+    prob, solver_entries = data["problem"], data["solvers"]
     if not isinstance(prob, Mapping):
         raise ConfigError("'problem' must be an object")
-    missing = {"kind", "dims", "instances", "seed_base"} - set(prob)
-    if missing:
-        raise ConfigError(f"'problem' missing keys: {sorted(missing)}")
-    instances = int(prob["instances"])
+    keys = {"kind", "dims", "instances", "seed_base"}
+    if set(prob) != keys:
+        raise ConfigError(f"'problem' needs exactly the keys {sorted(keys)}, got {list(prob)}")
+    dims = check_dims(prob["kind"], prob["dims"])
+    instances = integer(prob["instances"], "instances")
+    seed_base = integer(prob["seed_base"], "seed_base")
     if instances < 1:
         raise ConfigError("'instances' must be at least 1")
     if not isinstance(solver_entries, list) or not solver_entries:
@@ -73,29 +75,20 @@ def parse_config(data: Mapping) -> BenchConfig:
     base = SolverConfig.from_dict(
         {key: data[key] for key in ("tol", "max_iters", "line_search") if key in data}
     )
-    solvers = []
-    seen = set()
-    for entry in solver_entries:
-        if isinstance(entry, str):
-            cfg = config_from_id(entry, base=base)
-        elif isinstance(entry, Mapping):
-            cfg = SolverConfig.from_dict(dict(entry), base=base)
-        else:
-            raise ConfigError(f"solver entry must be a string or object: {entry!r}")
-        sid = solver_id(cfg)
-        if sid in seen:
-            raise ConfigError(f"duplicate solver id: {sid}")
-        seen.add(sid)
-        solvers.append(cfg)
-
-    # building one instance up front surfaces bad dims as a config error
-    generate_instance(str(prob["kind"]), prob["dims"], int(prob["seed_base"]))
+    solvers = tuple(
+        config_from_id(e, base) if isinstance(e, str) else SolverConfig.from_dict(e, base)
+        for e in solver_entries
+    )
+    ids = [solver_id(cfg) for cfg in solvers]
+    duplicates = sorted({sid for sid in ids if ids.count(sid) > 1})
+    if duplicates:
+        raise ConfigError(f"duplicate solver ids: {duplicates}")
     return BenchConfig(
-        kind=str(prob["kind"]),
-        dims=dict(prob["dims"]),
+        kind=prob["kind"],
+        dims=dims,
         instances=instances,
-        seed_base=int(prob["seed_base"]),
-        solvers=tuple(solvers),
+        seed_base=seed_base,
+        solvers=solvers,
     )
 
 

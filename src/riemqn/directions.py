@@ -81,7 +81,6 @@ class StepMemory:
     sigma: float
     g_prev_norm: float
     g_prev_dot_eta: float
-    eta_prev_norm: float
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ ambient draw that is normalized into the initial iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Union
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolationError
 from .manifolds import Oblique, Point, Sphere, Tangent, project_tangent
 from .rng import SplitMix64
+from .schema import integer, read_object
 
 SYMMETRY_TOL = 1e-14
 
@@ -33,16 +34,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reject_non_finite(arr: np.ndarray, what: str) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        first = tuple(bad[0].tolist())
+        raise ConfigError(f"{what} has {len(bad)} non-finite entries, the first at {first}")
+
+
 def _check_symmetric(a: np.ndarray) -> None:
     # an inf or nan entry makes the defect inf or nan, so this also rejects
     # non-finite data without a separate pass over the matrix
     defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if not defect <= SYMMETRY_TOL:
-        bad = np.argwhere(~np.isfinite(a))
-        if len(bad):
-            first = tuple(bad[0].tolist())
-            raise ConfigError(f"matrix has {len(bad)} non-finite entries, the first at {first}")
+        _reject_non_finite(a, "matrix")
         raise ContractViolationError(f"matrix is not symmetric (defect {defect:.3e})")
+
+
+def _check_point(instance: ProblemInstance, x: Point) -> None:
+    if x.manifold != instance.manifold:
+        raise ContractViolationError(
+            f"dimension mismatch: point on {x.manifold}, instance on {instance.manifold}"
+        )
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,7 @@ class RayleighInstance:
     matrix: np.ndarray
     x0: np.ndarray
     seed: int
+    manifold: Sphere = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str] = "rayleigh"
 
@@ -61,36 +75,25 @@ class RayleighInstance:
             raise ConfigError("rayleigh matrix must be square")
         _check_symmetric(a)
         object.__setattr__(self, "matrix", _frozen(a))
+        object.__setattr__(self, "manifold", Sphere(a.shape[0]))
         object.__setattr__(self, "x0", _frozen(self.x0))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def manifold(self) -> Sphere:
-        return Sphere(self.n)
-
-    def _check(self, x: Point) -> None:
-        if x.manifold != self.manifold:
-            raise ContractViolationError(
-                f"dimension mismatch: point on {x.manifold}, instance on {self.manifold}"
-            )
+        _reject_non_finite(self.x0, "x0")
+        object.__setattr__(self, "_start", Point(self.manifold, self.x0))
 
     def cost(self, x: Point) -> float:
-        self._check(x)
+        _check_point(self, x)
         return float(x.ambient @ (self.matrix @ x.ambient))
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 2 A x."""
-        self._check(x)
+        _check_point(self, x)
         return project_tangent(x, 2.0 * (self.matrix @ x.ambient))
 
     def initial_point(self) -> Point:
-        return Point(self.manifold, self.x0)
+        return self._start
 
     def descriptor(self) -> dict:
-        return {"kind": self.kind, "dims": {"n": self.n}, "seed": self.seed}
+        return {"kind": self.kind, "dims": {"n": self.manifold.n}, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,7 @@ class OffDiagonalInstance:
     matrices: tuple[np.ndarray, ...]
     x0: np.ndarray
     seed: int
+    manifold: Oblique = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str] = "offdiag"
 
@@ -118,29 +122,10 @@ class OffDiagonalInstance:
         x0 = np.asarray(self.x0, dtype=np.float64)
         if x0.ndim != 2 or x0.shape[0] != frozen[0].shape[0]:
             raise ConfigError("initial point shape does not match the matrices")
+        _reject_non_finite(x0, "x0")
+        object.__setattr__(self, "manifold", Oblique(x0.shape[0], x0.shape[1]))
         object.__setattr__(self, "x0", _frozen(x0))
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.x0.shape[1]
-
-    @property
-    def num_matrices(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def manifold(self) -> Oblique:
-        return Oblique(self.n, self.p)
-
-    def _check(self, x: Point) -> None:
-        if x.manifold != self.manifold:
-            raise ContractViolationError(
-                f"dimension mismatch: point on {x.manifold}, instance on {self.manifold}"
-            )
+        object.__setattr__(self, "_start", Point(self.manifold, self.x0))
 
     def _offdiag_parts(self, xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cx = self._stacked @ xa
@@ -150,23 +135,23 @@ class OffDiagonalInstance:
         return cx, e
 
     def cost(self, x: Point) -> float:
-        self._check(x)
+        _check_point(self, x)
         _, e = self._offdiag_parts(x.ambient)
         return float(np.sum(e * e))
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 4 sum_i C_i X E_i."""
-        self._check(x)
+        _check_point(self, x)
         cx, e = self._offdiag_parts(x.ambient)
         return project_tangent(x, 4.0 * np.sum(cx @ e, axis=0))
 
     def initial_point(self) -> Point:
-        return Point(self.manifold, self.x0)
+        return self._start
 
     def descriptor(self) -> dict:
         return {
             "kind": self.kind,
-            "dims": {"n": self.n, "p": self.p, "N": self.num_matrices},
+            "dims": {"n": self.manifold.n, "p": self.manifold.p, "N": len(self.matrices)},
             "seed": self.seed,
         }
 
@@ -197,24 +182,32 @@ def offdiag_instance(n: int, p: int, num_matrices: int, seed: int) -> OffDiagona
     return OffDiagonalInstance(matrices=mats, x0=x0, seed=seed)
 
 
+def check_dims(kind: str, dims: Mapping) -> dict[str, int]:
+    """The dims of a ``kind`` instance, each a positive integer."""
+    if kind == RayleighInstance.kind:
+        checks = {"n": integer}
+    elif kind == OffDiagonalInstance.kind:
+        checks = {"n": integer, "p": integer, "N": integer}
+    else:
+        raise ConfigError(f"unknown problem kind: {kind!r}")
+    checked = read_object(dims, checks, f"{kind} dims", required=True)
+    if min(checked.values()) < 1:
+        raise ConfigError(f"{kind} dims must be positive, got {checked}")
+    return checked
+
+
 def generate_instance(kind: str, dims: Mapping[str, int], seed: int) -> ProblemInstance:
     """Build an instance from its JSON-style descriptor fields."""
+    d = check_dims(kind, dims)
     if kind == RayleighInstance.kind:
-        if "n" not in dims:
-            raise ConfigError("rayleigh dims require 'n'")
-        return rayleigh_instance(int(dims["n"]), seed)
-    if kind == OffDiagonalInstance.kind:
-        missing = {"n", "p", "N"} - set(dims)
-        if missing:
-            raise ConfigError(f"offdiag dims require {sorted(missing)}")
-        return offdiag_instance(int(dims["n"]), int(dims["p"]), int(dims["N"]), seed)
-    raise ConfigError(f"unknown problem kind: {kind!r}")
+        return rayleigh_instance(d["n"], seed)
+    return offdiag_instance(d["n"], d["p"], d["N"], seed)
 
 
 def instance_from_descriptor(descriptor: Mapping) -> ProblemInstance:
     try:
         return generate_instance(
-            descriptor["kind"], descriptor["dims"], int(descriptor["seed"])
+            descriptor["kind"], descriptor["dims"], integer(descriptor["seed"], "seed")
         )
     except KeyError as exc:
         raise ConfigError(f"descriptor missing field: {exc}") from exc

@@ -48,6 +48,7 @@ from .manifolds import (
     scaling_sigma,
 )
 from .problems import ProblemInstance
+from .schema import choice, flag, integer, read_object, real
 
 _DESCENT_GUARD = 1e-14
 
@@ -68,9 +69,30 @@ _TRANSPORT_CODES = {
     TransportKind.PROJECTION: "proj",
     TransportKind.INVERSE_RETRACTION: "invret",
 }
-_TRANSPORT_FROM_CODE = {v: k for k, v in _TRANSPORT_CODES.items()}
 _Z_CODES = {ZMode.LI_FUKUSHIMA: "lf", ZMode.POWELL: "powell"}
-_Z_FROM_CODE = {v: k for k, v in _Z_CODES.items()}
+
+# JSON key -> check of the line_search object; each key names a
+# LineSearchConfig field, except that max_ls_evals sets max_evals
+_LINE_SEARCH_KEYS = {"c1": real, "c2": real, "alpha_init": real, "alpha_max": real,
+                     "max_ls_evals": integer}
+_LINE_SEARCH_FIELDS = {"max_ls_evals": "max_evals"}
+
+# JSON key -> check; each key names a SolverConfig field.  Enums take their
+# value or code; only nu_hat may be null (its default follows z_mode).
+_SOLVER_KEYS = {
+    "direction": choice(DirectionKind),
+    "transport": choice(TransportKind, _TRANSPORT_CODES),
+    "phi_mode": choice(PhiMode),
+    "z_mode": choice(ZMode, _Z_CODES),
+    "xi": real,
+    "nu_hat": lambda value, key: None if value is None else real(value, key),
+    "hz_mu": real,
+    "preconvex_mu_reciprocal": flag,
+    "tol": real,
+    "max_iters": integer,
+    "line_search": lambda value, key: read_object(value, _LINE_SEARCH_KEYS, key),
+    "record_trace": flag,
+}
 
 
 @dataclass(frozen=True)
@@ -99,96 +121,32 @@ class SolverConfig:
             raise ConfigError("xi must lie in [0, 1]")
         if not self.hz_mu > 0.25:
             raise ConfigError("hz_mu must exceed 1/4")
+        nu_hat = self.resolved_nu_hat()
+        if not (0.0 < nu_hat < 1.0 if self.z_mode is ZMode.POWELL else nu_hat > 0.0):
+            raise ConfigError("nu_hat must be positive, and below 1 for Powell damping")
 
     def resolved_nu_hat(self) -> float:
         return self.nu_hat if self.nu_hat is not None else DEFAULT_NU_HAT[self.z_mode]
 
     def to_dict(self) -> dict:
-        return {
-            "direction": self.direction.value,
-            "transport": self.transport.value,
-            "phi_mode": self.phi_mode.value,
-            "z_mode": self.z_mode.value,
-            "xi": self.xi,
-            "nu_hat": self.nu_hat,
-            "hz_mu": self.hz_mu,
-            "preconvex_mu_reciprocal": self.preconvex_mu_reciprocal,
-            "tol": self.tol,
-            "max_iters": self.max_iters,
-            "line_search": {
-                "c1": self.line_search.c1,
-                "c2": self.line_search.c2,
-                "alpha_init": self.line_search.alpha_init,
-                "alpha_max": self.line_search.alpha_max,
-                "max_ls_evals": self.line_search.max_evals,
-            },
+        """The JSON object ``from_dict`` reads back; ``record_trace`` is left out."""
+        out = {key: getattr(self, key) for key in _SOLVER_KEYS if key != "record_trace"}
+        out.update({key: value.value for key, value in out.items() if isinstance(value, Enum)})
+        out["line_search"] = {
+            key: getattr(self.line_search, _LINE_SEARCH_FIELDS.get(key, key))
+            for key in _LINE_SEARCH_KEYS
         }
+        return out
 
     @classmethod
-    def from_dict(cls, data: dict, base: "SolverConfig | None" = None) -> "SolverConfig":
+    def from_dict(cls, data: Mapping, base: "SolverConfig | None" = None) -> "SolverConfig":
+        """``base`` (default: the defaults) with the fields that ``data`` sets."""
         base = base if base is not None else cls()
-        known = {
-            "direction",
-            "transport",
-            "phi_mode",
-            "z_mode",
-            "xi",
-            "nu_hat",
-            "hz_mu",
-            "preconvex_mu_reciprocal",
-            "tol",
-            "max_iters",
-            "record_trace",
-            "line_search",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown solver config keys: {sorted(unknown)}")
-        kwargs = {}
-        try:
-            if "direction" in data:
-                kwargs["direction"] = DirectionKind(data["direction"])
-            if "transport" in data:
-                code = data["transport"]
-                kwargs["transport"] = (
-                    _TRANSPORT_FROM_CODE[code]
-                    if code in _TRANSPORT_FROM_CODE
-                    else TransportKind(code)
-                )
-            if "phi_mode" in data:
-                kwargs["phi_mode"] = PhiMode(data["phi_mode"])
-            if "z_mode" in data:
-                code = data["z_mode"]
-                kwargs["z_mode"] = _Z_FROM_CODE[code] if code in _Z_FROM_CODE else ZMode(code)
-            for key in ("xi", "nu_hat", "hz_mu", "tol"):
-                if key in data and data[key] is not None:
-                    kwargs[key] = float(data[key])
-            if "nu_hat" in data and data["nu_hat"] is None:
-                kwargs["nu_hat"] = None
-            if "preconvex_mu_reciprocal" in data:
-                kwargs["preconvex_mu_reciprocal"] = bool(data["preconvex_mu_reciprocal"])
-            if "max_iters" in data:
-                kwargs["max_iters"] = int(data["max_iters"])
-            if "record_trace" in data:
-                kwargs["record_trace"] = bool(data["record_trace"])
-            if "line_search" in data:
-                if not isinstance(data["line_search"], Mapping):
-                    raise ConfigError("'line_search' must be an object")
-                ls = dict(data["line_search"])
-                if "max_ls_evals" in ls:
-                    ls["max_evals"] = int(ls.pop("max_ls_evals"))
-                ls_known = {"c1", "c2", "alpha_init", "alpha_max", "max_evals"}
-                bad = set(ls) - ls_known
-                if bad:
-                    raise ConfigError(f"unknown line_search keys: {sorted(bad)}")
-                merged = dataclasses.asdict(base.line_search)
-                merged.update(ls)
-                kwargs["line_search"] = LineSearchConfig(**merged)
-            return dataclasses.replace(base, **kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad solver config: {exc}") from exc
+        fields = read_object(data, _SOLVER_KEYS, "solver config")
+        if "line_search" in fields:
+            ls = {_LINE_SEARCH_FIELDS.get(k, k): v for k, v in fields["line_search"].items()}
+            fields["line_search"] = dataclasses.replace(base.line_search, **ls)
+        return dataclasses.replace(base, **fields)
 
 
 def solver_id(cfg: SolverConfig) -> str:
@@ -200,37 +158,25 @@ def solver_id(cfg: SolverConfig) -> str:
 
 
 def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
-    """Parse a solver id back into a config (other fields taken from ``base``)."""
-    base = base if base is not None else SolverConfig()
+    """Parse a solver id back into a config (other fields taken from ``base``).
+
+    Ids name the transport by its code only: ``dr``, ``proj`` or ``invret``.
+    """
     parts = sid.split("_")
-    try:
-        if parts[0] == "broyden":
-            if len(parts) != 5:
-                raise ConfigError(f"malformed broyden solver id: {sid!r}")
-            phi_mode = PhiMode(parts[1])
-            z_mode = _Z_FROM_CODE[parts[2]]
-            if not parts[3].startswith("xi"):
-                raise ConfigError(f"missing xi field in solver id: {sid!r}")
+    if parts[0] == "broyden" and len(parts) == 5 and parts[3].startswith("xi"):
+        try:
             xi = float(parts[3][2:])
-            transport = _TRANSPORT_FROM_CODE[parts[4]]
-            return dataclasses.replace(
-                base,
-                direction=DirectionKind.BROYDEN,
-                phi_mode=phi_mode,
-                z_mode=z_mode,
-                xi=xi,
-                transport=transport,
-            )
-        direction = DirectionKind(parts[0])
-        if len(parts) == 1:
-            transport = TransportKind.DIFFERENTIATED_RETRACTION
-        elif len(parts) == 2:
-            transport = _TRANSPORT_FROM_CODE[parts[1]]
-        else:
-            raise ConfigError(f"malformed solver id: {sid!r}")
-        return dataclasses.replace(base, direction=direction, transport=transport)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot parse solver id {sid!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad xi in solver id {sid!r}") from exc
+        data = {"direction": parts[0], "phi_mode": parts[1], "z_mode": parts[2],
+                "xi": xi, "transport": parts[4]}
+    elif parts[0] != "broyden" and len(parts) <= 2:
+        data = {"direction": parts[0], "transport": parts[1] if len(parts) == 2 else "dr"}
+    else:
+        raise ConfigError(f"malformed solver id: {sid!r}")
+    if data["transport"] not in _TRANSPORT_CODES.values():
+        raise ConfigError(f"solver id {sid!r} must end in a transport code: dr, proj or invret")
+    return SolverConfig.from_dict(data, base)
 
 
 @dataclass
@@ -347,7 +293,7 @@ def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
     return cg_direction(g, beta, memory.sigma, memory.t_eta)
 
 
-def _build_memory(gnorm, gde, eta, ev, cfg, nu_hat, diag) -> StepMemory:
+def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
     s = ev.s
     y = ev.g_new - ev.t_g
     z = compute_z(cfg.z_mode, s, y, nu_hat)
@@ -360,7 +306,6 @@ def _build_memory(gnorm, gde, eta, ev, cfg, nu_hat, diag) -> StepMemory:
         raise DegenerateZError("z has zero norm")
     diag.z_margin.append(sz - nu_hat * ss)
     diag.z_ratio.append(math.sqrt(zz / ss))
-    eta_norm = norm(eta)
     sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
     return StepMemory(
         s=s,
@@ -371,7 +316,6 @@ def _build_memory(gnorm, gde, eta, ev, cfg, nu_hat, diag) -> StepMemory:
         sigma=sigma,
         g_prev_norm=gnorm,
         g_prev_dot_eta=gde,
-        eta_prev_norm=eta_norm,
     )
 
 
@@ -420,7 +364,8 @@ def solve(
             diag.restarts += 1
         diag.gnorm.append(gnorm)
         diag.g_dot_eta.append(gde)
-        diag.eta_norm.append(norm(eta))
+        eta_norm = norm(eta)
+        diag.eta_norm.append(eta_norm)
         try:
             ev = search_step(
                 problem, x, eta, cfg.line_search, cfg.transport, f0=f, g0=g
@@ -443,15 +388,13 @@ def solve(
             trace.append(row)
         if callback is not None:
             callback(row)
-        try:
-            memory = _build_memory(gnorm, gde, eta, ev, cfg, nu_hat, diag)
-        except (DegenerateStepError, DegenerateTransportError, DegenerateZError):
-            x, f, g = ev.x_new, ev.f_new, ev.g_new
-            k += 1
-            failure = FailureReason.DEGENERATE_STEP
-            break
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
+        try:
+            memory = _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag)
+        except (DegenerateStepError, DegenerateTransportError, DegenerateZError):
+            failure = FailureReason.DEGENERATE_STEP
+            break
 
     final_gnorm = norm(g)
     terminal = IterationTrace(

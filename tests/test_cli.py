@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riemqn.bench import (
@@ -59,6 +60,48 @@ class TestConfigParsing:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({"problem": {}, "solvers": ["dy"], "surprise": 1})
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"instances": 2.5},
+            {"instances": True},
+            {"seed_base": "7"},
+            {"seed_base": 7.0},
+            {"dims": {"n": 10.9}},
+            {"dims": {"n": 0}},
+            {"dims": {"n": 10, "p": 2}},
+            {"kind": ["rayleigh"]},
+            {"stride": 2},
+        ],
+        ids=repr,
+    )
+    def test_malformed_problem_rejected(self, problem):
+        base = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        with pytest.raises(ConfigError):
+            parse_config({"problem": {**base, **problem}, "solvers": ["dy_dr"]})
+
+    @pytest.mark.parametrize("top", [{"max_iters": 20.0}, {"tol": "1e-6"},
+                                     {"line_search": {"max_ls_evals": 2.5}}], ids=repr)
+    def test_malformed_solver_defaults_rejected(self, top):
+        problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        with pytest.raises(ConfigError):
+            parse_config({"problem": problem, "solvers": ["dy_dr"], **top})
+
+    @pytest.mark.parametrize("entry", ["hz_projection", {"direction": "hz", "hz_mu": "2"}, 3],
+                             ids=repr)
+    def test_malformed_solver_entry_rejected(self, entry):
+        problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        with pytest.raises(ConfigError):
+            parse_config({"problem": problem, "solvers": [entry]})
+
+    def test_dims_kept_as_checked(self):
+        cfg = parse_config(
+            {"problem": {"kind": "offdiag", "dims": {"N": np.int64(2), "p": 2, "n": 5},
+                         "instances": 1, "seed_base": 1}, "solvers": ["dy"]}
+        )
+        assert cfg.dims == {"n": 5, "p": 2, "N": 2}
+        assert all(type(v) is int for v in cfg.dims.values())
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import pytest
 from riemqn import (
     ConfigError,
     ContractViolationError,
+    InvalidPointError,
     OffDiagonalInstance,
     Oblique,
     Point,
@@ -221,6 +222,76 @@ class TestNonFiniteData:
         a[0, 1] += 1.0
         with pytest.raises(ContractViolationError, match="not symmetric"):
             RayleighInstance(matrix=a, x0=rayleigh_instance(4, seed=3).x0, seed=3)
+
+
+def _with_entry(x0, index, value):
+    x0 = np.array(x0)
+    x0[index] = value
+    return x0
+
+
+class TestInitialPointChecked:
+    """x0 is checked once, when the instance is built."""
+
+    def test_rayleigh_nan_rejected(self):
+        inst = rayleigh_instance(5, seed=3)
+        with pytest.raises(ConfigError, match=r"x0 has 2 non-finite entries, the first at \(1,\)"):
+            RayleighInstance(matrix=inst.matrix, x0=_with_entry(inst.x0, [1, 3], np.nan), seed=3)
+
+    def test_offdiag_inf_rejected(self):
+        inst = offdiag_instance(5, 3, 2, seed=3)
+        with pytest.raises(ConfigError, match=r"x0 has 1 non-finite entries, the first at \(2, 1\)"):
+            OffDiagonalInstance(
+                matrices=inst.matrices, x0=_with_entry(inst.x0, (2, 1), np.inf), seed=3
+            )
+
+    def test_rayleigh_wrong_shape_rejected(self):
+        inst = rayleigh_instance(4, seed=3)
+        with pytest.raises(InvalidPointError, match="shape"):
+            RayleighInstance(matrix=inst.matrix, x0=np.ones(7), seed=3)
+
+    def test_off_constraint_rejected(self):
+        ray = rayleigh_instance(4, seed=3)
+        with pytest.raises(InvalidPointError, match="constraint"):
+            RayleighInstance(matrix=ray.matrix, x0=2.0 * ray.x0, seed=3)
+        off = offdiag_instance(5, 3, 2, seed=3)
+        with pytest.raises(InvalidPointError, match="constraint"):
+            OffDiagonalInstance(matrices=off.matrices, x0=_with_entry(off.x0, (0, 2), 5.0), seed=3)
+
+    def test_initial_point_and_manifold_built_once(self):
+        for inst in (rayleigh_instance(6, seed=3), offdiag_instance(5, 3, 2, seed=3)):
+            assert inst.initial_point() is inst.initial_point()
+            assert inst.initial_point().manifold is inst.manifold
+            assert np.array_equal(inst.initial_point().ambient, inst.x0)
+
+
+class TestDims:
+    @pytest.mark.parametrize(
+        "kind,dims",
+        [
+            ("rayleigh", {"n": 10.9}),
+            ("rayleigh", {"n": True}),
+            ("rayleigh", {"n": "10"}),
+            ("rayleigh", {}),
+            ("rayleigh", {"n": 10, "p": 2}),
+            ("offdiag", {"n": 6, "p": 3}),
+            ("offdiag", {"n": 6, "p": 3.0, "N": 2}),
+            ("offdiag", {"n": 6, "p": 0, "N": 2}),
+            ("offdiag", [6, 3, 2]),
+            ("cube", {"n": 6}),
+        ],
+    )
+    def test_rejected(self, kind, dims):
+        with pytest.raises(ConfigError):
+            generate_instance(kind, dims, 1)
+
+    def test_numpy_integers_accepted(self):
+        inst = generate_instance("offdiag", {"n": np.int64(6), "p": np.int32(3), "N": 2}, 1)
+        assert inst.descriptor()["dims"] == {"n": 6, "p": 3, "N": 2}
+
+    def test_descriptor_seed_must_be_an_integer(self):
+        with pytest.raises(ConfigError):
+            instance_from_descriptor({"kind": "rayleigh", "dims": {"n": 5}, "seed": "7"})
 
 
 class TestGradientFiniteDifferences:

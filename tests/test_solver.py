@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -108,6 +109,187 @@ class TestSolverConfig:
         for sid in ("newton", "broyden_bfgs_lf_dr", "broyden_bfgs_lf_xi0.1_warp", "dy_dr_x"):
             with pytest.raises(ConfigError):
                 config_from_id(sid)
+
+
+# The 14 solver ids of the Rayleigh benchmark workloads and the 15 of the
+# offdiag one; the two lists share five ids.
+RAYLEIGH_BENCH_IDS = (
+    "broyden_bfgs_lf_xi1_dr",
+    "broyden_bfgs_lf_xi0.8_dr",
+    "broyden_bfgs_lf_xi0.1_dr",
+    "broyden_preconvex_lf_xi1_dr",
+    "broyden_preconvex_lf_xi0.8_dr",
+    "broyden_preconvex_lf_xi0.1_dr",
+    "broyden_bfgs_powell_xi1_dr",
+    "broyden_bfgs_powell_xi0.8_dr",
+    "broyden_bfgs_powell_xi0.1_dr",
+    "broyden_preconvex_powell_xi1_dr",
+    "broyden_preconvex_powell_xi0.8_dr",
+    "broyden_preconvex_powell_xi0.1_dr",
+    "dy_dr",
+    "hz_dr",
+)
+OFFDIAG_BENCH_IDS = (
+    "broyden_bfgs_lf_xi0.1_dr",
+    "broyden_bfgs_lf_xi0.1_proj",
+    "broyden_bfgs_lf_xi0.1_invret",
+    "broyden_bfgs_lf_xi1_dr",
+    "broyden_bfgs_lf_xi1_proj",
+    "broyden_bfgs_lf_xi1_invret",
+    "broyden_preconvex_powell_xi0.8_dr",
+    "broyden_preconvex_powell_xi0.8_proj",
+    "broyden_preconvex_powell_xi0.8_invret",
+    "dy_dr",
+    "dy_proj",
+    "dy_invret",
+    "hz_dr",
+    "hz_proj",
+    "hz_invret",
+)
+BENCH_IDS = sorted(set(RAYLEIGH_BENCH_IDS) | set(OFFDIAG_BENCH_IDS))
+
+ENUM_FIELDS = {
+    "direction": DirectionKind,
+    "transport": TransportKind,
+    "phi_mode": PhiMode,
+    "z_mode": ZMode,
+}
+
+
+class TestStrictConfig:
+    """Config values are checked, never coerced."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"max_iters": 2.7},
+            {"max_iters": 10.0},
+            {"max_iters": True},
+            {"max_iters": "10"},
+            {"preconvex_mu_reciprocal": "false"},
+            {"preconvex_mu_reciprocal": 0},
+            {"record_trace": "no"},
+            {"tol": None},
+            {"xi": "0.5"},
+            {"xi": False},
+            {"xi": float("nan")},
+            {"hz_mu": None},
+            {"nu_hat": "0.1"},
+            {"transport": "warp"},
+            {"transport": None},
+            {"z_mode": 1},
+            {"direction": "HZ"},
+            {"line_search": {"max_ls_evals": 2.5}},
+            {"line_search": {"max_ls_evals": 40.5}},
+            {"line_search": {"max_evals": 40}},
+            {"line_search": {"c1": "1e-4"}},
+            {"line_search": {"c2": None}},
+            {"line_search": [0.1, 0.9]},
+            ["tol"],
+        ],
+        ids=repr,
+    )
+    def test_malformed_value_rejected(self, data):
+        with pytest.raises(ConfigError):
+            SolverConfig.from_dict(data)
+
+    def test_accepted_spellings(self):
+        assert SolverConfig.from_dict({"transport": "proj"}) == SolverConfig.from_dict(
+            {"transport": "projection"}
+        )
+        assert SolverConfig.from_dict({"z_mode": "lf"}).z_mode is ZMode.LI_FUKUSHIMA
+        assert SolverConfig.from_dict({"z_mode": "li_fukushima"}).z_mode is ZMode.LI_FUKUSHIMA
+        cfg = SolverConfig.from_dict(
+            {"xi": 1, "nu_hat": None, "max_iters": np.int64(50),
+             "line_search": {"max_ls_evals": np.int32(40), "alpha_max": 10}}
+        )
+        assert type(cfg.xi) is float and cfg.xi == 1.0
+        assert cfg.nu_hat is None
+        assert type(cfg.max_iters) is int and cfg.max_iters == 50
+        assert cfg.line_search == LineSearchConfig(max_evals=40, alpha_max=10.0)
+
+    @pytest.mark.parametrize(
+        "z_mode,nu_hat",
+        [(ZMode.LI_FUKUSHIMA, 0.0), (ZMode.LI_FUKUSHIMA, -1.0), (ZMode.POWELL, 1.0),
+         (ZMode.POWELL, 2.0), (ZMode.POWELL, 0.0)],
+    )
+    def test_nu_hat_out_of_range_rejected(self, z_mode, nu_hat):
+        # caught with the config, not as a ContractViolationError inside solve
+        with pytest.raises(ConfigError, match="nu_hat"):
+            SolverConfig(z_mode=z_mode, nu_hat=nu_hat)
+        with pytest.raises(ConfigError, match="nu_hat"):
+            SolverConfig.from_dict({"z_mode": z_mode.value, "nu_hat": nu_hat})
+
+    def test_null_nu_hat_clears_the_base_value(self):
+        cfg = SolverConfig.from_dict({"nu_hat": None}, base=SolverConfig(nu_hat=0.3))
+        assert cfg.nu_hat is None
+
+    def test_line_search_merges_with_base(self):
+        base = SolverConfig(line_search=LineSearchConfig(c1=1e-3, max_evals=40))
+        cfg = SolverConfig.from_dict({"line_search": {"c2": 0.5}}, base=base)
+        assert cfg.line_search == LineSearchConfig(c1=1e-3, c2=0.5, max_evals=40)
+
+    def test_default_to_dict(self):
+        assert SolverConfig().to_dict() == {
+            "direction": "broyden",
+            "transport": "differentiated_retraction",
+            "phi_mode": "bfgs",
+            "z_mode": "li_fukushima",
+            "xi": 1.0,
+            "nu_hat": None,
+            "hz_mu": 2.0,
+            "preconvex_mu_reciprocal": False,
+            "tol": 1e-6,
+            "max_iters": 10000,
+            "line_search": {
+                "c1": 1e-4,
+                "c2": 0.9,
+                "alpha_init": 1.0,
+                "alpha_max": 1e10,
+                "max_ls_evals": 120,
+            },
+        }
+
+    @pytest.mark.parametrize(
+        "name,member",
+        [(name, m) for name, enum in ENUM_FIELDS.items() for m in enum],
+        ids=str,
+    )
+    def test_dict_roundtrip_every_enum_member(self, name, member):
+        cfg = SolverConfig(**{name: member})
+        assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+        assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("sid", ["hz_projection", "broyden_bfgs_lf_xi0.1_projection",
+                                     "broyden_bfgs_li_fukushima_xi0.1_dr", "broyden_dr",
+                                     "broyden_bfgs_lf_xi_dr", "broyden_bfgs_lf_xi2_dr"])
+    def test_ids_use_codes(self, sid):
+        with pytest.raises(ConfigError):
+            config_from_id(sid)
+
+    def test_bench_ids_are_24_distinct_ids(self):
+        assert len(BENCH_IDS) == 24
+
+    @pytest.mark.parametrize("sid", BENCH_IDS)
+    def test_bench_id_roundtrip(self, sid):
+        cfg = config_from_id(sid)
+        assert solver_id(cfg) == sid
+        assert config_from_id(solver_id(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "phi,z,xi,transport",
+        list(itertools.product(PhiMode, ZMode, (1.0, 0.8, 0.1), TransportKind)),
+        ids=str,
+    )
+    def test_broyden_config_id_roundtrip(self, phi, z, xi, transport):
+        cfg = SolverConfig(phi_mode=phi, z_mode=z, xi=xi, transport=transport)
+        assert config_from_id(solver_id(cfg)) == cfg
+
+    @pytest.mark.parametrize("direction", [d for d in DirectionKind if d is not DirectionKind.BROYDEN])
+    @pytest.mark.parametrize("transport", list(TransportKind))
+    def test_cg_config_id_roundtrip(self, direction, transport):
+        cfg = SolverConfig(direction=direction, transport=transport)
+        assert config_from_id(solver_id(cfg)) == cfg
 
 
 class TestSolve:
