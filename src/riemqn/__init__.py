@@ -58,7 +58,6 @@ from .problems import (
     ProblemInstance,
     RayleighInstance,
     generate_instance,
-    instance_from_descriptor,
     offdiag_instance,
     rayleigh_instance,
 )
@@ -70,7 +69,6 @@ from .solver import (
     RunDiagnostics,
     RunResult,
     SolverConfig,
-    check_stop,
     config_from_id,
     solve,
     solver_id,

@@ -20,7 +20,7 @@ from typing import Mapping
 from .errors import ConfigError
 from .problems import ProblemInstance, check_dims, generate_instance
 from .profiles import ProfileTable, performance_profile
-from .schema import integer
+from .schema import integer, positive_integer, read_object
 from .solver import RunResult, SolverConfig, config_from_id, solve, solver_id
 
 RUNS_HEADER = [
@@ -33,6 +33,15 @@ RUNS_HEADER = [
     "final_gnorm",
     "failure_reason",
 ]
+
+
+def _as_is(value, key: str):
+    return value
+
+
+# problem key -> check; kind and dims are checked together by check_dims
+_PROBLEM_KEYS = {"kind": _as_is, "dims": _as_is, "instances": positive_integer,
+                 "seed_base": integer}
 
 
 @dataclass(frozen=True)
@@ -50,25 +59,14 @@ class BenchConfig:
 
 def parse_config(data: Mapping) -> BenchConfig:
     """Validate and resolve a benchmark config mapping."""
-    if not isinstance(data, Mapping):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(data) - {"problem", "solvers", "tol", "max_iters", "line_search"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    keys = ("problem", "solvers", "tol", "max_iters", "line_search")
+    read_object(data, dict.fromkeys(keys, _as_is), "config")
     missing = {"problem", "solvers"} - set(data)
     if missing:
         raise ConfigError(f"config missing required keys: {sorted(missing)}")
-    prob, solver_entries = data["problem"], data["solvers"]
-    if not isinstance(prob, Mapping):
-        raise ConfigError("'problem' must be an object")
-    keys = {"kind", "dims", "instances", "seed_base"}
-    if set(prob) != keys:
-        raise ConfigError(f"'problem' needs exactly the keys {sorted(keys)}, got {list(prob)}")
-    dims = check_dims(prob["kind"], prob["dims"])
-    instances = integer(prob["instances"], "instances")
-    seed_base = integer(prob["seed_base"], "seed_base")
-    if instances < 1:
-        raise ConfigError("'instances' must be at least 1")
+    prob = read_object(data["problem"], _PROBLEM_KEYS, "problem", required=True)
+    prob["dims"] = check_dims(prob["kind"], prob["dims"])
+    solver_entries = data["solvers"]
     if not isinstance(solver_entries, list) or not solver_entries:
         raise ConfigError("'solvers' must be a non-empty list")
 
@@ -83,13 +81,7 @@ def parse_config(data: Mapping) -> BenchConfig:
     duplicates = sorted({sid for sid in ids if ids.count(sid) > 1})
     if duplicates:
         raise ConfigError(f"duplicate solver ids: {duplicates}")
-    return BenchConfig(
-        kind=prob["kind"],
-        dims=dims,
-        instances=instances,
-        seed_base=seed_base,
-        solvers=solvers,
-    )
+    return BenchConfig(**prob, solvers=solvers)
 
 
 def load_config(path: str | Path) -> BenchConfig:

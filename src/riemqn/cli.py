@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .bench import load_config, read_runs_csv, run_benchmark, write_profiles
 from .errors import ConfigError, RiemqnError
-from .problems import generate_instance
+from .problems import KINDS, generate_instance
 from .solver import IterationTrace, SolverConfig, config_from_id, solve
 
 
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--out", required=True, help="output directory")
 
     solve_p = sub.add_parser("solve", help="single run with the trace streamed as CSV")
-    solve_p.add_argument("--problem", choices=("rayleigh", "offdiag"), required=True)
+    solve_p.add_argument("--problem", choices=sorted(KINDS), required=True)
     solve_p.add_argument("--n", type=int, required=True)
     solve_p.add_argument("--p", type=int, default=5, help="columns (offdiag only)")
     solve_p.add_argument("--matrices", type=int, default=5, help="matrix count (offdiag only)")
@@ -60,10 +60,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.problem == "rayleigh":
-        dims = {"n": args.n}
-    else:
-        dims = {"n": args.n, "p": args.p, "N": args.matrices}
+    keys, _ = KINDS[args.problem]  # in factory-argument order, as the flags are
+    dims = dict(zip(keys, (args.n, args.p, args.matrices)))
     instance = generate_instance(args.problem, dims, args.seed)
     base = SolverConfig(tol=args.tol, max_iters=args.max_iters)
     cfg = config_from_id(args.solver, base=base)

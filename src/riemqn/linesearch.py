@@ -19,6 +19,7 @@ that pass Armijo.  Any step returned passes both predicates exactly as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ConfigError, ContractViolationError, LineSearchFailedError
 from .manifolds import (
@@ -29,6 +30,7 @@ from .manifolds import (
     retract,
     transport_direction,
 )
+from .schema import Check, check_fields, integer, real
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,13 @@ class LineSearchConfig:
     alpha_max: float = 1e10
     max_evals: int = 120
 
+    # field -> check, applied here and by the solver config's JSON reader
+    CHECKS: ClassVar[dict[str, Check]] = {
+        "c1": real, "c2": real, "alpha_init": real, "alpha_max": real, "max_evals": integer,
+    }
+
     def __post_init__(self):
+        check_fields(self, self.CHECKS)
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ConfigError("line search requires 0 < c1 < c2 < 1")
         if not self.alpha_init > 0.0:

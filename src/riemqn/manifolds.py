@@ -61,10 +61,6 @@ class Sphere:
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.n,)
 
-    @property
-    def dim(self) -> int:
-        return self.n - 1
-
     def point_defect(self, arr: np.ndarray) -> float:
         return abs(float(np.linalg.norm(arr)) - 1.0)
 
@@ -108,10 +104,6 @@ class Oblique:
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.n, self.p)
 
-    @property
-    def dim(self) -> int:
-        return (self.n - 1) * self.p
-
     def point_defect(self, arr: np.ndarray) -> float:
         return float(np.max(np.abs(np.linalg.norm(arr, axis=0) - 1.0)))
 
@@ -148,14 +140,14 @@ Manifold = Union[Sphere, Oblique]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.flags.writeable = False
-    return view
+    """``arr`` itself, made read-only: checked data cannot change, and no copy is made."""
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A point on a manifold.  Validated against the constraint on construction."""
+    """A point on a manifold, checked against the constraint; its array is frozen."""
 
     manifold: Manifold
     ambient: np.ndarray

@@ -10,7 +10,9 @@ Two problems are provided:
 An instance is fully determined by ``(kind, dims, seed)``: a single
 SplitMix64 stream seeded with ``seed`` yields the symmetric matrices
 (``(B + B') / 2`` of standard-normal draws, in order) followed by the
-ambient draw that is normalized into the initial iterate.
+ambient draw that is normalized into the initial iterate.  ``KINDS`` maps
+each kind to its dims keys and factory.  Dims are positive integers and the
+seed an integer, or ``ConfigError`` is raised.  Instance arrays are read-only.
 """
 
 from __future__ import annotations
@@ -21,17 +23,11 @@ from typing import ClassVar, Mapping, Union
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .manifolds import Oblique, Point, Sphere, Tangent, project_tangent
+from .manifolds import Oblique, Point, Sphere, Tangent, _freeze, project_tangent
 from .rng import SplitMix64
-from .schema import integer, read_object
+from .schema import integer, positive_integer, read_object
 
 SYMMETRY_TOL = 1e-14
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64)
-    out.flags.writeable = False
-    return out
 
 
 def _reject_non_finite(arr: np.ndarray, what: str) -> None:
@@ -42,13 +38,26 @@ def _reject_non_finite(arr: np.ndarray, what: str) -> None:
         raise ConfigError(f"{what} has {len(bad)} non-finite entries, the first at {first}")
 
 
-def _check_symmetric(a: np.ndarray) -> None:
+def _symmetric_matrix(c, kind: str) -> np.ndarray:
+    """``c`` as a frozen float64 array, checked to be square and symmetric."""
+    a = np.asarray(c, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigError(f"{kind} matrices must be square")
     # an inf or nan entry makes the defect inf or nan, so this also rejects
     # non-finite data without a separate pass over the matrix
     defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if not defect <= SYMMETRY_TOL:
         _reject_non_finite(a, "matrix")
         raise ContractViolationError(f"matrix is not symmetric (defect {defect:.3e})")
+    return _freeze(a)
+
+
+def _set_start(instance: ProblemInstance, x0: np.ndarray) -> None:
+    """Keep ``x0``, checked and frozen, and the initial ``Point`` built on it."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    _reject_non_finite(x0, "x0")
+    object.__setattr__(instance, "x0", x0)
+    object.__setattr__(instance, "_start", Point(instance.manifold, x0))
 
 
 def _check_point(instance: ProblemInstance, x: Point) -> None:
@@ -70,15 +79,10 @@ class RayleighInstance:
     kind: ClassVar[str] = "rayleigh"
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError("rayleigh matrix must be square")
-        _check_symmetric(a)
-        object.__setattr__(self, "matrix", _frozen(a))
+        a = _symmetric_matrix(self.matrix, self.kind)
+        object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "manifold", Sphere(a.shape[0]))
-        object.__setattr__(self, "x0", _frozen(self.x0))
-        _reject_non_finite(self.x0, "x0")
-        object.__setattr__(self, "_start", Point(self.manifold, self.x0))
+        _set_start(self, self.x0)
 
     def cost(self, x: Point) -> float:
         _check_point(self, x)
@@ -91,9 +95,6 @@ class RayleighInstance:
 
     def initial_point(self) -> Point:
         return self._start
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "dims": {"n": self.manifold.n}, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -110,22 +111,14 @@ class OffDiagonalInstance:
     def __post_init__(self):
         if not self.matrices:
             raise ConfigError("offdiag instance needs at least one matrix")
-        frozen = []
-        for c in self.matrices:
-            a = np.asarray(c, dtype=np.float64)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ConfigError("offdiag matrices must be square")
-            _check_symmetric(a)
-            frozen.append(_frozen(a))
-        object.__setattr__(self, "matrices", tuple(frozen))
-        object.__setattr__(self, "_stacked", _frozen(np.stack(frozen)))
+        mats = tuple(_symmetric_matrix(c, self.kind) for c in self.matrices)
         x0 = np.asarray(self.x0, dtype=np.float64)
-        if x0.ndim != 2 or x0.shape[0] != frozen[0].shape[0]:
-            raise ConfigError("initial point shape does not match the matrices")
-        _reject_non_finite(x0, "x0")
-        object.__setattr__(self, "manifold", Oblique(x0.shape[0], x0.shape[1]))
-        object.__setattr__(self, "x0", _frozen(x0))
-        object.__setattr__(self, "_start", Point(self.manifold, self.x0))
+        if x0.ndim != 2 or any(a.shape[0] != x0.shape[0] for a in mats):
+            raise ConfigError("the matrices and the initial point must have the same row count")
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "_stacked", _freeze(np.stack(mats)))
+        object.__setattr__(self, "manifold", Oblique(*x0.shape))
+        _set_start(self, x0)
 
     def _offdiag_parts(self, xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cx = self._stacked @ xa
@@ -148,13 +141,6 @@ class OffDiagonalInstance:
     def initial_point(self) -> Point:
         return self._start
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dims": {"n": self.manifold.n, "p": self.manifold.p, "N": len(self.matrices)},
-            "seed": self.seed,
-        }
-
 
 ProblemInstance = Union[RayleighInstance, OffDiagonalInstance]
 
@@ -164,9 +150,15 @@ def _symmetric_draw(stream: SplitMix64, n: int) -> np.ndarray:
     return 0.5 * (b + b.T)
 
 
+def _factory_args(kind: str, dims: tuple, seed) -> tuple[list[int], int]:
+    """The dims (positive integers, in ``KINDS`` order) and seed of a factory call."""
+    keys, _ = KINDS[kind]
+    checked = [positive_integer(v, key) for key, v in zip(keys, dims)]
+    return checked, integer(seed, "seed")
+
+
 def rayleigh_instance(n: int, seed: int) -> RayleighInstance:
-    if n < 1:
-        raise ConfigError("n must be positive")
+    (n,), seed = _factory_args(RayleighInstance.kind, (n,), seed)
     stream = SplitMix64(seed)
     a = _symmetric_draw(stream, n)
     x0 = Sphere(n)._normalize(stream.normal(n))
@@ -174,40 +166,30 @@ def rayleigh_instance(n: int, seed: int) -> RayleighInstance:
 
 
 def offdiag_instance(n: int, p: int, num_matrices: int, seed: int) -> OffDiagonalInstance:
-    if n < 1 or p < 1 or num_matrices < 1:
-        raise ConfigError("dims must be positive")
+    (n, p, num_matrices), seed = _factory_args(OffDiagonalInstance.kind, (n, p, num_matrices), seed)
     stream = SplitMix64(seed)
     mats = tuple(_symmetric_draw(stream, n) for _ in range(num_matrices))
     x0 = Oblique(n, p)._normalize(stream.normal((n, p)))
     return OffDiagonalInstance(matrices=mats, x0=x0, seed=seed)
 
 
+# kind -> (dims keys, in factory-argument order; factory, called as factory(*dims, seed))
+KINDS = {
+    RayleighInstance.kind: (("n",), rayleigh_instance),
+    OffDiagonalInstance.kind: (("n", "p", "N"), offdiag_instance),
+}
+
+
 def check_dims(kind: str, dims: Mapping) -> dict[str, int]:
-    """The dims of a ``kind`` instance, each a positive integer."""
-    if kind == RayleighInstance.kind:
-        checks = {"n": integer}
-    elif kind == OffDiagonalInstance.kind:
-        checks = {"n": integer, "p": integer, "N": integer}
-    else:
-        raise ConfigError(f"unknown problem kind: {kind!r}")
-    checked = read_object(dims, checks, f"{kind} dims", required=True)
-    if min(checked.values()) < 1:
-        raise ConfigError(f"{kind} dims must be positive, got {checked}")
-    return checked
+    """The dims of a ``kind`` instance, each a positive integer, for a known kind."""
+    if not (isinstance(kind, str) and kind in KINDS):
+        raise ConfigError(f"problem kind must be one of {sorted(KINDS)}, got {kind!r}")
+    keys, _ = KINDS[kind]
+    return read_object(dims, dict.fromkeys(keys, positive_integer), f"{kind} dims", required=True)
 
 
 def generate_instance(kind: str, dims: Mapping[str, int], seed: int) -> ProblemInstance:
-    """Build an instance from its JSON-style descriptor fields."""
-    d = check_dims(kind, dims)
-    if kind == RayleighInstance.kind:
-        return rayleigh_instance(d["n"], seed)
-    return offdiag_instance(d["n"], d["p"], d["N"], seed)
-
-
-def instance_from_descriptor(descriptor: Mapping) -> ProblemInstance:
-    try:
-        return generate_instance(
-            descriptor["kind"], descriptor["dims"], integer(descriptor["seed"], "seed")
-        )
-    except KeyError as exc:
-        raise ConfigError(f"descriptor missing field: {exc}") from exc
+    """The ``kind`` instance with these dims (a JSON object) and seed."""
+    checked = check_dims(kind, dims)
+    keys, factory = KINDS[kind]
+    return factory(*(checked[key] for key in keys), seed)

@@ -19,6 +19,8 @@ Check = Callable[[Any, str], Any]
 
 def real(value, key: str) -> float:
     """Any real number except ``bool`` and nan."""
+    if type(value) is float and value == value:  # the common case, without the ABC check
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value):
         return float(value)
     raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -26,9 +28,19 @@ def real(value, key: str) -> float:
 
 def integer(value, key: str) -> int:
     """A Python or numpy integer; not ``bool`` and not a float such as 2.0."""
+    if type(value) is int:
+        return value
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def positive_integer(value, key: str) -> int:
+    """An ``integer`` of at least 1."""
+    checked = integer(value, key)
+    if checked < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value!r}")
+    return checked
 
 
 def flag(value, key: str) -> bool:
@@ -48,6 +60,15 @@ def choice(enum: type[Enum], codes: Optional[Mapping[Enum, str]] = None) -> Chec
         raise ConfigError(f"{key} must be one of {sorted(names)}, got {value!r}")
 
     return checked
+
+
+def check_fields(obj, checks: Mapping[str, Check]) -> None:
+    """Apply ``checks`` (field -> check) to the fields of the frozen dataclass ``obj``."""
+    for name, check in checks.items():
+        value = getattr(obj, name)
+        checked = check(value, name)
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
 
 
 def read_object(data, checks: Mapping[str, Check], what: str, required: bool = False) -> dict:

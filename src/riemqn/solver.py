@@ -48,14 +48,9 @@ from .manifolds import (
     scaling_sigma,
 )
 from .problems import ProblemInstance
-from .schema import choice, flag, integer, read_object, real
+from .schema import check_fields, choice, flag, integer, read_object, real
 
 _DESCENT_GUARD = 1e-14
-
-
-def check_stop(g: Tangent, tol: float) -> bool:
-    """Gradient-norm stopping rule, strict inequality."""
-    return norm(g) < tol
 
 
 class FailureReason(Enum):
@@ -71,27 +66,35 @@ _TRANSPORT_CODES = {
 }
 _Z_CODES = {ZMode.LI_FUKUSHIMA: "lf", ZMode.POWELL: "powell"}
 
-# JSON key -> check of the line_search object; each key names a
-# LineSearchConfig field, except that max_ls_evals sets max_evals
-_LINE_SEARCH_KEYS = {"c1": real, "c2": real, "alpha_init": real, "alpha_max": real,
-                     "max_ls_evals": integer}
-_LINE_SEARCH_FIELDS = {"max_ls_evals": "max_evals"}
+# JSON key of the line_search object -> LineSearchConfig field (max_evals is max_ls_evals)
+_LINE_SEARCH_FIELDS = {
+    "max_ls_evals" if name == "max_evals" else name: name for name in LineSearchConfig.CHECKS
+}
+_LINE_SEARCH_KEYS = {key: LineSearchConfig.CHECKS[f] for key, f in _LINE_SEARCH_FIELDS.items()}
 
-# JSON key -> check; each key names a SolverConfig field.  Enums take their
-# value or code; only nu_hat may be null (its default follows z_mode).
-_SOLVER_KEYS = {
-    "direction": choice(DirectionKind),
-    "transport": choice(TransportKind, _TRANSPORT_CODES),
-    "phi_mode": choice(PhiMode),
-    "z_mode": choice(ZMode, _Z_CODES),
+# enum field -> its enum; the JSON reader also takes the short codes
+_ENUM_FIELDS = {"direction": DirectionKind, "transport": TransportKind, "phi_mode": PhiMode,
+                "z_mode": ZMode}
+_ENUM_CODES = {"transport": _TRANSPORT_CODES, "z_mode": _Z_CODES}
+_TYPED_FIELDS = {**_ENUM_FIELDS, "line_search": LineSearchConfig}  # field -> its type
+
+# field -> check of the other scalar fields, for built and JSON configs alike.
+# Only nu_hat may be None (its default follows z_mode).
+_SCALAR_KEYS = {
     "xi": real,
     "nu_hat": lambda value, key: None if value is None else real(value, key),
     "hz_mu": real,
     "preconvex_mu_reciprocal": flag,
     "tol": real,
     "max_iters": integer,
-    "line_search": lambda value, key: read_object(value, _LINE_SEARCH_KEYS, key),
     "record_trace": flag,
+}
+
+# JSON key -> check; each key names a SolverConfig field
+_SOLVER_KEYS = {
+    **{key: choice(enum, _ENUM_CODES.get(key)) for key, enum in _ENUM_FIELDS.items()},
+    **_SCALAR_KEYS,
+    "line_search": lambda value, key: read_object(value, _LINE_SEARCH_KEYS, key),
 }
 
 
@@ -113,6 +116,10 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        for key, cls in _TYPED_FIELDS.items():
+            if not isinstance(getattr(self, key), cls):
+                raise ConfigError(f"{key} must be a {cls.__name__}, got {getattr(self, key)!r}")
+        check_fields(self, _SCALAR_KEYS)
         if not self.tol > 0.0:
             raise ConfigError("tol must be positive")
         if self.max_iters < 1:
@@ -133,8 +140,7 @@ class SolverConfig:
         out = {key: getattr(self, key) for key in _SOLVER_KEYS if key != "record_trace"}
         out.update({key: value.value for key, value in out.items() if isinstance(value, Enum)})
         out["line_search"] = {
-            key: getattr(self.line_search, _LINE_SEARCH_FIELDS.get(key, key))
-            for key in _LINE_SEARCH_KEYS
+            key: getattr(self.line_search, name) for key, name in _LINE_SEARCH_FIELDS.items()
         }
         return out
 
@@ -144,7 +150,7 @@ class SolverConfig:
         base = base if base is not None else cls()
         fields = read_object(data, _SOLVER_KEYS, "solver config")
         if "line_search" in fields:
-            ls = {_LINE_SEARCH_FIELDS.get(k, k): v for k, v in fields["line_search"].items()}
+            ls = {_LINE_SEARCH_FIELDS[k]: v for k, v in fields["line_search"].items()}
             fields["line_search"] = dataclasses.replace(base.line_search, **ls)
         return dataclasses.replace(base, **fields)
 
@@ -348,7 +354,7 @@ def solve(
 
     while True:
         gnorm = norm(g)
-        if check_stop(g, cfg.tol):
+        if gnorm < cfg.tol:  # strict: tol itself does not stop the run
             converged = True
             break
         if k >= cfg.max_iters:

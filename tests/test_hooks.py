@@ -1,0 +1,67 @@
+"""The attributes the benchmark's tracer and gate patch or read.
+
+The benchmark instruments riemqn from outside: it replaces module attributes
+and class attributes through each owner's own ``__dict__``, and reads a few
+instance attributes.  A refactor that moves one of them (to a base class, or
+under another name) fails here instead of in a traced benchmark run.
+"""
+
+import inspect
+
+import pytest
+
+import riemqn
+from riemqn import bench, manifolds, problems, profiles, rng, solver
+
+INSTANCE_CLASSES = [problems.RayleighInstance, problems.OffDiagonalInstance]
+TANGENT_OPS = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__")
+
+
+def _own_function(owner, name):
+    assert name in owner.__dict__, f"{owner.__name__}.{name} is not defined on the class itself"
+    assert callable(owner.__dict__[name])
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [(bench, "solve"), (bench, "generate_instance"), (solver, "search_step")],
+)
+def test_module_functions(module, name):
+    assert inspect.isfunction(vars(module)[name])
+
+
+def test_layer_modules():
+    for layer in ("rng", "problems", "manifolds", "directions", "linesearch", "solver",
+                  "bench", "profiles"):
+        assert inspect.ismodule(getattr(riemqn, layer))
+
+
+@pytest.mark.parametrize("cls", INSTANCE_CLASSES, ids=lambda c: c.__name__)
+def test_instance_methods_and_kind(cls):
+    for name in ("cost", "grad", "initial_point"):
+        _own_function(cls, name)
+    assert cls.kind in problems.KINDS
+
+
+def test_instances_carry_their_kind():
+    ray = problems.rayleigh_instance(3, seed=1)
+    off = problems.offdiag_instance(3, 2, 1, seed=1)
+    assert (ray.kind, off.kind) == ("rayleigh", "offdiag")
+    assert ray.matrix.shape == (3, 3) and type(ray.seed) is int
+
+
+def test_tangent_and_point_hooks():
+    for name in (*TANGENT_OPS, "__post_init__"):
+        _own_function(manifolds.Tangent, name)
+    _own_function(manifolds.Point, "__post_init__")
+
+
+def test_rng_and_profile_hooks():
+    _own_function(rng.SplitMix64, "normal")
+    for name in ("value", "to_csv"):
+        _own_function(profiles.ProfileTable, name)
+
+
+def test_transport_kinds():
+    names = {kind.name for kind in manifolds.TransportKind}
+    assert {"DIFFERENTIATED_RETRACTION", "PROJECTION", "INVERSE_RETRACTION"} <= names

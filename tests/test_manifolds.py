@@ -62,6 +62,18 @@ class TestPointInvariants:
         with pytest.raises(ValueError):
             x.ambient[0] = 2.0
 
+    def test_array_passed_in_is_frozen(self):
+        # a Point cannot be moved off the manifold through the caller's array
+        y = np.array([1.0, 0.0, 0.0])
+        x = Point(Sphere(3), y)
+        with pytest.raises(ValueError):
+            y[0] = 5.0
+        v = np.array([0.0, 1.0, 0.0])
+        Tangent(x, v)
+        with pytest.raises(ValueError):
+            v[1] = 2.0
+        assert x.ambient[0] == 1.0
+
 
 class TestInner:
     def test_zero_vector(self):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from riemqn import (
     SplitMix64,
     generate_instance,
     inner,
-    instance_from_descriptor,
     norm,
     offdiag_instance,
     random_point,
@@ -69,16 +66,16 @@ class TestGeneration:
         y = off.initial_point()
         assert off.manifold.point_defect(y.ambient) <= 1e-12
 
-    def test_descriptor_roundtrip(self):
-        inst = offdiag_instance(6, 2, 3, seed=44)
-        desc = json.loads(json.dumps(inst.descriptor()))
-        again = instance_from_descriptor(desc)
-        assert np.array_equal(again.x0, inst.x0)
-        for m1, m2 in zip(again.matrices, inst.matrices):
+    def test_generate_instance_matches_factories(self):
+        off = offdiag_instance(6, 2, 3, seed=44)
+        again = generate_instance("offdiag", {"N": 3, "n": 6, "p": 2}, 44)
+        assert np.array_equal(again.x0, off.x0)
+        for m1, m2 in zip(again.matrices, off.matrices, strict=True):
             assert np.array_equal(m1, m2)
         ray = rayleigh_instance(9, seed=44)
-        again = instance_from_descriptor(json.loads(json.dumps(ray.descriptor())))
+        again = generate_instance("rayleigh", {"n": 9}, 44)
         assert np.array_equal(again.matrix, ray.matrix)
+        assert np.array_equal(again.x0, ray.x0)
 
     def test_generate_instance_dispatch(self):
         inst = generate_instance("rayleigh", {"n": 8}, 3)
@@ -185,6 +182,11 @@ class TestOffDiagonal:
             x = random_point(inst.manifold, rng)
             assert inst.cost(x) >= 0.0
 
+    def test_matrices_of_different_sizes_rejected(self):
+        inst = offdiag_instance(4, 2, 2, seed=1)
+        with pytest.raises(ConfigError, match="same row count"):
+            OffDiagonalInstance(matrices=(inst.matrices[0], np.eye(3)), x0=inst.x0, seed=1)
+
     def test_dimension_mismatch(self):
         inst = offdiag_instance(5, 3, 2, seed=2)
         other = random_point(Oblique(5, 4), SplitMix64(1))
@@ -287,11 +289,74 @@ class TestDims:
 
     def test_numpy_integers_accepted(self):
         inst = generate_instance("offdiag", {"n": np.int64(6), "p": np.int32(3), "N": 2}, 1)
-        assert inst.descriptor()["dims"] == {"n": 6, "p": 3, "N": 2}
+        assert inst.manifold == Oblique(6, 3)
+        assert len(inst.matrices) == 2
 
-    def test_descriptor_seed_must_be_an_integer(self):
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ConfigError, match="kind"):
+            generate_instance(["rayleigh"], {"n": 5}, 1)
+
+
+class TestStrictFactories:
+    """The public factories take positive-integer dims and an integer seed."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: rayleigh_instance(True, 1),
+            lambda: rayleigh_instance(2.5, 1),
+            lambda: rayleigh_instance(0, 1),
+            lambda: rayleigh_instance(5, "7"),
+            lambda: rayleigh_instance(5, 2.5),
+            lambda: rayleigh_instance(5, 7.0),
+            lambda: rayleigh_instance(5, True),
+            lambda: rayleigh_instance(5, None),
+            lambda: offdiag_instance(4.0, 2, 3, 1),
+            lambda: offdiag_instance(4, 2.0, 3, 1),
+            lambda: offdiag_instance(4, 2, 3.7, 1),
+            lambda: offdiag_instance(4, 2, 0, 1),
+            lambda: offdiag_instance(4, -1, 3, 1),
+            lambda: generate_instance("rayleigh", {"n": 5}, "7"),
+            lambda: generate_instance("offdiag", {"n": 4, "p": 2, "N": 3}, 1.0),
+        ],
+        ids=[
+            "ray_n_bool", "ray_n_float", "ray_n_zero", "ray_seed_str", "ray_seed_float",
+            "ray_seed_whole_float", "ray_seed_bool", "ray_seed_none", "off_n_float",
+            "off_p_float", "off_N_float", "off_N_zero", "off_p_negative", "generate_seed_str",
+            "generate_seed_float",
+        ],
+    )
+    def test_rejected(self, build):
         with pytest.raises(ConfigError):
-            instance_from_descriptor({"kind": "rayleigh", "dims": {"n": 5}, "seed": "7"})
+            build()
+
+    def test_numpy_integers_accepted(self):
+        ray = rayleigh_instance(np.int64(5), np.uint32(7))
+        assert type(ray.seed) is int
+        assert np.array_equal(ray.matrix, rayleigh_instance(5, 7).matrix)
+        off = offdiag_instance(np.int32(4), np.int64(2), np.int16(3), np.int64(7))
+        assert type(off.seed) is int
+        assert np.array_equal(off.x0, offdiag_instance(4, 2, 3, 7).x0)
+
+
+class TestFrozenData:
+    """The arrays an instance is built from become read-only."""
+
+    def test_rayleigh_arrays_frozen(self):
+        ray = rayleigh_instance(4, seed=3)
+        a, x0 = np.array(ray.matrix), np.array(ray.x0)
+        inst = RayleighInstance(matrix=a, x0=x0, seed=3)
+        for arr in (a, x0, inst.matrix, inst.x0):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_offdiag_arrays_frozen(self):
+        off = offdiag_instance(5, 3, 2, seed=3)
+        mats, x0 = [np.array(m) for m in off.matrices], np.array(off.x0)
+        inst = OffDiagonalInstance(matrices=tuple(mats), x0=x0, seed=3)
+        for arr in (*mats, x0, *inst.matrices, inst.x0):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 class TestGradientFiniteDifferences:

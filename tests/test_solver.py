@@ -18,7 +18,6 @@ from riemqn import (
     SplitMix64,
     TransportKind,
     ZMode,
-    check_stop,
     config_from_id,
     norm,
     offdiag_instance,
@@ -28,24 +27,35 @@ from riemqn import (
     solver_id,
     wolfe_check,
 )
-from riemqn.manifolds import Tangent
 
 from _support import jacobi_eigenvalues
 
 
-class TestCheckStop:
-    def _grad_with_norm(self, value):
-        x = Point(Sphere(2), np.array([1.0, 0.0]))
-        return Tangent(x, np.array([0.0, value]))
+class TestStoppingRule:
+    """solve stops when the gradient norm is strictly below tol."""
 
-    def test_zero_gradient(self):
-        assert check_stop(self._grad_with_norm(0.0), 1e-6) is True
+    def _start(self):
+        inst = rayleigh_instance(8, seed=3)
+        x0 = inst.initial_point()
+        return inst, x0, norm(inst.grad(x0))
 
-    def test_strict_inequality_at_threshold(self):
-        assert check_stop(self._grad_with_norm(1e-6), 1e-6) is False
+    def test_tol_equal_to_the_gradient_norm_does_not_stop(self):
+        inst, x0, g0 = self._start()
+        res = solve(inst, x0, SolverConfig(tol=g0, max_iters=1))
+        assert res.iters == 1
 
-    def test_below_threshold(self):
-        assert check_stop(self._grad_with_norm(9.9e-7), 1e-6) is True
+    def test_tol_just_above_the_gradient_norm_stops_at_once(self):
+        inst, x0, g0 = self._start()
+        res = solve(inst, x0, SolverConfig(tol=float(np.nextafter(g0, np.inf))))
+        assert res.converged
+        assert res.iters == 0
+        assert res.final_gnorm == g0
+
+    def test_zero_gradient_stops_at_once(self):
+        inst = rayleigh_instance(2, seed=1)
+        object.__setattr__(inst, "matrix", np.diag([1.0, 2.0]))
+        res = solve(inst, Point(Sphere(2), np.array([1.0, 0.0])), SolverConfig(tol=1e-300))
+        assert res.converged and res.iters == 0 and res.final_gnorm == 0.0
 
 
 class TestSolverConfig:
@@ -158,6 +168,50 @@ ENUM_FIELDS = {
 
 class TestStrictConfig:
     """Config values are checked, never coerced."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SolverConfig(max_iters=2.5),
+            lambda: SolverConfig(max_iters=10.0),
+            lambda: SolverConfig(max_iters=True),
+            lambda: SolverConfig(preconvex_mu_reciprocal="no"),
+            lambda: SolverConfig(preconvex_mu_reciprocal=1),
+            lambda: SolverConfig(record_trace=None),
+            lambda: SolverConfig(xi=True),
+            lambda: SolverConfig(xi=float("nan")),
+            lambda: SolverConfig(tol="1e-6"),
+            lambda: SolverConfig(hz_mu=None),
+            lambda: SolverConfig(nu_hat="0.1"),
+            lambda: SolverConfig(direction="hz"),
+            lambda: SolverConfig(transport=ZMode.POWELL),
+            lambda: SolverConfig(phi_mode="bfgs"),
+            lambda: SolverConfig(z_mode=None),
+            lambda: SolverConfig(line_search={"c1": 1e-4}),
+            lambda: LineSearchConfig(max_evals=3.5),
+            lambda: LineSearchConfig(max_evals=False),
+            lambda: LineSearchConfig(c1="1e-4"),
+            lambda: LineSearchConfig(alpha_max=None),
+        ],
+        ids=[
+            "max_iters_2.5", "max_iters_10.0", "max_iters_true", "reciprocal_str",
+            "reciprocal_int", "record_trace_none", "xi_true", "xi_nan", "tol_str",
+            "hz_mu_none", "nu_hat_str", "direction_str", "transport_zmode", "phi_mode_str",
+            "z_mode_none", "line_search_dict", "max_evals_3.5", "max_evals_false", "c1_str",
+            "alpha_max_none",
+        ],
+    )
+    def test_directly_built_config_checked(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_directly_built_numbers_normalized(self):
+        cfg = SolverConfig(xi=1, tol=np.float32(1e-3), max_iters=np.int64(7),
+                           line_search=LineSearchConfig(max_evals=np.int32(40), alpha_max=10))
+        assert type(cfg.xi) is float and type(cfg.tol) is float
+        assert type(cfg.max_iters) is int and type(cfg.line_search.max_evals) is int
+        assert cfg == SolverConfig(xi=1.0, tol=float(np.float32(1e-3)), max_iters=7,
+                                   line_search=LineSearchConfig(max_evals=40, alpha_max=10.0))
 
     @pytest.mark.parametrize(
         "data",
