@@ -69,8 +69,9 @@ class StepMemory:
     """Transported data from the latest accepted step, based at the new iterate.
 
     s is the transported step, y the transported gradient difference, z its
-    regularization, t_eta / t_g the transported direction and gradient, and
-    the scalars record what the beta formulas need from the previous iterate.
+    regularization, t_eta / t_g the transported direction and gradient, params
+    what ``schedule_params`` measured on s and z, and the scalars record what
+    the beta formulas need (g_dot_t_eta is the accepted step's <g_new, T(eta)>).
     """
 
     s: Tangent
@@ -78,17 +79,24 @@ class StepMemory:
     z: Tangent
     t_eta: Tangent
     t_g: Tangent
+    params: BroydenParams
     sigma: float
     g_prev_norm: float
     g_prev_dot_eta: float
+    g_dot_t_eta: float
 
 
 @dataclass(frozen=True)
 class BroydenParams:
+    """One step's parameters and the ss = <s,s>, sz = <s,z> > 0, zz = <z,z> > 0 they rest on."""
+
     gamma: float
     tau: float
     phi: float
     xi: float
+    ss: float
+    sz: float
+    zz: float
 
 
 def _lift_to_floor(s: Tangent, z: Tangent, ss: float, target: float) -> Tangent:
@@ -157,9 +165,13 @@ def schedule_params(
     xi: float,
     preconvex_mu_reciprocal: bool = False,
 ) -> BroydenParams:
-    """Per-iteration sizing/scaling: gamma = max{1, sz/zz}, tau = min{1, zz/sz}."""
+    """Per-iteration sizing/scaling: gamma = max{1, sz/zz}, tau = min{1, zz/sz}.
+
+    The one place ss, sz and zz are taken and checked (``DegenerateZError``).
+    """
     if not 0.0 <= xi <= 1.0:
         raise ContractViolationError("xi must lie in [0, 1]")
+    ss = inner(s.point, s, s)
     sz = inner(s.point, s, z)
     zz = inner(z.point, z, z)
     if zz == 0.0:
@@ -171,25 +183,19 @@ def schedule_params(
     if phi_mode is PhiMode.BFGS:
         phi = 1.0
     elif phi_mode is PhiMode.PRECONVEX:
-        ss = inner(s.point, s, s)
         phi = _preconvex_phi(ss, zz, sz, preconvex_mu_reciprocal)
     else:
         raise ContractViolationError(f"unknown phi mode: {phi_mode!r}")
-    return BroydenParams(gamma=gamma, tau=tau, phi=phi, xi=xi)
+    return BroydenParams(gamma=gamma, tau=tau, phi=phi, xi=xi, ss=ss, sz=sz, zz=zz)
 
 
 def broyden_direction(g: Tangent, s: Tangent, z: Tangent, params: BroydenParams) -> Tangent:
-    """Closed-form memoryless spectral-scaling Broyden direction."""
+    """Closed-form Broyden direction; ``params`` must come from ``schedule_params`` on s and z."""
     x = g.point
-    sz = inner(x, s, z)
-    if sz <= 0.0:
-        raise ContractViolationError("<s, z> must be positive")
-    zz = inner(x, z, z)
-    if zz == 0.0:
-        raise DegenerateZError("z has zero norm")
     sg = inner(x, s, g)
     zg = inner(x, z, g)
     gamma, tau, phi, xi = params.gamma, params.tau, params.phi, params.xi
+    sz, zz = params.sz, params.zz
     coef_s = gamma * (phi * zg / sz - (1.0 / (gamma * tau) + phi * zz / sz) * (sg / sz))
     coef_z = gamma * xi * (phi * sg / sz + (1.0 - phi) * zg / zz)
     return (-gamma) * g + coef_s * s + coef_z * z

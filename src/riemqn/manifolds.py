@@ -40,7 +40,6 @@ from .errors import (
 from .rng import SplitMix64
 
 POINT_TOL = 1e-12
-TANGENT_TOL = 1e-10
 
 
 class TransportKind(Enum):
@@ -140,7 +139,12 @@ Manifold = Union[Sphere, Oblique]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, made read-only: checked data cannot change, and no copy is made."""
+    """``arr`` made read-only, so checked data cannot change; a view is copied first.
+
+    A writable view of ``arr`` made before this call still writes through.
+    """
+    if not arr.flags.owndata:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

@@ -56,8 +56,9 @@ def _set_start(instance: ProblemInstance, x0: np.ndarray) -> None:
     """Keep ``x0``, checked and frozen, and the initial ``Point`` built on it."""
     x0 = np.asarray(x0, dtype=np.float64)
     _reject_non_finite(x0, "x0")
-    object.__setattr__(instance, "x0", x0)
-    object.__setattr__(instance, "_start", Point(instance.manifold, x0))
+    start = Point(instance.manifold, x0)
+    object.__setattr__(instance, "x0", start.ambient)
+    object.__setattr__(instance, "_start", start)
 
 
 def _check_point(instance: ProblemInstance, x: Point) -> None:

@@ -22,7 +22,6 @@ from .errors import ConfigError, EmptyTableError
 class ProfileTable:
     problems: tuple[str, ...]
     solvers: tuple[str, ...]
-    costs: dict
     ratios: dict
     tau_grid: np.ndarray
     curves: dict
@@ -55,7 +54,6 @@ def performance_profile(costs: Mapping[str, Mapping[str, float]]) -> ProfileTabl
     if not solvers:
         raise EmptyTableError("no solvers in the cost table")
 
-    cost_map: dict = {}
     ratio_map: dict = {}
     for p in problems:
         row = costs[p]
@@ -68,7 +66,6 @@ def performance_profile(costs: Mapping[str, Mapping[str, float]]) -> ProfileTabl
         best = min(ts.values())
         for s in solvers:
             t = ts[s]
-            cost_map[(p, s)] = t
             if math.isinf(t):
                 ratio_map[(p, s)] = math.inf
             elif t == best:
@@ -89,7 +86,6 @@ def performance_profile(costs: Mapping[str, Mapping[str, float]]) -> ProfileTabl
     return ProfileTable(
         problems=problems,
         solvers=solvers,
-        costs=cost_map,
         ratios=ratio_map,
         tau_grid=tau_grid,
         curves=curves,

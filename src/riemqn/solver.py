@@ -271,13 +271,7 @@ def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
     if memory is None:
         return -g
     if cfg.direction is DirectionKind.BROYDEN:
-        params = schedule_params(
-            memory.s,
-            memory.z,
-            cfg.phi_mode,
-            cfg.xi,
-            preconvex_mu_reciprocal=cfg.preconvex_mu_reciprocal,
-        )
+        params = memory.params
         diag.gamma.append(params.gamma)
         diag.tau.append(params.tau)
         diag.phi.append(params.phi)
@@ -286,7 +280,7 @@ def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
     scalars = CgScalars(
         g_norm2=inner(x, g, g),
         g_prev_norm2=memory.g_prev_norm * memory.g_prev_norm,
-        g_dot_t_eta=inner(x, g, memory.t_eta),
+        g_dot_t_eta=memory.g_dot_t_eta,
         g_dot_t_g=inner(x, g, memory.t_g),
         y_norm2=inner(x, memory.y, memory.y),
         g_prev_dot_eta=memory.g_prev_dot_eta,
@@ -303,15 +297,9 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
     s = ev.s
     y = ev.g_new - ev.t_g
     z = compute_z(cfg.z_mode, s, y, nu_hat)
-    ss = inner(s.point, s, s)
-    sz = inner(s.point, s, z)
-    zz = inner(z.point, z, z)
-    if sz <= 0.0:
-        raise DegenerateZError("curvature pair <s, z> is not positive")
-    if zz == 0.0:
-        raise DegenerateZError("z has zero norm")
-    diag.z_margin.append(sz - nu_hat * ss)
-    diag.z_ratio.append(math.sqrt(zz / ss))
+    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, cfg.preconvex_mu_reciprocal)
+    diag.z_margin.append(params.sz - nu_hat * params.ss)
+    diag.z_ratio.append(math.sqrt(params.zz / params.ss))
     sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
     return StepMemory(
         s=s,
@@ -319,9 +307,11 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
         z=z,
         t_eta=ev.t_eta,
         t_g=ev.t_g,
+        params=params,
         sigma=sigma,
         g_prev_norm=gnorm,
         g_prev_dot_eta=gde,
+        g_dot_t_eta=ev.dphi,
     )
 
 

@@ -115,6 +115,7 @@ class TestScheduleParams:
         p = schedule_params(s, z, PhiMode.BFGS, xi=0.0)
         assert p.gamma == 2.0
         assert p.tau == 0.5
+        assert (p.ss, p.sz, p.zz) == (20.0, 8.0, 4.0)
 
     def test_bfgs_mode_phi_is_one(self):
         rng = SplitMix64(3)
@@ -174,22 +175,17 @@ class TestBroydenDirection:
     def test_orthogonal_collapse(self):
         # <s, g> = <z, g> = 0 leaves only the gradient term
         x, (g, s, z) = flat_tangents((0.0, 1.0), (1.0, 0.0), (2.0, 0.0))
-        p = BroydenParams(gamma=1.5, tau=1.0, phi=1.0, xi=0.7)
+        p = BroydenParams(gamma=1.5, tau=1.0, phi=1.0, xi=0.7, ss=1.0, sz=2.0, zz=4.0)
         eta = broyden_direction(g, s, z, p)
         assert np.allclose(eta.ambient, (-1.5 * g).ambient, atol=1e-15)
 
     def test_flat_hand_case(self):
         # g = (1,1), s = (0,1), z = (0,2), unit parameters -> eta = (-1, -1/2)
         x, (g, s, z) = flat_tangents((1.0, 1.0), (0.0, 1.0), (0.0, 2.0))
-        p = BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0)
+        p = BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0, ss=1.0, sz=2.0, zz=4.0)
         eta = broyden_direction(g, s, z, p)
         assert np.allclose(eta.ambient, [0.0, -1.0, -0.5], atol=1e-15)
         assert inner(x, g, eta) == pytest.approx(-1.5, rel=1e-14)
-
-    def test_nonpositive_curvature_rejected(self):
-        x, (g, s, z) = flat_tangents((1.0, 0.0), (1.0, 0.0), (-1.0, 0.0))
-        with pytest.raises(ContractViolationError):
-            broyden_direction(g, s, z, BroydenParams(1.0, 1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("phi_mode", list(PhiMode))
     def test_matches_dense_operator_with_full_xi(self, phi_mode):

@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 import riemqn
-from riemqn import bench, manifolds, problems, profiles, rng, solver
+from riemqn import bench, linesearch, manifolds, problems, profiles, rng, solver
 
 INSTANCE_CLASSES = [problems.RayleighInstance, problems.OffDiagonalInstance]
 TANGENT_OPS = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__")
@@ -22,12 +22,34 @@ def _own_function(owner, name):
     assert callable(owner.__dict__[name])
 
 
+# (module, name, defining layer): the tracer wraps each where the module looks
+# it up and names its span after the defining layer.  The per-layer metrics
+# read those span names, so an inlined or renamed function would read as 0 or
+# nan there instead of failing.
+TRACED_FUNCTIONS = [
+    (bench, "solve", "solver"),
+    (bench, "generate_instance", "problems"),
+    (solver, "search_step", "linesearch"),
+    *[(solver, name, "directions") for name in
+      ("schedule_params", "broyden_direction", "compute_z", "cg_beta", "cg_direction")],
+    *[(solver, name, "manifolds") for name in ("inner", "norm")],
+    *[(linesearch, name, "manifolds") for name in ("retract", "transport_direction", "inner")],
+    (problems, "project_tangent", "manifolds"),
+    (bench, "performance_profile", "profiles"),
+    # the bench layer's own stages, wrapped in place
+    *[(bench, name, "bench") for name in ("run_benchmark", "write_runs_csv", "write_profiles")],
+]
+
+
 @pytest.mark.parametrize(
-    "module,name",
-    [(bench, "solve"), (bench, "generate_instance"), (solver, "search_step")],
+    "module,name,layer",
+    TRACED_FUNCTIONS,
+    ids=lambda v: v.__name__.rpartition(".")[2] if inspect.ismodule(v) else v,
 )
-def test_module_functions(module, name):
-    assert inspect.isfunction(vars(module)[name])
+def test_module_functions(module, name, layer):
+    fn = vars(module)[name]
+    assert inspect.isfunction(fn)
+    assert fn.__module__ == f"riemqn.{layer}"
 
 
 def test_layer_modules():

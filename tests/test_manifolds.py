@@ -9,7 +9,9 @@ from riemqn import (
     DegenerateTransportError,
     InvalidPointError,
     Oblique,
+    OffDiagonalInstance,
     Point,
+    RayleighInstance,
     SingularRetractionError,
     Sphere,
     SplitMix64,
@@ -18,9 +20,11 @@ from riemqn import (
     inner,
     inverse_retraction,
     norm,
+    offdiag_instance,
     project_tangent,
     random_point,
     random_tangent,
+    rayleigh_instance,
     retract,
     scaling_sigma,
     tangency_defect,
@@ -73,6 +77,61 @@ class TestPointInvariants:
         with pytest.raises(ValueError):
             v[1] = 2.0
         assert x.ambient[0] == 1.0
+
+
+def _sliced(arr):
+    """A view of ``arr`` in the top-left corner of a larger writable base."""
+    base = np.zeros(tuple(d + 1 for d in arr.shape))
+    base[tuple(slice(0, d) for d in arr.shape)] = arr
+    return base, base[tuple(slice(0, d) for d in arr.shape)]
+
+
+def _point_from_view():
+    base, view = _sliced(np.eye(4)[:, :2])
+    return base, Point(Oblique(4, 2), view).ambient
+
+
+def _sphere_point_from_view():
+    base, view = _sliced(np.array([1.0, 0.0, 0.0]))
+    return base, Point(Sphere(3), view).ambient
+
+
+def _tangent_from_view():
+    base, view = _sliced(np.array([0.0, 1.0, 0.0]))
+    return base, Tangent(sphere_point(1.0, 0.0, 0.0), view).ambient
+
+
+def _rayleigh_matrix_from_view():
+    ray = rayleigh_instance(4, seed=3)
+    base, view = _sliced(ray.matrix)
+    return base, RayleighInstance(matrix=view, x0=np.array(ray.x0), seed=3).matrix
+
+
+def _rayleigh_x0_from_view():
+    ray = rayleigh_instance(4, seed=3)
+    base, view = _sliced(ray.x0)
+    inst = RayleighInstance(matrix=np.array(ray.matrix), x0=view, seed=3)
+    assert inst.initial_point().ambient is inst.x0
+    return base, inst.x0
+
+
+def _offdiag_x0_from_view():
+    off = offdiag_instance(5, 3, 2, seed=3)
+    base, view = _sliced(off.x0)
+    return base, OffDiagonalInstance(matrices=off.matrices, x0=view, seed=3).x0
+
+
+@pytest.mark.parametrize("build", [
+    _point_from_view, _sphere_point_from_view, _tangent_from_view,
+    _rayleigh_matrix_from_view, _rayleigh_x0_from_view, _offdiag_x0_from_view,
+])
+def test_view_of_writable_base_is_copied(build):
+    # freezing a view would leave its base writable; the checked data are a copy
+    base, kept = build()
+    before = kept.copy()
+    base[(0,) * base.ndim] += 5.0
+    assert np.array_equal(kept, before)
+    assert not kept.flags.writeable
 
 
 class TestInner:
