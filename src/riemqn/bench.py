@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -21,18 +21,7 @@ from .errors import ConfigError
 from .problems import ProblemInstance, check_dims, generate_instance
 from .profiles import ProfileTable, performance_profile
 from .schema import integer, positive_integer, read_object
-from .solver import RunResult, SolverConfig, config_from_id, solve, solver_id
-
-RUNS_HEADER = [
-    "instance",
-    "solver",
-    "converged",
-    "iters",
-    "time_ms",
-    "final_f",
-    "final_gnorm",
-    "failure_reason",
-]
+from .solver import FailureReason, RunResult, SolverConfig, config_from_id, solve, solver_id
 
 
 def _as_is(value, key: str):
@@ -95,16 +84,36 @@ def load_config(path: str | Path) -> BenchConfig:
     return parse_config(data)
 
 
+def _count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_flag = {"0": False, "1": True}.__getitem__
+
+
+def _reason(text: str) -> str:
+    return text and FailureReason(text).value
+
+
 @dataclass(frozen=True)
 class RunRecord:
-    instance: int
-    solver: str
-    converged: bool
-    iters: int
-    time_ms: float
-    final_f: float
-    final_gnorm: float
-    failure_reason: str
+    """A ``runs.csv`` row: each field is a column, in file order, with its format and parse."""
+
+    instance: int = field(metadata={"csv": ("d", _count)})
+    solver: str = field(metadata={"csv": ("s", str)})
+    converged: bool = field(metadata={"csv": ("d", _flag)})
+    iters: int = field(metadata={"csv": ("d", _count)})
+    time_ms: float = field(metadata={"csv": (".3f", float)})
+    final_f: float = field(metadata={"csv": (".17g", float)})
+    final_gnorm: float = field(metadata={"csv": (".17g", float)})
+    failure_reason: str = field(metadata={"csv": ("s", _reason)})
+
+
+# (column, format spec, parse) in file order
+_RUNS_COLUMNS = [(f.name, *f.metadata["csv"]) for f in fields(RunRecord)]
+RUNS_HEADER = [name for name, _, _ in _RUNS_COLUMNS]
 
 
 def _record(instance_index: int, sid: str, result: RunResult) -> RunRecord:
@@ -113,7 +122,8 @@ def _record(instance_index: int, sid: str, result: RunResult) -> RunRecord:
         solver=sid,
         converged=result.converged,
         iters=result.iters,
-        time_ms=result.elapsed * 1e3,
+        # rounded as runs.csv stores it, so profiles from a reread file match
+        time_ms=round(result.elapsed * 1e3, 3),
         final_f=result.final_f,
         final_gnorm=result.final_gnorm,
         failure_reason=result.failure_reason.value if result.failure_reason else "",
@@ -158,43 +168,36 @@ def write_runs_csv(records: list[RunRecord], path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RUNS_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    r.instance,
-                    r.solver,
-                    int(r.converged),
-                    r.iters,
-                    f"{r.time_ms:.3f}",
-                    f"{r.final_f:.17g}",
-                    f"{r.final_gnorm:.17g}",
-                    r.failure_reason,
-                ]
-            )
+            writer.writerow([format(getattr(r, name), spec) for name, spec, _ in _RUNS_COLUMNS])
 
 
 def read_runs_csv(path: str | Path) -> list[RunRecord]:
+    """The records of a ``runs.csv`` file, read as strictly as a config: the header is exactly
+    ``RUNS_HEADER``, each value parses by its column, no (instance, solver) pair repeats."""
+    records: dict[tuple[int, str], RunRecord] = {}
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(RUNS_HEADER) - set(reader.fieldnames):
-                raise ConfigError(f"{path} is not a runs.csv file")
-            return [
-                RunRecord(
-                    instance=int(row["instance"]),
-                    solver=row["solver"],
-                    converged=bool(int(row["converged"])),
-                    iters=int(row["iters"]),
-                    time_ms=float(row["time_ms"]),
-                    final_f=float(row["final_f"]),
-                    final_gnorm=float(row["final_gnorm"]),
-                    failure_reason=row["failure_reason"],
-                )
-                for row in reader
-            ]
-    except OSError as exc:
-        raise ConfigError(f"cannot read runs file: {exc}") from exc
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed runs file {path}: {exc}") from exc
+            reader = csv.reader(fh)
+            if next(reader, None) != RUNS_HEADER:
+                raise ConfigError(f"{path}: the header must be {','.join(RUNS_HEADER)}")
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if len(row) != len(RUNS_HEADER):
+                    raise ConfigError(f"{where}: {len(row)} fields, expected {len(RUNS_HEADER)}")
+                values = []
+                for (name, _, parse), text in zip(_RUNS_COLUMNS, row):
+                    try:
+                        values.append(parse(text))
+                    except (KeyError, ValueError) as exc:
+                        raise ConfigError(f"{where}: bad {name} {text!r}") from exc
+                record = RunRecord(*values)
+                key = (record.instance, record.solver)
+                if key in records:
+                    raise ConfigError(f"{where}: repeats instance {key[0]}, solver {key[1]}")
+                records[key] = record
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read runs file {path}: {exc}") from exc
+    return list(records.values())
 
 
 def write_profiles(records: list[RunRecord], out_dir: Path) -> dict[str, ProfileTable]:

@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
 def _cmd_profile(args) -> int:
     records = read_runs_csv(args.runs)
     if not records:
-        raise ConfigError("runs file contains no records")
+        raise ConfigError(f"runs file {args.runs} contains no records")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_profiles(records, out)

@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional
+from typing import Callable, ClassVar, Mapping, Optional
 
 from .directions import (
     DEFAULT_NU_HAT,
@@ -31,12 +31,15 @@ from .directions import (
     schedule_params,
 )
 from .errors import (
+    AntipodalPointsError,
     ConfigError,
     ContractViolationError,
     DegenerateStepError,
     DegenerateTransportError,
     DegenerateZError,
+    InvalidPointError,
     LineSearchFailedError,
+    SingularRetractionError,
 )
 from .linesearch import LineSearchConfig, search_step
 from .manifolds import (
@@ -57,6 +60,7 @@ class FailureReason(Enum):
     LINE_SEARCH_FAILED = "line_search_failed"
     MAX_ITERS = "max_iters"
     DEGENERATE_STEP = "degenerate_step"
+    NON_FINITE = "non_finite"
 
 
 _TRANSPORT_CODES = {
@@ -198,23 +202,19 @@ class IterationTrace:
     point: Optional[Point] = None
     direction: Optional[Tangent] = None
 
-    CSV_HEADER = "iter,f,gnorm,alpha,g_dot_eta,time_ms"
+    # trace column -> (field, format spec), in stream order
+    COLUMNS: ClassVar[dict[str, tuple[str, str]]] = {
+        "iter": ("iteration", "d"), "f": ("f", ".17g"), "gnorm": ("gnorm", ".17g"),
+        "alpha": ("alpha", ".17g"), "g_dot_eta": ("g_dot_eta", ".17g"),
+        "time_ms": ("time_ms", ".3f"),
+    }
+    CSV_HEADER: ClassVar[str] = ",".join(COLUMNS)
 
     def csv_row(self) -> str:
-        return (
-            f"{self.iteration},{self.f:.17g},{self.gnorm:.17g},"
-            f"{self.alpha:.17g},{self.g_dot_eta:.17g},{self.time_ms:.3f}"
-        )
+        return ",".join(format(getattr(self, name), spec) for name, spec in self.COLUMNS.values())
 
     def scalars(self) -> dict:
-        return {
-            "iter": self.iteration,
-            "f": self.f,
-            "gnorm": self.gnorm,
-            "alpha": self.alpha,
-            "g_dot_eta": self.g_dot_eta,
-            "time_ms": self.time_ms,
-        }
+        return {column: getattr(self, name) for column, (name, _) in self.COLUMNS.items()}
 
 
 @dataclass
@@ -358,6 +358,9 @@ def solve(
             gde = inner(x, g, eta)
             memory = None
             diag.restarts += 1
+        if not gde < 0.0:  # nan, or -|g|^2 underflowed to zero
+            failure = FailureReason.NON_FINITE
+            break
         diag.gnorm.append(gnorm)
         diag.g_dot_eta.append(gde)
         eta_norm = norm(eta)
@@ -368,6 +371,10 @@ def solve(
             )
         except LineSearchFailedError:
             failure = FailureReason.LINE_SEARCH_FAILED
+            break
+        except (InvalidPointError, SingularRetractionError, AntipodalPointsError):
+            # overflow carried a trial step's arithmetic to inf or nan
+            failure = FailureReason.NON_FINITE
             break
         diag.alpha.append(ev.alpha)
         row = IterationTrace(

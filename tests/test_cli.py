@@ -1,17 +1,20 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riemqn.bench import (
+    RunRecord,
     load_config,
     parse_config,
     profile_costs,
     read_runs_csv,
     run_benchmark,
     run_grid,
+    write_runs_csv,
 )
 from riemqn.cli import main
 from riemqn.errors import ConfigError
@@ -167,9 +170,8 @@ class TestCliCommands:
         prof_out = tmp_path / "prof"
         code = main(["profile", "--runs", str(out / "runs.csv"), "--out", str(prof_out)])
         assert code == 0
-        assert (prof_out / "profile_iters.csv").read_text() == (
-            out / "profile_iters.csv"
-        ).read_text()
+        for name in ("profile_iters.csv", "profile_time.csv"):
+            assert (prof_out / name).read_text() == (out / name).read_text()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -205,3 +207,64 @@ class TestCliCommands:
         code = main(["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1",
                      "--solver", "sgd"])
         assert code == 2
+
+
+HEADER = "instance,solver,converged,iters,time_ms,final_f,final_gnorm,failure_reason"
+ROWS = [
+    "0,broyden_bfgs_lf_xi0.1_dr,1,22,6.608,-3.4101040673719574,9.8418216300439613e-07,",
+    "0,dy_dr,0,2,0.480,-0.79390319394006292,6.8396708965924411,max_iters",
+]
+
+
+class TestRunsFile:
+    """runs.csv is read back as strictly as a config: each defect is a ConfigError."""
+
+    def write(self, tmp_path, header=HEADER, rows=ROWS) -> Path:
+        path = tmp_path / "runs.csv"
+        path.write_text("".join(line + "\r\n" for line in [header, *rows]))
+        return path
+
+    def test_well_formed_file_read(self, tmp_path):
+        records = read_runs_csv(self.write(tmp_path))
+        assert records[1] == RunRecord(0, "dy_dr", False, 2, 0.48, -0.79390319394006292,
+                                       6.8396708965924411, "max_iters")
+        assert records[0].converged is True and records[0].failure_reason == ""
+
+    def test_round_trip(self, tmp_path):
+        cfg = load_config(small_config(tmp_path, solvers=["broyden_bfgs_lf_xi0.1_dr", "hz_proj"]))
+        records = run_grid(cfg) + [
+            RunRecord(7, "dy_dr", False, 0, 0.0, math.inf, math.inf, "non_finite"),
+            RunRecord(7, "hz_dr", False, 12, 1234.5, -1e-300, 5e-324, "line_search_failed"),
+        ]
+        write_runs_csv(records, tmp_path / "runs.csv")
+        assert read_runs_csv(tmp_path / "runs.csv") == records
+
+    @pytest.mark.parametrize(
+        "header,rows",
+        [
+            (HEADER, ["0,dy_dr,1"]),
+            (HEADER, [ROWS[1] + ",extra"]),
+            (HEADER, [ROWS[1].replace("dy_dr,0,", "dy_dr,7,")]),
+            (HEADER, [ROWS[1].replace(",2,", ",2.5,")]),
+            (HEADER, [ROWS[1].replace(",2,", ",-2,")]),
+            (HEADER, [ROWS[1].replace("0.480", "fast")]),
+            (HEADER, [ROWS[1].replace("max_iters", "gave_up")]),
+            (HEADER.replace("iters,time_ms", "time_ms,iters"), ROWS),
+            (HEADER.replace("final_gnorm", "gnorm"), ROWS),
+            (HEADER + ",notes", ROWS),
+            (HEADER, [*ROWS, ROWS[1]]),
+            ("", []),
+            (HEADER, []),
+        ],
+        ids=["short-row", "extra-field", "converged-7", "float-iters", "negative-iters",
+             "text-time", "unknown-reason", "reordered-header", "renamed-header",
+             "extra-column", "duplicate-pair", "empty-file", "header-only"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, header, rows):
+        path = self.write(tmp_path, header, rows)
+        if rows or header != HEADER:  # a header-only file reads as no records
+            with pytest.raises(ConfigError, match=str(path)):
+                read_runs_csv(path)
+        assert main(["profile", "--runs", str(path), "--out", str(tmp_path / "prof")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemqn import (
     ConfigError,
@@ -11,8 +13,11 @@ from riemqn import (
     DirectionKind,
     FailureReason,
     LineSearchConfig,
+    OffDiagonalInstance,
     PhiMode,
     Point,
+    RayleighInstance,
+    RunResult,
     SolverConfig,
     Sphere,
     SplitMix64,
@@ -487,3 +492,44 @@ class TestAllEngines:
             assert np.all(np.isfinite(ratios))
             maxima.append(ratios.max())
         assert np.all(np.isfinite(maxima))
+
+
+def _scaled_instance(kind: str, seed: int, scale: float):
+    """The seeded instance with its matrices multiplied by ``scale``."""
+    if kind == "rayleigh":
+        inst = rayleigh_instance(5, seed)
+        return RayleighInstance(matrix=inst.matrix * scale, x0=inst.x0, seed=seed)
+    inst = offdiag_instance(4, 2, 2, seed)
+    mats = tuple(m * scale for m in inst.matrices)
+    return OffDiagonalInstance(matrices=mats, x0=inst.x0, seed=seed)
+
+
+class TestNumericalBreakdown:
+    """Runs never raise on numerical breakdown; they end with a recorded reason."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 20),
+        kind=st.sampled_from(["rayleigh", "offdiag"]),
+        exponent=st.floats(-300.0, 307.0),
+        sid=st.sampled_from(["broyden_bfgs_lf_xi0.1_dr", "broyden_preconvex_powell_xi0.8_invret",
+                             "hz_proj", "dy_dr"]),
+    )
+    def test_scaled_problem_returns_a_result(self, seed, kind, exponent, sid):
+        scale = 10.0 ** exponent
+        inst = _scaled_instance(kind, seed, scale)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-6 * scale, max_iters=300))
+        with np.errstate(all="ignore"):
+            res = solve(inst, inst.initial_point(), cfg)
+        assert isinstance(res, RunResult)
+        assert res.converged == (res.failure_reason is None)
+
+    @pytest.mark.parametrize("kind,scale", [("rayleigh", 1e154), ("offdiag", 1e77),
+                                            ("offdiag", 1e154)])
+    def test_overflow_recorded_as_non_finite(self, kind, scale):
+        inst = _scaled_instance(kind, 7, scale)
+        cfg = config_from_id("broyden_bfgs_lf_xi0.1_dr", SolverConfig(tol=1e-6 * scale))
+        with np.errstate(all="ignore"):
+            res = solve(inst, inst.initial_point(), cfg)
+        assert res.failure_reason is FailureReason.NON_FINITE
+        assert res.converged is False
