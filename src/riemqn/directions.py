@@ -26,13 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     ContractViolationError,
     DegenerateStepError,
     DegenerateZError,
     OutOfHypothesisError,
 )
-from .manifolds import Tangent, inner
+from .manifolds import Tangent, _require_base, inner
 
 
 class ZMode(Enum):
@@ -99,30 +101,33 @@ class BroydenParams:
     zz: float
 
 
-def _lift_to_floor(s: Tangent, z: Tangent, ss: float, target: float) -> Tangent:
-    # Cancellation in the blend can leave the computed curvature a few ulps
-    # under the floor it equals in exact arithmetic; nudge along s until the
-    # recomputed inner product clears it.  A no-op on cleanly computed data.
-    m = inner(s.point, s, z)
-    if m >= target:
-        return z
-    bump = (target - m) / ss
-    for _ in range(60):
-        z = z + bump * s
-        m = inner(s.point, s, z)
-        if m >= target:
-            break
-        bump *= 2.0
-    return z
+def _lift_to_floor(s: Tangent, z: np.ndarray, ss: float, target: float) -> Tangent:
+    # z is the blend's ambient array.  Cancellation in the blend can leave the
+    # computed curvature a few ulps under the floor it equals in exact
+    # arithmetic; nudge along s until the recomputed inner product clears it.
+    # A no-op on cleanly computed data.
+    m = float(np.vdot(s.ambient, z))
+    if m < target:
+        bump = (target - m) / ss
+        for _ in range(60):
+            z = z + bump * s.ambient
+            m = float(np.vdot(s.ambient, z))
+            if m >= target:
+                break
+            bump *= 2.0
+    return Tangent(s.point, z)
 
 
-def compute_z(mode: ZMode, s: Tangent, y: Tangent, nu_hat: float) -> Tangent:
+def compute_z(mode: ZMode, s: Tangent, y: Tangent, nu_hat: float,
+              ss: float | None = None) -> Tangent:
     """Regularize y so that <s, z> >= nu_hat * |s|^2.
 
     Li-Fukushima shifts y along s; Powell blends y with s.  Both leave y
     untouched when the raw curvature <s, y> already clears the floor.
+    ``ss``, when given, is <s, s> as ``inner`` takes it.
     """
-    ss = inner(s.point, s, s)
+    if ss is None:
+        ss = inner(s.point, s, s)
     if ss == 0.0:
         raise DegenerateStepError("previous step has zero norm")
     sy = inner(s.point, s, y)
@@ -132,14 +137,14 @@ def compute_z(mode: ZMode, s: Tangent, y: Tangent, nu_hat: float) -> Tangent:
         if sy >= nu_hat * ss:
             return y
         nu = max(0.0, -sy / ss) + nu_hat
-        return _lift_to_floor(s, y + nu * s, ss, nu_hat * ss)
+        return _lift_to_floor(s, y.ambient + nu * s.ambient, ss, nu_hat * ss)
     if mode is ZMode.POWELL:
         if not 0.0 < nu_hat < 1.0:
             raise ContractViolationError("Powell damping requires nu_hat in (0, 1)")
         if sy >= nu_hat * ss:
             return y
         nu = (1.0 - nu_hat) * ss / (ss - sy)
-        return _lift_to_floor(s, nu * y + (1.0 - nu) * s, ss, nu_hat * ss)
+        return _lift_to_floor(s, nu * y.ambient + (1.0 - nu) * s.ambient, ss, nu_hat * ss)
     raise ContractViolationError(f"unknown z mode: {mode!r}")
 
 
@@ -164,14 +169,18 @@ def schedule_params(
     phi_mode: PhiMode,
     xi: float,
     preconvex_mu_reciprocal: bool = False,
+    ss: float | None = None,
 ) -> BroydenParams:
     """Per-iteration sizing/scaling: gamma = max{1, sz/zz}, tau = min{1, zz/sz}.
 
-    The one place ss, sz and zz are taken and checked (``DegenerateZError``).
+    The one place sz and zz are taken and checked (``DegenerateZError``).
+    ``ss``, when given, is <s, s> as ``inner`` takes it; otherwise it is
+    taken here.
     """
     if not 0.0 <= xi <= 1.0:
         raise ContractViolationError("xi must lie in [0, 1]")
-    ss = inner(s.point, s, s)
+    if ss is None:
+        ss = inner(s.point, s, s)
     sz = inner(s.point, s, z)
     zz = inner(z.point, z, z)
     if zz == 0.0:
@@ -198,7 +207,7 @@ def broyden_direction(g: Tangent, s: Tangent, z: Tangent, params: BroydenParams)
     sz, zz = params.sz, params.zz
     coef_s = gamma * (phi * zg / sz - (1.0 / (gamma * tau) + phi * zz / sz) * (sg / sz))
     coef_z = gamma * xi * (phi * sg / sz + (1.0 - phi) * zg / zz)
-    return (-gamma) * g + coef_s * s + coef_z * z
+    return Tangent(x, (-gamma) * g.ambient + coef_s * s.ambient + coef_z * z.ambient)
 
 
 def sufficient_descent_kappa(gamma_min: float, xi_bar: float, phi_bar: float) -> float:
@@ -256,4 +265,5 @@ def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
 
 def cg_direction(g: Tangent, beta: float, sigma: float, t_eta_prev: Tangent) -> Tangent:
     """eta = -g + beta * sigma * T(eta_prev)."""
-    return -g + (beta * sigma) * t_eta_prev
+    _require_base(g.point, t_eta_prev, "t_eta_prev")
+    return Tangent(g.point, -g.ambient + float(beta * sigma) * t_eta_prev.ambient)

@@ -75,16 +75,18 @@ class StepEval:
     dphi: float
 
 
-@dataclass(frozen=True)
 class _Probe:
-    alpha: float
-    x_new: Point
-    f_new: float
+    """One trial step: its size, the retracted point and its cost."""
+
+    __slots__ = ("alpha", "x_new", "f_new")
+
+    def __init__(self, alpha: float, x_new: Point, f_new: float):
+        self.alpha, self.x_new, self.f_new = alpha, x_new, f_new
 
 
 def _probe(problem, x: Point, eta: Tangent, alpha: float) -> _Probe:
-    x_new = retract(x, alpha * eta)
-    return _Probe(alpha=alpha, x_new=x_new, f_new=problem.cost(x_new))
+    x_new = retract(x, eta, alpha)
+    return _Probe(alpha, x_new, problem.cost(x_new))
 
 
 def _complete(

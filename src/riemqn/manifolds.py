@@ -24,6 +24,7 @@ than merely to the documented tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -40,6 +41,26 @@ from .errors import (
 from .rng import SplitMix64
 
 POINT_TOL = 1e-12
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _vector_norm(arr: np.ndarray) -> float:
+    """Euclidean/Frobenius norm, computed as ``np.linalg.norm(arr)`` computes it."""
+    v = arr.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _column_norms(arr: np.ndarray) -> np.ndarray:
+    """Column norms, computed as ``np.linalg.norm(arr, axis=0)`` computes them."""
+    return np.sqrt(np.add.reduce(arr * arr, axis=0))
+
+
+def _float64_array(value) -> np.ndarray:
+    """``np.asarray(value, dtype=np.float64)``, without the call for a float64 ndarray."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT64:
+        return value
+    return np.asarray(value, dtype=np.float64)
 
 
 class TransportKind(Enum):
@@ -61,13 +82,13 @@ class Sphere:
         return (self.n,)
 
     def point_defect(self, arr: np.ndarray) -> float:
-        return abs(float(np.linalg.norm(arr)) - 1.0)
+        return abs(_vector_norm(arr) - 1.0)
 
     def tangent_defect(self, x_arr: np.ndarray, t_arr: np.ndarray) -> float:
         return abs(float(np.dot(x_arr, t_arr)))
 
     def _normalize(self, arr: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(arr))
+        nrm = _vector_norm(arr)
         if nrm == 0.0:
             raise SingularRetractionError("cannot normalize a zero vector")
         return arr / nrm
@@ -77,7 +98,7 @@ class Sphere:
 
     def _transport_dr(self, x_arr, eta_arr, vs) -> list[np.ndarray]:
         y = x_arr + eta_arr
-        ny = float(np.linalg.norm(y))
+        ny = _vector_norm(y)
         if ny == 0.0:
             raise SingularRetractionError("transport through a singular retraction")
         u = y / ny
@@ -104,13 +125,13 @@ class Oblique:
         return (self.n, self.p)
 
     def point_defect(self, arr: np.ndarray) -> float:
-        return float(np.max(np.abs(np.linalg.norm(arr, axis=0) - 1.0)))
+        return float(np.max(np.abs(_column_norms(arr) - 1.0)))
 
     def tangent_defect(self, x_arr: np.ndarray, t_arr: np.ndarray) -> float:
         return float(np.max(np.abs(np.sum(x_arr * t_arr, axis=0))))
 
     def _normalize(self, arr: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(arr, axis=0)
+        norms = _column_norms(arr)
         if np.any(norms == 0.0):
             raise SingularRetractionError("cannot normalize a zero column")
         return arr / norms
@@ -120,7 +141,7 @@ class Oblique:
 
     def _transport_dr(self, x_arr, eta_arr, vs) -> list[np.ndarray]:
         y = x_arr + eta_arr
-        norms = np.linalg.norm(y, axis=0)
+        norms = _column_norms(y)
         if np.any(norms == 0.0):
             raise SingularRetractionError("transport through a singular retraction")
         u = y / norms
@@ -145,7 +166,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     """
     if not arr.flags.owndata:
         arr = arr.copy()
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -157,7 +178,7 @@ class Point:
     ambient: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.ambient, dtype=np.float64)
+        arr = _float64_array(self.ambient)
         if arr.shape != self.manifold.ambient_shape:
             raise InvalidPointError(
                 f"expected ambient shape {self.manifold.ambient_shape}, got {arr.shape}"
@@ -182,7 +203,7 @@ class Tangent:
     ambient: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.ambient, dtype=np.float64)
+        arr = _float64_array(self.ambient)
         if arr.shape != self.point.manifold.ambient_shape:
             raise InvalidPointError(
                 f"expected ambient shape {self.point.manifold.ambient_shape}, got {arr.shape}"
@@ -229,7 +250,7 @@ def points_equal(a: Point, b: Point) -> bool:
 
 
 def _require_base(x: Point, t: Tangent, name: str) -> None:
-    if not points_equal(x, t.point):
+    if t.point is not x and not points_equal(x, t.point):
         raise ContractViolationError(f"{name} is not based at the given point")
 
 
@@ -241,8 +262,17 @@ def inner(x: Point, u: Tangent, v: Tangent) -> float:
 
 
 def norm(t: Tangent) -> float:
-    """Induced norm of a tangent vector."""
-    return float(np.linalg.norm(t.ambient))
+    """Induced norm of a tangent vector.
+
+    A vector whose squared entries all underflow is measured again scaled by
+    its largest entry, so a nonzero vector never has norm 0.
+    """
+    arr = t.ambient
+    n = _vector_norm(arr)
+    if n == 0.0 and arr.any():
+        scale = float(np.max(np.abs(arr)))
+        n = scale * _vector_norm(arr / scale)
+    return n
 
 
 def tangency_defect(t: Tangent) -> float:
@@ -252,7 +282,7 @@ def tangency_defect(t: Tangent) -> float:
 
 def project_tangent(x: Point, v_ambient) -> Tangent:
     """Orthogonal projection of an ambient vector onto the tangent space at x."""
-    arr = np.asarray(v_ambient, dtype=np.float64)
+    arr = _float64_array(v_ambient)
     if arr.shape != x.manifold.ambient_shape:
         raise InvalidPointError(
             f"expected ambient shape {x.manifold.ambient_shape}, got {arr.shape}"
@@ -260,15 +290,17 @@ def project_tangent(x: Point, v_ambient) -> Tangent:
     return Tangent(x, x.manifold._project(x.ambient, arr))
 
 
-def retract(x: Point, eta: Tangent) -> Point:
-    """Metric-projection retraction: renormalize x + eta.
+def retract(x: Point, eta: Tangent, alpha: float = 1.0) -> Point:
+    """Metric-projection retraction of the step alpha * eta: renormalize x + alpha * eta.
 
-    A zero displacement returns x itself, so ``retract(x, 0)`` is exact.
+    ``retract(x, eta, alpha)`` is bitwise ``retract(x, alpha * eta)``.  A zero
+    step returns x itself, so ``retract(x, 0)`` is exact.
     """
     _require_base(x, eta, "eta")
-    if not eta.ambient.any():
+    step = float(alpha) * eta.ambient
+    if not np.count_nonzero(step):
         return x
-    return Point(x.manifold, x.manifold._normalize(x.ambient + eta.ambient))
+    return Point(x.manifold, x.manifold._normalize(x.ambient + step))
 
 
 def inverse_retraction(w: Point, v: Point) -> Tangent:
@@ -285,7 +317,7 @@ def inverse_retraction(w: Point, v: Point) -> Tangent:
 def transport_direction(
     kind: TransportKind, x: Point, eta: Tangent, alpha: float, g: Tangent, x_new: Point
 ) -> tuple[Tangent, Tangent, Tangent]:
-    """Carry the step data at x to x_new = retract(x, alpha * eta).
+    """Carry the step data at x to x_new = retract(x, eta, alpha).
 
     Returns ``(t_eta, s, t_g)``: the images of the direction eta, of the step
     alpha * eta and of the gradient g, all tangent at x_new.  The
@@ -297,18 +329,24 @@ def transport_direction(
     _require_base(x, g, "g")
     if not alpha > 0.0:
         raise ContractViolationError("step size must be positive")
+    if x_new.ambient.shape != x.ambient.shape:
+        raise InvalidPointError(
+            f"expected ambient shape {x.ambient.shape}, got {x_new.ambient.shape}"
+        )
+    project, base = x_new.manifold._project, x_new.ambient
     if kind is TransportKind.INVERSE_RETRACTION:
-        raw = -x_new.manifold._inverse_retraction(x_new.ambient, x.ambient)
-        s = project_tangent(x_new, raw)
-        return s / alpha, s, project_tangent(x_new, g.ambient)
-    step = float(alpha) * eta.ambient
-    if kind is TransportKind.DIFFERENTIATED_RETRACTION:
-        raws = x.manifold._transport_dr(x.ambient, step, (eta.ambient, step, g.ambient))
-    elif kind is TransportKind.PROJECTION:
-        raws = (eta.ambient, step, g.ambient)
+        s = project(base, -x_new.manifold._inverse_retraction(base, x.ambient))
+        outs = (s / float(alpha), s, project(base, g.ambient))
     else:
-        raise ContractViolationError(f"unknown transport kind: {kind!r}")
-    return tuple(project_tangent(x_new, raw) for raw in raws)
+        step = float(alpha) * eta.ambient
+        if kind is TransportKind.DIFFERENTIATED_RETRACTION:
+            raws = x.manifold._transport_dr(x.ambient, step, (eta.ambient, step, g.ambient))
+        elif kind is TransportKind.PROJECTION:
+            raws = (eta.ambient, step, g.ambient)
+        else:
+            raise ContractViolationError(f"unknown transport kind: {kind!r}")
+        outs = [project(base, raw) for raw in raws]
+    return tuple(Tangent(x_new, out) for out in outs)
 
 
 def scaling_sigma(x_next: Point, eta_prev_norm: float, t_eta: Tangent) -> float:

@@ -62,7 +62,7 @@ def _set_start(instance: ProblemInstance, x0: np.ndarray) -> None:
 
 
 def _check_point(instance: ProblemInstance, x: Point) -> None:
-    if x.manifold != instance.manifold:
+    if x.manifold is not instance.manifold and x.manifold != instance.manifold:
         raise ContractViolationError(
             f"dimension mismatch: point on {x.manifold}, instance on {instance.manifold}"
         )

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, ClassVar, Mapping, Optional
 
+import numpy as np
+
 from .directions import (
     DEFAULT_NU_HAT,
     CgScalars,
@@ -46,6 +48,7 @@ from .manifolds import (
     Point,
     Tangent,
     TransportKind,
+    _require_base,
     inner,
     norm,
     scaling_sigma,
@@ -294,10 +297,12 @@ def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
 
 
 def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
-    s = ev.s
-    y = ev.g_new - ev.t_g
-    z = compute_z(cfg.z_mode, s, y, nu_hat)
-    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, cfg.preconvex_mu_reciprocal)
+    s, g_new = ev.s, ev.g_new
+    _require_base(g_new.point, ev.t_g, "t_g")
+    y = Tangent(g_new.point, g_new.ambient - ev.t_g.ambient)
+    ss = inner(s.point, s, s)
+    z = compute_z(cfg.z_mode, s, y, nu_hat, ss=ss)
+    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, cfg.preconvex_mu_reciprocal, ss=ss)
     diag.z_margin.append(params.sz - nu_hat * params.ss)
     diag.z_ratio.append(math.sqrt(params.zz / params.ss))
     sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
@@ -315,6 +320,8 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
     )
 
 
+# overflow and nan end a run as non_finite; numpy need not also warn of them
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(
     problem: ProblemInstance,
     x0: Point,
@@ -334,6 +341,7 @@ def solve(
 
     diag = RunDiagnostics()
     trace: list[IterationTrace] = []
+    emit_rows = cfg.record_trace or callback is not None
     x = x0
     f = problem.cost(x)
     g = problem.grad(x)
@@ -377,20 +385,21 @@ def solve(
             failure = FailureReason.NON_FINITE
             break
         diag.alpha.append(ev.alpha)
-        row = IterationTrace(
-            iteration=k,
-            f=f,
-            gnorm=gnorm,
-            alpha=ev.alpha,
-            g_dot_eta=gde,
-            time_ms=now_ms(),
-            point=x if cfg.record_trace else None,
-            direction=eta if cfg.record_trace else None,
-        )
-        if cfg.record_trace:
-            trace.append(row)
-        if callback is not None:
-            callback(row)
+        if emit_rows:
+            row = IterationTrace(
+                iteration=k,
+                f=f,
+                gnorm=gnorm,
+                alpha=ev.alpha,
+                g_dot_eta=gde,
+                time_ms=now_ms(),
+                point=x if cfg.record_trace else None,
+                direction=eta if cfg.record_trace else None,
+            )
+            if cfg.record_trace:
+                trace.append(row)
+            if callback is not None:
+                callback(row)
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
         try:

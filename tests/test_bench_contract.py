@@ -1,0 +1,64 @@
+"""The benchmark's result contract, run end to end.
+
+``perfbench/run.py`` ends every run with one JSON result line.  It must be
+strict JSON (no bare ``NaN``: a per-layer span that a hot path stopped
+calling reads as ``nan``), report ``"correct": true`` and carry only finite
+metric values.  A broken hook can also end the run in a traceback; both
+show here instead of in a benchmark run.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from riemqn import Point, SolverConfig, StepEval, rayleigh_instance, search_step
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reject_constant(name):
+    raise ValueError(f"result line is not strict JSON: bare {name}")
+
+
+def _run_benchmark(workload: str, trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "0.1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = proc.stdout.strip().splitlines()[-1]
+    return json.loads(last, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize(
+    "workload,trace",
+    [
+        ("rayleigh-grid", 0),
+        ("rayleigh-grid", 1),
+        pytest.param("offdiag-transports", 1, marks=pytest.mark.slow),
+    ],
+)
+def test_result_line(workload, trace):
+    result = _run_benchmark(workload, trace)
+    assert result["correct"] is True
+    assert result["metrics"]
+    for name, metric in result["metrics"].items():
+        assert math.isfinite(metric["value"]), name
+
+
+def test_search_step_returns_a_point_on_the_problem_manifold():
+    # the benchmark's gate reads x_new.manifold and x_new.ambient of the last step
+    inst = rayleigh_instance(12, seed=3)
+    x = inst.initial_point()
+    g = inst.grad(x)
+    ev = search_step(inst, x, -g, SolverConfig().line_search)
+    assert isinstance(ev, StepEval)
+    assert isinstance(ev.x_new, Point)
+    assert ev.x_new.manifold == inst.manifold
+    assert isinstance(ev.x_new.ambient, np.ndarray)

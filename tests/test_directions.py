@@ -99,6 +99,43 @@ class TestComputeZ:
                 assert np.isfinite(ratio)
 
 
+class TestOneWrapperPerResult:
+    """The array-level results equal the ``Tangent``-operator expressions bit for bit."""
+
+    def test_against_operator_expressions(self):
+        rng = SplitMix64(211)
+        for manifold in (Sphere(8), Oblique(5, 3)):
+            x = random_point(manifold, rng)
+            for _ in range(50):
+                g, s, y, t = (random_tangent(x, rng) for _ in range(4))
+                ss, sy = inner(x, s, s), inner(x, s, y)
+                for mode, nu_hat in ((ZMode.LI_FUKUSHIMA, 1e-6), (ZMode.POWELL, 0.1)):
+                    z = compute_z(mode, s, y, nu_hat)
+                    assert compute_z(mode, s, y, nu_hat, ss=ss).ambient.tobytes() == z.ambient.tobytes()
+                    if sy >= nu_hat * ss:
+                        continue
+                    if mode is ZMode.LI_FUKUSHIMA:
+                        want = y + (max(0.0, -sy / ss) + nu_hat) * s
+                    else:
+                        nu = (1.0 - nu_hat) * ss / (ss - sy)
+                        want = nu * y + (1.0 - nu) * s
+                    if inner(x, s, want) >= nu_hat * ss:  # the floor lift did nothing
+                        assert z.ambient.tobytes() == want.ambient.tobytes()
+                for phi_mode in PhiMode:
+                    params = schedule_params(s, z, phi_mode, 0.5)
+                    assert schedule_params(s, z, phi_mode, 0.5, ss=ss) == params
+                    p = params
+                    sg, zg = inner(x, s, g), inner(x, z, g)
+                    coef_s = p.gamma * (p.phi * zg / p.sz
+                                        - (1.0 / (p.gamma * p.tau) + p.phi * p.zz / p.sz) * (sg / p.sz))
+                    coef_z = p.gamma * p.xi * (p.phi * sg / p.sz + (1.0 - p.phi) * zg / p.zz)
+                    want = (-p.gamma) * g + coef_s * s + coef_z * z
+                    got = broyden_direction(g, s, z, params)
+                    assert got.ambient.tobytes() == want.ambient.tobytes()
+                want = -g + (0.7 * 0.9) * t
+                assert cg_direction(g, 0.7, 0.9, t).ambient.tobytes() == want.ambient.tobytes()
+
+
 class TestScheduleParams:
     def test_hand_values_balanced(self):
         # sz = 2, zz = 4 -> gamma = max{1, 1/2} = 1, tau = min{1, 2} = 1

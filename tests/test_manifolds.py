@@ -30,6 +30,7 @@ from riemqn import (
     tangency_defect,
     transport_direction,
 )
+from riemqn.manifolds import _column_norms, _vector_norm
 
 DR = TransportKind.DIFFERENTIATED_RETRACTION
 PROJ = TransportKind.PROJECTION
@@ -278,6 +279,67 @@ manifolds_st = st.one_of(
     st.builds(Sphere, st.integers(2, 8)),
     st.builds(Oblique, st.integers(2, 6), st.integers(1, 4)),
 )
+
+
+class TestRetractAlpha:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        manifold=manifolds_st,
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-330.0, 12.0),
+        zero=st.booleans(),
+    )
+    def test_alpha_scales_the_step(self, manifold, seed, log_alpha, zero):
+        # retract(x, eta, alpha) is bitwise retract(x, alpha * eta); a step
+        # that is or underflows to zero returns x itself
+        alpha = 10.0**log_alpha
+        rng = SplitMix64(seed)
+        x = random_point(manifold, rng)
+        eta = Tangent(x, np.zeros(manifold.ambient_shape)) if zero else random_tangent(x, rng)
+        got = retract(x, eta, alpha)
+        want = retract(x, alpha * eta)
+        assert got.ambient.tobytes() == want.ambient.tobytes()
+        assert (got is x) == (want is x)
+        if zero or alpha == 0.0:
+            assert got is x
+
+    def test_base_checked(self):
+        x = sphere_point(1.0, 0.0)
+        eta = Tangent(sphere_point(0.0, 1.0), np.array([1.0, 0.0]))
+        with pytest.raises(ContractViolationError):
+            retract(x, eta, 0.5)
+
+
+class TestFastNorms:
+    """The norm helpers compute exactly what ``np.linalg.norm`` computes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        manifold=manifolds_st,
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-300.0, 300.0),
+        fortran=st.booleans(),
+    )
+    def test_bitwise_equal_to_numpy(self, manifold, seed, log_scale, fortran):
+        a = SplitMix64(seed).normal(manifold.ambient_shape) * 10.0**log_scale
+        if fortran:
+            a = np.asfortranarray(a)
+        with np.errstate(over="ignore", under="ignore"):
+            assert _vector_norm(a).hex() == float(np.linalg.norm(a)).hex()
+            if a.ndim == 2:
+                assert _column_norms(a).tobytes() == np.linalg.norm(a, axis=0).tobytes()
+                t = a.T  # a non-contiguous layout
+                assert _vector_norm(t).hex() == float(np.linalg.norm(t)).hex()
+                assert _column_norms(t).tobytes() == np.linalg.norm(t, axis=0).tobytes()
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=repr)
+    def test_norm_of_a_tiny_tangent_is_positive(self, manifold):
+        x = random_point(manifold, SplitMix64(3))
+        t = random_tangent(x, SplitMix64(4))
+        tiny = Tangent(x, t.ambient * 1e-300)
+        assert float(np.linalg.norm(tiny.ambient)) == 0.0
+        assert norm(tiny) == pytest.approx(norm(t) * 1e-300, rel=1e-12)
+        assert norm(Tangent(x, np.zeros(manifold.ambient_shape))) == 0.0
 
 
 class TestTransport:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -533,3 +534,22 @@ class TestNumericalBreakdown:
             res = solve(inst, inst.initial_point(), cfg)
         assert res.failure_reason is FailureReason.NON_FINITE
         assert res.converged is False
+
+    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.1_dr", "hz_dr"])
+    def test_underflowing_gradient_is_not_converged(self, sid):
+        # every |g_i|^2 underflows, so an unscaled norm reads 0 and passes tol;
+        # the scaled norm sees |g| ~ 4.5e-300 > tol, and <g, eta> = -|g|^2 underflows
+        inst = _scaled_instance("rayleigh", 7, 1e-300)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-306))
+        res = solve(inst, inst.initial_point(), cfg)
+        assert res.failure_reason is FailureReason.NON_FINITE
+        assert res.iters == 0
+        assert res.final_gnorm == pytest.approx(4.5335e-300, rel=1e-4)
+
+    def test_overflow_emits_no_warning(self):
+        inst = _scaled_instance("rayleigh", 7, 1e154)
+        cfg = config_from_id("broyden_bfgs_lf_xi0.1_dr", SolverConfig(tol=1e-6 * 1e154))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(inst, inst.initial_point(), cfg)
+        assert res.failure_reason is FailureReason.NON_FINITE
