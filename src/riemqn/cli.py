@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "profile": _cmd_profile, "solve": _cmd_solve}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RiemqnError as exc:

@@ -124,32 +124,35 @@ class Oblique:
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.n, self.p)
 
+    # The column maps call the ufunc reductions that np.sum, np.max and np.any
+    # wrap (same results, without the wrappers' Python dispatch).
+
     def point_defect(self, arr: np.ndarray) -> float:
-        return float(np.max(np.abs(_column_norms(arr) - 1.0)))
+        return float(np.maximum.reduce(np.abs(_column_norms(arr) - 1.0)))
 
     def tangent_defect(self, x_arr: np.ndarray, t_arr: np.ndarray) -> float:
-        return float(np.max(np.abs(np.sum(x_arr * t_arr, axis=0))))
+        return float(np.maximum.reduce(np.abs(np.add.reduce(x_arr * t_arr, axis=0))))
 
     def _normalize(self, arr: np.ndarray) -> np.ndarray:
         norms = _column_norms(arr)
-        if np.any(norms == 0.0):
+        if 0.0 in norms:
             raise SingularRetractionError("cannot normalize a zero column")
         return arr / norms
 
     def _project(self, x_arr, v_arr) -> np.ndarray:
-        return v_arr - x_arr * np.sum(x_arr * v_arr, axis=0)
+        return v_arr - x_arr * np.add.reduce(x_arr * v_arr, axis=0)
 
     def _transport_dr(self, x_arr, eta_arr, vs) -> list[np.ndarray]:
         y = x_arr + eta_arr
         norms = _column_norms(y)
-        if np.any(norms == 0.0):
+        if 0.0 in norms:
             raise SingularRetractionError("transport through a singular retraction")
         u = y / norms
-        return [(v - u * np.sum(u * v, axis=0)) / norms for v in vs]
+        return [(v - u * np.add.reduce(u * v, axis=0)) / norms for v in vs]
 
     def _inverse_retraction(self, w_arr, v_arr) -> np.ndarray:
-        d = np.sum(w_arr * v_arr, axis=0)
-        if np.any(d <= 0.0):
+        d = np.add.reduce(w_arr * v_arr, axis=0)
+        if np.logical_or.reduce(d <= 0.0):
             raise AntipodalPointsError(
                 "inverse retraction undefined: a column pair is orthogonal or antipodal"
             )

@@ -13,6 +13,12 @@ SplitMix64 stream seeded with ``seed`` yields the symmetric matrices
 ambient draw that is normalized into the initial iterate.  ``KINDS`` maps
 each kind to its dims keys and factory.  Dims are positive integers and the
 seed an integer, or ``ConfigError`` is raised.  Instance arrays are read-only.
+
+Each instance keeps one memo entry: the last ``Point`` it evaluated, held
+by a strong reference and matched by identity, with the products that cost
+and gradient share (``A x``; ``C_i X`` and ``E_i``).  So ``grad(x)`` right
+after ``cost(x)`` computes them once, and every evaluation is still one
+``cost`` or ``grad`` call.  The entry is one tuple, replaced as a whole.
 """
 
 from __future__ import annotations
@@ -84,15 +90,27 @@ class RayleighInstance:
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "manifold", Sphere(a.shape[0]))
         _set_start(self, self.x0)
+        object.__setattr__(self, "_memo", (None, None))
+
+    def _product(self, x: Point) -> np.ndarray:
+        """A x, computed once for the last point evaluated."""
+        point, ax = self._memo
+        if point is not x:
+            ax = self.matrix @ x.ambient
+            # write=False, passed positionally (the keyword parse costs more than the
+            # flag), and the frozen instance's dict set as object.__setattr__ would
+            ax.setflags(False)
+            self.__dict__["_memo"] = (x, ax)
+        return ax
 
     def cost(self, x: Point) -> float:
         _check_point(self, x)
-        return float(x.ambient @ (self.matrix @ x.ambient))
+        return float(x.ambient @ self._product(x))
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 2 A x."""
         _check_point(self, x)
-        return project_tangent(x, 2.0 * (self.matrix @ x.ambient))
+        return project_tangent(x, 2.0 * self._product(x))
 
     def initial_point(self) -> Point:
         return self._start
@@ -120,24 +138,33 @@ class OffDiagonalInstance:
         object.__setattr__(self, "_stacked", _freeze(np.stack(mats)))
         object.__setattr__(self, "manifold", Oblique(*x0.shape))
         _set_start(self, x0)
+        object.__setattr__(self, "_memo", (None, None, None))
 
-    def _offdiag_parts(self, xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cx = self._stacked @ xa
-        e = xa.T @ cx
-        idx = np.arange(e.shape[-1])
-        e[:, idx, idx] = 0.0
+    def _products(self, x: Point) -> tuple[np.ndarray, np.ndarray]:
+        """C_i X and E_i = offdiag(X' C_i X), computed once for the last point evaluated."""
+        point, cx, e = self._memo
+        if point is not x:
+            xa = x.ambient
+            cx = self._stacked @ xa
+            e = xa.T @ cx
+            # e is the C-contiguous matmul output, so this view zeroes its diagonals in place
+            num, p, _ = e.shape
+            e.reshape(num, p * p)[:, :: p + 1] = 0.0
+            cx.setflags(False)
+            e.setflags(False)
+            self.__dict__["_memo"] = (x, cx, e)
         return cx, e
 
     def cost(self, x: Point) -> float:
         _check_point(self, x)
-        _, e = self._offdiag_parts(x.ambient)
-        return float(np.sum(e * e))
+        _, e = self._products(x)
+        return float(np.add.reduce(e * e, axis=None))
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 4 sum_i C_i X E_i."""
         _check_point(self, x)
-        cx, e = self._offdiag_parts(x.ambient)
-        return project_tangent(x, 4.0 * np.sum(cx @ e, axis=0))
+        cx, e = self._products(x)
+        return project_tangent(x, 4.0 * np.add.reduce(cx @ e, axis=0))
 
     def initial_point(self) -> Point:
         return self._start

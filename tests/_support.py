@@ -111,3 +111,13 @@ def dense_memoryless_matrix(
     h += np.outer(s_hat, s_hat) / (tau * sz)
     h += phi * gamma * zz * np.outer(w, w)
     return h
+
+
+def layout(a: np.ndarray, order: str) -> np.ndarray:
+    """The values of ``a`` laid out C-ordered ("C"), Fortran-ordered ("F") or as a transposed
+    view of a C-ordered array ("T")."""
+    if order == "F":
+        return np.asfortranarray(a)
+    if order == "T":
+        return np.ascontiguousarray(a.T).T
+    return np.ascontiguousarray(a)

@@ -203,6 +203,21 @@ class TestCliCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")  # a directory under a regular file
+        if command == "run":
+            args = ["run", "--config", str(small_config(tmp_path)), "--out", out]
+        else:
+            runs = tmp_path / "runs.csv"
+            runs.write_text("\n".join([HEADER, *ROWS]) + "\n")
+            args = ["profile", "--runs", str(runs), "--out", out]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_solver_exits_2(self, capsys):
         code = main(["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1",
                      "--solver", "sgd"])

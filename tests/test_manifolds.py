@@ -32,6 +32,8 @@ from riemqn import (
 )
 from riemqn.manifolds import _column_norms, _vector_norm
 
+from _support import layout
+
 DR = TransportKind.DIFFERENTIATED_RETRACTION
 PROJ = TransportKind.PROJECTION
 INVRET = TransportKind.INVERSE_RETRACTION
@@ -340,6 +342,148 @@ class TestFastNorms:
         assert float(np.linalg.norm(tiny.ambient)) == 0.0
         assert norm(tiny) == pytest.approx(norm(t) * 1e-300, rel=1e-12)
         assert norm(Tangent(x, np.zeros(manifold.ambient_shape))) == 0.0
+
+
+# The oblique maps written with the np.sum / np.max / np.any wrappers: the
+# reference for the ufunc reductions that Oblique calls.
+def _ref_point_defect(a):
+    return float(np.max(np.abs(np.linalg.norm(a, axis=0) - 1.0)))
+
+
+def _ref_tangent_defect(x, t):
+    return float(np.max(np.abs(np.sum(x * t, axis=0))))
+
+
+def _ref_normalize(a):
+    norms = np.linalg.norm(a, axis=0)
+    if np.any(norms == 0.0):
+        raise SingularRetractionError("zero column")
+    return a / norms
+
+
+def _ref_project(x, v):
+    return v - x * np.sum(x * v, axis=0)
+
+
+def _ref_transport_dr(x, step, vs):
+    y = x + step
+    norms = np.linalg.norm(y, axis=0)
+    if np.any(norms == 0.0):
+        raise SingularRetractionError("zero column")
+    u = y / norms
+    return [(v - u * np.sum(u * v, axis=0)) / norms for v in vs]
+
+
+def _ref_inverse_retraction(w, v):
+    d = np.sum(w * v, axis=0)
+    if np.any(d <= 0.0):
+        raise AntipodalPointsError("orthogonal or antipodal column")
+    return v / d - w
+
+
+def _ref_transport(kind, x, eta, alpha, g, x_new):
+    if kind is INVRET:
+        s = _ref_project(x_new, -_ref_inverse_retraction(x_new, x))
+        return [s / alpha, s, _ref_project(x_new, g)]
+    step = alpha * eta
+    raws = _ref_transport_dr(x, step, (eta, step, g)) if kind is DR else (eta, step, g)
+    return [_ref_project(x_new, raw) for raw in raws]
+
+
+def _outcome(fn, *args):
+    """The bytes of what ``fn`` returns, or the type of the map error it raises."""
+    try:
+        out = fn(*args)
+    except (SingularRetractionError, AntipodalPointsError) as exc:
+        return type(exc)
+    if isinstance(out, float):
+        return out.hex()
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return [getattr(o, "ambient", o).tobytes() for o in out]  # arrays or Tangents
+
+
+class TestUfuncReductions:
+    """The oblique maps give bitwise what their np.sum/np.max/np.any forms give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-300.0, 300.0),
+        order=st.sampled_from("CFT"),
+        defect=st.sampled_from([None, "zero", "nan", "minus_x", "opposite"]),
+    )
+    def test_maps_match_the_wrapper_forms(self, shape, seed, log_scale, order, defect):
+        m = Oblique(*shape)
+        rng = SplitMix64(seed)
+        scale = 10.0**log_scale
+        x = layout(random_point(m, rng).ambient, order)
+        a = layout(rng.normal(shape) * scale, order)
+        v = layout(rng.normal(shape) * scale, order)
+        col = seed % shape[1]
+        # one column of a made zero, NaN, -x (so x + a has a zero column) or
+        # opposite to x (so <x, a> is negative in that column)
+        if defect == "zero":
+            a[:, col] = 0.0
+        elif defect == "nan":
+            a[:, col] = np.nan
+        elif defect == "minus_x":
+            a[:, col] = -x[:, col]
+        elif defect == "opposite":
+            a[:, col] = -scale * x[:, col]
+        cases = [
+            (m.point_defect, _ref_point_defect, (a,)),
+            (m.point_defect, _ref_point_defect, (x,)),
+            (m.tangent_defect, _ref_tangent_defect, (x, a)),
+            (m._normalize, _ref_normalize, (a,)),
+            (m._project, _ref_project, (x, a)),
+            (m._transport_dr, _ref_transport_dr, (x, a, (v, a, x))),
+            (m._inverse_retraction, _ref_inverse_retraction, (x, a)),
+            (m._inverse_retraction, _ref_inverse_retraction, (a, x)),
+        ]
+        with np.errstate(all="ignore"):
+            for fn, ref, args in cases:
+                assert _outcome(fn, *args) == _outcome(ref, *args), fn.__name__
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-12.0, 12.0),
+        order=st.sampled_from("CFT"),
+    )
+    def test_transports_match_the_wrapper_forms(self, shape, seed, log_alpha, order):
+        m = Oblique(*shape)
+        rng = SplitMix64(seed)
+        alpha = 10.0**log_alpha
+        x = Point(m, layout(random_point(m, rng).ambient, order))
+        eta = Tangent(x, layout(random_tangent(x, rng).ambient, order))
+        g = Tangent(x, layout(random_tangent(x, rng).ambient, order))
+        x_new = retract(x, eta, alpha)
+        for kind in (DR, PROJ, INVRET):
+            got = _outcome(transport_direction, kind, x, eta, alpha, g, x_new)
+            want = _outcome(_ref_transport, kind, x.ambient, eta.ambient, alpha, g.ambient,
+                            x_new.ambient)
+            assert got == want, kind
+
+    @pytest.mark.parametrize("column", [[0.0, 0.0], [np.nan, 1.0], [np.nan, np.nan]])
+    def test_degenerate_columns(self, column):
+        # a zero column is singular; a NaN column is not caught by either form
+        m = Oblique(2, 2)
+        a = np.array([[1.0, column[0]], [0.0, column[1]]])
+        x = np.eye(2)
+        with np.errstate(all="ignore"):
+            singular = _outcome(m._normalize, a) is SingularRetractionError
+            assert singular == (column == [0.0, 0.0])
+            assert _outcome(m._normalize, a) == _outcome(_ref_normalize, a)
+            for v in (-x, x[:, ::-1]):
+                assert _outcome(m._inverse_retraction, x, v) is AntipodalPointsError
+            assert _outcome(m._transport_dr, x, a - x, (a,)) == _outcome(
+                _ref_transport_dr, x, a - x, (a,))
+            for w, v in ((x, a), (a, x), (x, -x), (x, x[:, ::-1])):
+                assert _outcome(m._inverse_retraction, w, v) == _outcome(
+                    _ref_inverse_retraction, w, v)
 
 
 class TestTransport:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemqn import (
     ConfigError,
@@ -9,7 +11,9 @@ from riemqn import (
     Oblique,
     Point,
     Sphere,
+    SolverConfig,
     SplitMix64,
+    config_from_id,
     generate_instance,
     inner,
     norm,
@@ -18,9 +22,11 @@ from riemqn import (
     RayleighInstance,
     random_tangent,
     rayleigh_instance,
+    retract,
+    solve,
 )
 
-from _support import central_diff_directional, jacobi_eigenvalues
+from _support import central_diff_directional, jacobi_eigenvalues, layout
 
 
 class TestGeneration:
@@ -372,3 +378,127 @@ class TestGradientFiniteDifferences:
                 want = inner(x, g, eta)
                 got = central_diff_directional(inst, x, eta, t=1e-6)
                 assert abs(got - want) <= 1e-5 * (1.0 + abs(want))
+
+
+def _dims(kind, n, p, num):
+    return {"n": n} if kind == "rayleigh" else {"n": n, "p": p, "N": num}
+
+
+class TestMemo:
+    """cost/grad share one memo entry per instance, matched by Point identity."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rayleigh", "offdiag"]),
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 4), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(
+            st.tuples(st.sampled_from(["cost", "grad"]), st.integers(0, 4)), min_size=1, max_size=16
+        ),
+    )
+    def test_interleaved_calls_equal_a_fresh_instance(self, kind, shape, seed, calls):
+        dims = _dims(kind, *shape)
+        inst = generate_instance(kind, dims, seed)
+        x0 = inst.initial_point()
+        rng = SplitMix64(seed)
+        y = random_point(inst.manifold, rng)
+        pool = [
+            x0,
+            Point(inst.manifold, x0.ambient.copy()),  # bitwise equal, a distinct Point
+            y,
+            retract(y, random_tangent(y, rng), 0.5),
+            Point(inst.manifold, y.ambient.copy()),
+        ]
+        for name, i in calls:
+            x = pool[i]
+            got = getattr(inst, name)(x)
+            want = getattr(generate_instance(kind, dims, seed), name)(x)
+            if name == "cost":
+                assert got.hex() == want.hex()
+            else:
+                assert got.point is x
+                assert got.ambient.tobytes() == want.ambient.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "offdiag"])
+    def test_entry_is_read_only_and_checked(self, kind):
+        inst = generate_instance(kind, _dims(kind, 5, 3, 2), 11)
+        x = inst.initial_point()
+        inst.cost(x)
+        point, *products = inst._memo
+        assert point is x
+        assert products and not any(a.flags.writeable for a in products)
+        other = generate_instance(kind, _dims(kind, 6, 2, 2), 11).initial_point()
+        with pytest.raises(ContractViolationError):
+            inst.grad(other)
+
+    # (iterations, cost calls, grad calls) of one solve, recorded before the memo
+    @pytest.mark.parametrize(
+        "kind, dims, seed, sid, counts",
+        [
+            ("rayleigh", {"n": 30}, 7, "broyden_bfgs_lf_xi0.1_dr", (46, 164, 47)),
+            ("rayleigh", {"n": 30}, 7, "hz_dr", (68, 297, 69)),
+            ("offdiag", {"n": 6, "p": 3, "N": 2}, 3, "broyden_bfgs_powell_xi0.8_invret",
+             (43, 218, 44)),
+            ("offdiag", {"n": 6, "p": 3, "N": 2}, 3, "dy_proj", (38, 195, 39)),
+        ],
+    )
+    def test_solve_makes_the_same_calls(self, monkeypatch, kind, dims, seed, sid, counts):
+        # cost and grad wrapped as class attributes with counters, as the
+        # benchmark's instrumentation wraps them
+        inst = generate_instance(kind, dims, seed)
+        cls = type(inst)
+        seen = {"cost": 0, "grad": 0, "hits": 0}
+        cost, grad = cls.cost, cls.grad
+
+        def counted_cost(self, x):
+            seen["cost"] += 1
+            return cost(self, x)
+
+        def counted_grad(self, x):
+            seen["grad"] += 1
+            seen["hits"] += self._memo[0] is x
+            return grad(self, x)
+
+        monkeypatch.setattr(cls, "cost", counted_cost)
+        monkeypatch.setattr(cls, "grad", counted_grad)
+        result = solve(inst, inst.initial_point(), config_from_id(sid, SolverConfig()))
+        assert result.converged
+        assert (result.iters, seen["cost"], seen["grad"]) == counts
+        # every gradient in a solve follows the cost of the same point
+        assert seen["hits"] == seen["grad"]
+
+
+def _ref_offdiag(inst, xa):
+    """Offdiag cost and projected gradient written with np.sum and fancy indexing."""
+    cx = np.stack(inst.matrices) @ xa
+    e = xa.T @ cx
+    idx = np.arange(e.shape[-1])
+    e[:, idx, idx] = 0.0
+    g = 4.0 * np.sum(cx @ e, axis=0)
+    return float(np.sum(e * e)), g - xa * np.sum(xa * g, axis=0)
+
+
+class TestOffDiagonalReductions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 5), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-300.0, 300.0),
+        order=st.sampled_from("CFT"),
+    )
+    def test_cost_and_grad_match_the_wrapper_forms(self, shape, seed, log_scale, order):
+        base = offdiag_instance(*shape, seed)
+        scale = 10.0**log_scale
+        mats = tuple(c * scale for c in base.matrices)
+
+        def build():
+            return OffDiagonalInstance(matrices=mats, x0=base.x0, seed=seed)
+
+        inst = build()
+        xa = random_point(inst.manifold, SplitMix64(seed)).ambient
+        x = Point(inst.manifold, layout(xa, order))
+        with np.errstate(all="ignore"):
+            want_f, want_g = _ref_offdiag(inst, x.ambient)
+            assert inst.cost(x).hex() == want_f.hex()
+            assert inst.grad(x).ambient.tobytes() == want_g.tobytes()  # from the memo
+            assert build().grad(x).ambient.tobytes() == want_g.tobytes()  # computed afresh
