@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ _PRECONVEX_THETA_FLOOR = 1e-5
 _DEGENERATE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class StepMemory:
+class StepMemory(NamedTuple):
     """Transported data from the latest accepted step, based at the new iterate.
 
     s is the transported step, y the transported gradient difference, z its
@@ -88,8 +88,7 @@ class StepMemory:
     g_dot_t_eta: float
 
 
-@dataclass(frozen=True)
-class BroydenParams:
+class BroydenParams(NamedTuple):
     """One step's parameters and the ss = <s,s>, sz = <s,z> > 0, zz = <z,z> > 0 they rest on."""
 
     gamma: float

@@ -18,8 +18,9 @@ that pass Armijo.  Any step returned passes both predicates exactly as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .errors import ConfigError, ContractViolationError, LineSearchFailedError
 from .manifolds import (
@@ -53,16 +54,15 @@ class LineSearchConfig:
         check_fields(self, self.CHECKS)
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ConfigError("line search requires 0 < c1 < c2 < 1")
-        if not self.alpha_init > 0.0:
-            raise ConfigError("alpha_init must be positive")
+        if not 0.0 < self.alpha_init < math.inf:  # alpha_max may be inf: no cap
+            raise ConfigError("alpha_init must be positive and finite")
         if self.alpha_max < self.alpha_init:
             raise ConfigError("alpha_max must be >= alpha_init")
         if self.max_evals < 3:
             raise ConfigError("max_evals must be at least 3")
 
 
-@dataclass(frozen=True)
-class StepEval:
+class StepEval(NamedTuple):
     """Everything the solver needs about one evaluated trial step."""
 
     alpha: float
@@ -75,36 +75,16 @@ class StepEval:
     dphi: float
 
 
-class _Probe:
-    """One trial step: its size, the retracted point and its cost."""
-
-    __slots__ = ("alpha", "x_new", "f_new")
-
-    def __init__(self, alpha: float, x_new: Point, f_new: float):
-        self.alpha, self.x_new, self.f_new = alpha, x_new, f_new
-
-
-def _probe(problem, x: Point, eta: Tangent, alpha: float) -> _Probe:
-    x_new = retract(x, eta, alpha)
-    return _Probe(alpha, x_new, problem.cost(x_new))
-
-
 def _complete(
-    problem, x: Point, eta: Tangent, g0: Tangent, kind: TransportKind, p: _Probe
+    problem, x: Point, eta: Tangent, g0: Tangent, kind: TransportKind,
+    alpha: float, x_new: Point, f_new: float,
 ) -> StepEval:
-    g_new = problem.grad(p.x_new)
-    t_eta, s, t_g = transport_direction(kind, x, eta, p.alpha, g0, p.x_new)
-    dphi = inner(p.x_new, g_new, t_eta)
-    return StepEval(
-        alpha=p.alpha,
-        x_new=p.x_new,
-        f_new=p.f_new,
-        g_new=g_new,
-        t_eta=t_eta,
-        s=s,
-        t_g=t_g,
-        dphi=dphi,
-    )
+    """The full evaluation of the trial step alpha, which reached x_new at cost f_new."""
+    g_new = problem.grad(x_new)
+    t_eta, s, t_g = transport_direction(kind, x, eta, alpha, g0, x_new)
+    dphi = inner(x_new, g_new, t_eta)
+    return StepEval(alpha=alpha, x_new=x_new, f_new=f_new, g_new=g_new,
+                    t_eta=t_eta, s=s, t_g=t_g, dphi=dphi)
 
 
 def wolfe_check(
@@ -123,7 +103,8 @@ def wolfe_check(
     d0 = inner(x, g0, eta)
     if not d0 < 0.0:
         raise ContractViolationError("eta is not a descent direction")
-    ev = _complete(problem, x, eta, g0, kind, _probe(problem, x, eta, alpha))
+    x_new = retract(x, eta, alpha)
+    ev = _complete(problem, x, eta, g0, kind, alpha, x_new, problem.cost(x_new))
     armijo_ok = ev.f_new <= f0 + cfg.c1 * alpha * d0
     curvature_ok = ev.dphi >= cfg.c2 * d0
     return armijo_ok, curvature_ok
@@ -147,65 +128,49 @@ def search_step(
     if not d0 < 0.0:
         raise ContractViolationError("eta is not a descent direction")
 
+    # One loop makes every trial: it doubles alpha until a trial brackets a
+    # Wolfe step (a_hi is set), then zooms.  a_lo always satisfies Armijo with
+    # the lowest f seen so far; a Wolfe point lies between a_lo and a_hi (the
+    # interval may be reversed).  The zoom's first trial is the minimizer of
+    # the quadratic through (0, f0, d0) and (a_hi, f_hi), kept strictly
+    # interior so progress never stalls.
     evals = 0
-
-    def probe(alpha: float) -> _Probe:
-        nonlocal evals
+    a_lo, f_lo = 0.0, f0
+    a_hi = f_hi = None
+    use_fit = True
+    alpha = min(cfg.alpha_init, cfg.alpha_max)
+    while True:
         if evals >= cfg.max_evals:
             raise LineSearchFailedError(f"no Wolfe step within {cfg.max_evals} evaluations")
         evals += 1
-        return _probe(problem, x, eta, alpha)
-
-    def armijo(p: _Probe) -> bool:
-        return p.f_new <= f0 + cfg.c1 * p.alpha * d0
-
-    def curvature(ev: StepEval) -> bool:
-        return ev.dphi >= cfg.c2 * d0
-
-    def zoom(a_lo: float, f_lo: float, a_hi: float, f_hi: float) -> StepEval:
-        # a_lo always satisfies Armijo with the lowest f seen so far; a Wolfe
-        # point lies between a_lo and a_hi (the interval may be reversed).
-        use_fit = True
-        while True:
+        x_new = retract(x, eta, alpha)
+        f_new = problem.cost(x_new)
+        # Armijo, as wolfe_check replays it; after the first trial, a trial no
+        # lower than f_lo also brackets
+        if not f_new <= f0 + cfg.c1 * alpha * d0 or (evals > 1 and f_new >= f_lo):
+            a_hi, f_hi = alpha, f_new
+        else:
+            ev = _complete(problem, x, eta, g0, kind, alpha, x_new, f_new)
+            if ev.dphi >= cfg.c2 * d0:
+                return ev
+            if a_hi is None:
+                if alpha >= cfg.alpha_max:
+                    raise LineSearchFailedError("reached alpha_max while still descending steeply")
+                a_lo, f_lo = alpha, f_new
+                alpha = min(2.0 * alpha, cfg.alpha_max)
+                continue
+            if ev.dphi * (a_hi - a_lo) >= 0.0:
+                a_hi, f_hi = a_lo, f_lo
+            a_lo, f_lo = alpha, f_new
+        alpha = 0.5 * (a_lo + a_hi)
+        if use_fit:
+            use_fit = False
             left, right = (a_lo, a_hi) if a_lo <= a_hi else (a_hi, a_lo)
             width = right - left
-            a = 0.5 * (a_lo + a_hi)
-            if use_fit:
-                # minimizer of the quadratic through (0, f0, d0) and (a_hi, f_hi),
-                # kept strictly interior so progress never stalls
-                use_fit = False
-                denom = f_hi - f0 - d0 * a_hi
-                if denom > 0.0:
-                    cand = -0.5 * d0 * a_hi * a_hi / denom
-                    lo_band = left + 0.1 * width
-                    hi_band = right - 0.1 * width
-                    if lo_band <= cand <= hi_band:
-                        a = cand
-            if a == a_lo or a == a_hi:
-                raise LineSearchFailedError("zoom interval collapsed")
-            p = probe(a)
-            if not armijo(p) or p.f_new >= f_lo:
-                a_hi, f_hi = a, p.f_new
-            else:
-                ev = _complete(problem, x, eta, g0, kind, p)
-                if curvature(ev):
-                    return ev
-                if ev.dphi * (a_hi - a_lo) >= 0.0:
-                    a_hi, f_hi = a_lo, f_lo
-                a_lo, f_lo = a, p.f_new
-
-    prev_alpha, prev_f = 0.0, f0
-    alpha = min(cfg.alpha_init, cfg.alpha_max)
-    first = True
-    while True:
-        p = probe(alpha)
-        if not armijo(p) or (not first and p.f_new >= prev_f):
-            return zoom(prev_alpha, prev_f, alpha, p.f_new)
-        ev = _complete(problem, x, eta, g0, kind, p)
-        if curvature(ev):
-            return ev
-        if alpha >= cfg.alpha_max:
-            raise LineSearchFailedError("reached alpha_max while still descending steeply")
-        prev_alpha, prev_f = alpha, p.f_new
-        alpha = min(2.0 * alpha, cfg.alpha_max)
-        first = False
+            denom = f_hi - f0 - d0 * a_hi
+            if denom > 0.0:
+                cand = -0.5 * d0 * a_hi * a_hi / denom
+                if left + 0.1 * width <= cand <= right - 0.1 * width:
+                    alpha = cand
+        if alpha == a_lo or alpha == a_hi:
+            raise LineSearchFailedError("zoom interval collapsed")

@@ -7,6 +7,7 @@ metric values.  A broken hook can also end the run in a traceback; both
 show here instead of in a benchmark run.
 """
 
+import functools
 import json
 import math
 import subprocess
@@ -25,6 +26,7 @@ def _reject_constant(name):
     raise ValueError(f"result line is not strict JSON: bare {name}")
 
 
+@functools.lru_cache(maxsize=None)
 def _run_benchmark(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
@@ -50,6 +52,22 @@ def test_result_line(workload, trace):
     assert result["metrics"]
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), name
+
+
+# Per-layer counts of the traced rayleigh-grid block above (seed 0, 0.1 s).
+# They are deterministic, so a wrapper added to the hot path, or a construction
+# that skips the class's __post_init__, changes one of them.
+HOT_PATH_COUNTS = {
+    "manifolds.point_checks_per_iter": 5.44086301013777,
+    "manifolds.tangents_per_iter": 6.004938913439044,
+    "problems.cost.calls_per_iter": 5.444242266701326,
+    "linesearch.probes_per_step": 5.4391891891891895,
+}
+
+
+def test_hot_path_counts():
+    metrics = _run_benchmark("rayleigh-grid", 1)["metrics"]
+    assert {name: metrics[name]["value"] for name in HOT_PATH_COUNTS} == HOT_PATH_COUNTS
 
 
 def test_search_step_returns_a_point_on_the_problem_manifold():

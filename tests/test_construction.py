@@ -1,0 +1,191 @@
+"""How Point, Tangent and the step records are built.
+
+``Point`` and ``Tangent`` run their checks in ``__post_init__``, looked up on
+the class: the benchmark counts constructions by replacing that attribute in
+the class ``__dict__``, so every construction must go through it.  The step
+records (``StepEval``, ``StepMemory``, ``BroydenParams``) are immutable.
+Frozen arrays and copied views are tested in ``test_manifolds.py``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from riemqn import (
+    BroydenParams,
+    InvalidPointError,
+    LineSearchConfig,
+    Oblique,
+    PhiMode,
+    Point,
+    Sphere,
+    SplitMix64,
+    StepEval,
+    StepMemory,
+    Tangent,
+    TransportKind,
+    ZMode,
+    broyden_direction,
+    compute_z,
+    project_tangent,
+    random_point,
+    random_tangent,
+    rayleigh_instance,
+    retract,
+    schedule_params,
+    search_step,
+    transport_direction,
+)
+from riemqn.directions import cg_direction
+
+MANIFOLDS = [Sphere(6), Oblique(5, 3)]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of Point and Tangent ``__post_init__`` calls, wrapped as the benchmark wraps them."""
+    counts = {Point: 0, Tangent: 0}
+    for cls in counts:
+        original = cls.__dict__["__post_init__"]
+
+        def counted(self, _cls=cls, _original=original):
+            counts[_cls] += 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    def since(before=None):
+        now = (counts[Point], counts[Tangent])
+        return now if before is None else (now[0] - before[0], now[1] - before[1])
+
+    return since
+
+
+def _data(manifold, seed=1):
+    rng = SplitMix64(seed)
+    x = random_point(manifold, rng)
+    return x, random_tangent(x, rng), random_tangent(x, rng)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+class TestOneCheckPerObject:
+    def test_direct_construction(self, manifold, built):
+        x, eta, _ = _data(manifold)
+        before = built()
+        Point(manifold, np.array(x.ambient))
+        Point(manifold=manifold, ambient=x.ambient)
+        Tangent(x, np.array(eta.ambient))
+        Tangent(point=x, ambient=eta.ambient)
+        assert built(before) == (2, 2)
+
+    def test_retract_and_project(self, manifold, built):
+        x, eta, _ = _data(manifold)
+        before = built()
+        x_new = retract(x, eta, 0.5)
+        assert built(before) == (1, 0)
+        assert isinstance(x_new, Point) and x_new is not x
+        before = built()
+        assert retract(x, eta, 0.0) is x  # a zero step builds nothing
+        assert built(before) == (0, 0)
+        before = built()
+        project_tangent(x, eta.ambient)
+        assert built(before) == (0, 1)
+
+    @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
+    def test_transport(self, manifold, kind, built):
+        x, eta, g = _data(manifold)
+        x_new = retract(x, eta, 0.25)
+        before = built()
+        outs = transport_direction(kind, x, eta, 0.25, g, x_new)
+        assert built(before) == (0, 3)
+        assert len({id(t) for t in outs}) == 3
+        assert all(t.point is x_new for t in outs)
+
+    def test_directions(self, manifold, built):
+        x, s, g = _data(manifold)
+        y = Tangent(x, -s.ambient)  # <s, y> < 0: Li-Fukushima lifts it
+        before = built()
+        z = compute_z(ZMode.LI_FUKUSHIMA, s, y, 1e-6)
+        assert z is not y and built(before) == (0, 1)
+        before = built()
+        assert compute_z(ZMode.LI_FUKUSHIMA, s, s, 1e-6) is s  # no regularization: no object
+        assert built(before) == (0, 0)
+        params = schedule_params(s, z, PhiMode.BFGS, 0.5)
+        before = built()
+        broyden_direction(g, s, z, params)
+        assert built(before) == (0, 1)
+        before = built()
+        cg_direction(g, 0.5, 1.0, s)
+        assert built(before) == (0, 1)
+
+
+def _step_eval():
+    inst = rayleigh_instance(8, seed=2)
+    x = inst.initial_point()
+    return search_step(inst, x, -inst.grad(x), LineSearchConfig())
+
+
+def _step_memory(ev):
+    params = BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0, ss=1.0, sz=2.0, zz=4.0)
+    return StepMemory(s=ev.s, y=ev.t_g, z=ev.t_g, t_eta=ev.t_eta, t_g=ev.t_g, params=params,
+                      sigma=1.0, g_prev_norm=1.0, g_prev_dot_eta=-1.0, g_dot_t_eta=ev.dphi)
+
+
+class TestImmutable:
+    def test_point_and_tangent_fields(self):
+        x, eta, _ = _data(Sphere(4))
+        for obj, fields in ((x, ("manifold", "ambient")), (eta, ("point", "ambient"))):
+            for name in fields:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, getattr(obj, name))
+
+    def test_step_records(self):
+        ev = _step_eval()
+        memory = _step_memory(ev)
+        for record in (ev, memory, memory.params):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+
+    def test_field_names_and_order(self):
+        assert StepEval._fields == ("alpha", "x_new", "f_new", "g_new", "t_eta", "s", "t_g",
+                                    "dphi")
+        assert StepMemory._fields == ("s", "y", "z", "t_eta", "t_g", "params", "sigma",
+                                      "g_prev_norm", "g_prev_dot_eta", "g_dot_t_eta")
+        assert BroydenParams._fields == ("gamma", "tau", "phi", "xi", "ss", "sz", "zz")
+        ev = _step_eval()
+        assert StepEval(**ev._asdict()) == ev
+
+
+class TestChecksKept:
+    def test_wrong_shape(self):
+        x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(InvalidPointError, match="expected ambient shape"):
+            Point(Sphere(3), np.array([1.0, 0.0]))
+        with pytest.raises(InvalidPointError, match="expected ambient shape"):
+            Tangent(x, np.zeros(4))
+        with pytest.raises(InvalidPointError, match="expected ambient shape"):
+            Point(Oblique(3, 2), np.eye(3)[:, :1])
+
+    def test_off_manifold(self):
+        with pytest.raises(InvalidPointError, match="violates the manifold constraint"):
+            Point(Sphere(2), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidPointError, match="violates the manifold constraint"):
+            Point(Oblique(2, 2), np.array([[1.0, np.nan], [0.0, 0.0]]))
+
+    def test_int_array_is_coerced(self):
+        ints = np.array([0, 1, 0])
+        x = Point(Sphere(3), ints)
+        t = Tangent(x, np.array([1, 0, 0]))
+        for arr in (x.ambient, t.ambient):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert x.ambient is not ints and ints.flags.writeable
+        assert Point(Oblique(2, 2), [[1, 0], [0, 1]]).ambient.dtype == np.float64
+
+    def test_replace_rechecks(self):
+        x = Point(Sphere(2), np.array([1.0, 0.0]))
+        moved = dataclasses.replace(x, ambient=np.array([0, 1]))
+        assert moved.ambient.dtype == np.float64 and not moved.ambient.flags.writeable
+        with pytest.raises(InvalidPointError):
+            dataclasses.replace(x, ambient=np.array([2.0, 0.0]))

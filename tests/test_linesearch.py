@@ -167,3 +167,43 @@ class TestLineSearch:
         eta = -inst.grad(x)
         ev = search_step(inst, x, eta, self.cfg, kind)
         assert wolfe_check(inst, x, eta, ev.alpha, self.cfg, kind) == (True, True)
+
+
+class _Scripted:
+    """Cost f0 at x0 and f_trial at every trial point; the gradient vanishes off x0."""
+
+    def __init__(self, x0, g0, f0, f_trial):
+        self.x0, self.g0, self.f0, self.f_trial = x0, g0, f0, f_trial
+
+    def cost(self, x):
+        return self.f0 if x is self.x0 else self.f_trial
+
+    def grad(self, x):
+        return self.g0 if x is self.x0 else Tangent(x, np.zeros(x.ambient.shape))
+
+
+class TestAcceptanceArithmetic:
+    """The first trial's acceptance, decided at the last bit."""
+
+    def setup_method(self):
+        self.x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
+        self.g = Tangent(self.x, np.array([0.0, -1.0, 0.0]))
+        self.eta = Tangent(self.x, np.array([0.0, 2.59, 0.0]))  # <g, eta> = -2.59 exactly
+
+    def test_armijo_keeps_its_operation_order(self):
+        # (c1 * alpha) * d0 and alpha * (c1 * d0) round apart here: a trial
+        # whose cost equals f0 + c1 * alpha * d0 passes Armijo in that order only
+        cfg = LineSearchConfig(c1=1e-4, alpha_init=0.3)
+        d0 = -2.59
+        f_trial = 0.0 + cfg.c1 * 0.3 * d0
+        assert f_trial > 0.0 + 0.3 * (cfg.c1 * d0)
+        problem = _Scripted(self.x, self.g, 0.0, f_trial)
+        assert search_step(problem, self.x, self.eta, cfg).alpha == 0.3
+        assert wolfe_check(problem, self.x, self.eta, 0.3, cfg) == (True, True)
+
+    def test_first_trial_needs_only_armijo(self):
+        # at f0 = 1e20 the Armijo decrease rounds away: a first trial with
+        # f_new == f0 passes and is accepted; a later one would bracket
+        cfg = LineSearchConfig()
+        problem = _Scripted(self.x, self.g, 1e20, 1e20)
+        assert search_step(problem, self.x, self.eta, cfg).alpha == cfg.alpha_init

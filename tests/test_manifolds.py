@@ -30,6 +30,7 @@ from riemqn import (
     tangency_defect,
     transport_direction,
 )
+from riemqn import manifolds
 from riemqn.manifolds import _column_norms, _vector_norm
 
 from _support import layout
@@ -484,6 +485,50 @@ class TestUfuncReductions:
             for w, v in ((x, a), (a, x), (x, -x), (x, x[:, ::-1])):
                 assert _outcome(m._inverse_retraction, w, v) == _outcome(
                     _ref_inverse_retraction, w, v)
+
+    @pytest.mark.parametrize("columns", [
+        [[0.0, 0.0], [0.0, 1.0]],
+        [[-0.0, -0.0], [0.0, 1.0]],
+        [[-0.0, 0.0], [np.nan, 1.0]],
+        [[0.0, 0.0], [np.nan, np.nan]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[0.6, 0.8], [0.0, 1.0]],
+    ], ids=repr)
+    def test_zero_column_decision(self, columns):
+        # singular exactly when `0.0 in norms`: -0.0 is a zero, nan is not
+        m = Oblique(2, 2)
+        a = np.array(columns).T
+        x = Point(m, np.eye(2))
+        eta = Tangent(x, a - x.ambient)  # x + eta has the columns of a; tangency is not checked
+        with np.errstate(all="ignore"):
+            singular = 0.0 in np.linalg.norm(a, axis=0)
+            assert (_outcome(m._normalize, a) is SingularRetractionError) == singular
+            assert (_outcome(m._transport_dr, x.ambient, eta.ambient, (a,))
+                    is SingularRetractionError) == singular
+            for call in (lambda: retract(x, eta, 1.0),
+                         lambda: transport_direction(DR, x, eta, 1.0, eta, x)):
+                try:
+                    call()
+                except SingularRetractionError:
+                    assert singular
+                except InvalidPointError:  # a nan or inf column reaches the Point check
+                    assert not singular
+                else:
+                    assert not singular
+
+    @pytest.mark.parametrize("norms", [
+        [-0.0, 1.0], [0.0, -0.0], [np.nan, 1.0], [np.nan, -0.0], [np.inf, 0.5], [1.0, 1.0],
+    ], ids=repr)
+    def test_zero_norm_decision(self, norms, monkeypatch):
+        # the decision itself, on norms the column sums could not produce (-0.0)
+        norms = np.array(norms)
+        monkeypatch.setattr(manifolds, "_column_norms", lambda arr: norms)
+        m = Oblique(2, 2)
+        with np.errstate(all="ignore"):
+            for fn, args in ((m._normalize, (np.eye(2),)),
+                             (m._transport_dr, (np.eye(2), np.zeros((2, 2)), (np.eye(2),)))):
+                assert (_outcome(fn, *args) is SingularRetractionError) == (0.0 in norms)
 
 
 class TestTransport:

@@ -253,6 +253,19 @@ class TestStrictConfig:
         with pytest.raises(ConfigError):
             SolverConfig.from_dict(data)
 
+    def test_infinite_alpha_init_rejected(self):
+        # an infinite first trial step would end every run non_finite at
+        # iteration 0; JSON reads 1e400 as inf
+        with pytest.raises(ConfigError, match="alpha_init"):
+            LineSearchConfig(alpha_init=math.inf, alpha_max=math.inf)
+        data = json.loads('{"line_search": {"alpha_init": 1e400, "alpha_max": 1e400}}')
+        assert data["line_search"]["alpha_init"] == math.inf
+        with pytest.raises(ConfigError, match="alpha_init"):
+            SolverConfig.from_dict(data)
+        # an infinite alpha_max stays allowed: no cap on the doubling
+        assert LineSearchConfig(alpha_max=math.inf).alpha_max == math.inf
+        assert SolverConfig.from_dict(json.loads('{"line_search": {"alpha_max": 1e400}}'))
+
     def test_accepted_spellings(self):
         assert SolverConfig.from_dict({"transport": "proj"}) == SolverConfig.from_dict(
             {"transport": "projection"}
