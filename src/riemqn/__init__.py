@@ -42,7 +42,6 @@ from .manifolds import (
     Tangent,
     TransportKind,
     inner,
-    inverse_retraction,
     norm,
     points_equal,
     project_tangent,

@@ -23,7 +23,6 @@ provided as baselines; they share the same transported step data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -227,8 +226,7 @@ def sufficient_descent_kappa(gamma_min: float, xi_bar: float, phi_bar: float) ->
     )
 
 
-@dataclass(frozen=True)
-class CgScalars:
+class CgScalars(NamedTuple):
     """Inner products feeding the conjugate-gradient beta formulas."""
 
     g_norm2: float

@@ -10,8 +10,9 @@ After a step alpha * eta from x to x_new = R_x(alpha * eta), one call,
 Three transport-like maps are available:
 
 * ``DIFFERENTIATED_RETRACTION`` -- the derivative of the retraction, the
-  default and a genuine (linear) vector transport.  ``x + alpha * eta`` is
-  normalized once and the map is applied to all three vectors;
+  default and a genuine (linear) vector transport.  For this retraction it is
+  the projection onto the tangent space at x_new divided by the retraction's
+  scale ``|x + alpha * eta|`` (column norms on the oblique manifold);
 * ``PROJECTION`` -- orthogonal projection onto the tangent space at x_new;
 * ``INVERSE_RETRACTION`` -- the negated inverse retraction of x taken at
   x_new.  It is defined only for the displacement itself: it gives s, and
@@ -87,22 +88,18 @@ class Sphere:
     def tangent_defect(self, x_arr: np.ndarray, t_arr: np.ndarray) -> float:
         return abs(float(np.dot(x_arr, t_arr)))
 
-    def _normalize(self, arr: np.ndarray) -> np.ndarray:
+    def _scale(self, arr: np.ndarray) -> float:
+        """The norm that normalizes ``arr``; a zero norm is singular."""
         nrm = _vector_norm(arr)
         if nrm == 0.0:
             raise SingularRetractionError("cannot normalize a zero vector")
-        return arr / nrm
+        return nrm
+
+    def _normalize(self, arr: np.ndarray) -> np.ndarray:
+        return arr / self._scale(arr)
 
     def _project(self, x_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
         return v_arr - np.dot(x_arr, v_arr) * x_arr
-
-    def _transport_dr(self, x_arr, eta_arr, vs) -> list[np.ndarray]:
-        y = x_arr + eta_arr
-        ny = _vector_norm(y)
-        if ny == 0.0:
-            raise SingularRetractionError("transport through a singular retraction")
-        u = y / ny
-        return [(v - u * np.dot(u, v)) / ny for v in vs]
 
     def _inverse_retraction(self, w_arr, v_arr) -> np.ndarray:
         d = float(np.dot(w_arr, v_arr))
@@ -134,22 +131,18 @@ class Oblique:
     def tangent_defect(self, x_arr: np.ndarray, t_arr: np.ndarray) -> float:
         return float(np.maximum.reduce(np.abs(np.add.reduce(x_arr * t_arr, axis=0))))
 
-    def _normalize(self, arr: np.ndarray) -> np.ndarray:
+    def _scale(self, arr: np.ndarray) -> np.ndarray:
+        """The column norms that normalize ``arr``; a zero column is singular."""
         norms = _column_norms(arr)
         if np.count_nonzero(norms) != norms.size:  # -0.0 is a zero, nan is not
             raise SingularRetractionError("cannot normalize a zero column")
-        return arr / norms
+        return norms
+
+    def _normalize(self, arr: np.ndarray) -> np.ndarray:
+        return arr / self._scale(arr)
 
     def _project(self, x_arr, v_arr) -> np.ndarray:
         return v_arr - x_arr * np.add.reduce(x_arr * v_arr, axis=0)
-
-    def _transport_dr(self, x_arr, eta_arr, vs) -> list[np.ndarray]:
-        y = x_arr + eta_arr
-        norms = _column_norms(y)
-        if np.count_nonzero(norms) != norms.size:
-            raise SingularRetractionError("transport through a singular retraction")
-        u = y / norms
-        return [(v - u * np.add.reduce(u * v, axis=0)) / norms for v in vs]
 
     def _inverse_retraction(self, w_arr, v_arr) -> np.ndarray:
         d = np.add.reduce(w_arr * v_arr, axis=0)
@@ -227,20 +220,16 @@ class Tangent:
             )
         self.__dict__["ambient"] = _freeze(arr)
 
-    def _require_same_base(self, other: "Tangent") -> None:
-        if not points_equal(self.point, other.point):
-            raise ContractViolationError("tangent vectors are based at different points")
-
     def __add__(self, other: "Tangent") -> "Tangent":
         if not isinstance(other, Tangent):
             return NotImplemented
-        self._require_same_base(other)
+        _require_base(self.point, other, "other")
         return Tangent(self.point, self.ambient + other.ambient)
 
     def __sub__(self, other: "Tangent") -> "Tangent":
         if not isinstance(other, Tangent):
             return NotImplemented
-        self._require_same_base(other)
+        _require_base(self.point, other, "other")
         return Tangent(self.point, self.ambient - other.ambient)
 
     def __neg__(self) -> "Tangent":
@@ -320,17 +309,6 @@ def retract(x: Point, eta: Tangent, alpha: float = 1.0) -> Point:
     return Point(x.manifold, x.manifold._normalize(x.ambient + step))
 
 
-def inverse_retraction(w: Point, v: Point) -> Tangent:
-    """The tangent vector at w whose retraction reaches v.
-
-    Undefined (raises) when some column of v lies in the closed hemisphere
-    opposite w, where the normalization retraction cannot be inverted.
-    """
-    if w.manifold != v.manifold:
-        raise ContractViolationError("points live on different manifolds")
-    return Tangent(w, w.manifold._inverse_retraction(w.ambient, v.ambient))
-
-
 def transport_direction(
     kind: TransportKind, x: Point, eta: Tangent, alpha: float, g: Tangent, x_new: Point
 ) -> tuple[Tangent, Tangent, Tangent]:
@@ -354,15 +332,16 @@ def transport_direction(
     if kind is TransportKind.INVERSE_RETRACTION:
         s = project(base, -x_new.manifold._inverse_retraction(base, x.ambient))
         outs = (s / float(alpha), s, project(base, g.ambient))
-    else:
+    elif kind is TransportKind.PROJECTION or kind is TransportKind.DIFFERENTIATED_RETRACTION:
         step = float(alpha) * eta.ambient
+        outs = [project(base, v) for v in (eta.ambient, step, g.ambient)]
         if kind is TransportKind.DIFFERENTIATED_RETRACTION:
-            raws = x.manifold._transport_dr(x.ambient, step, (eta.ambient, step, g.ambient))
-        elif kind is TransportKind.PROJECTION:
-            raws = (eta.ambient, step, g.ambient)
-        else:
-            raise ContractViolationError(f"unknown transport kind: {kind!r}")
-        outs = [project(base, raw) for raw in raws]
+            # x_new is (x + step) / scale, so out / scale is (v - u <u, v>) / |x + step|
+            # with u = x_new: the retraction's image is not normalized again
+            scale = x.manifold._scale(x.ambient + step)
+            outs = [project(base, out / scale) for out in outs]
+    else:
+        raise ContractViolationError(f"unknown transport kind: {kind!r}")
     return tuple(Tangent(x_new, out) for out in outs)
 
 

@@ -163,10 +163,16 @@ class SolverConfig:
 
 
 def solver_id(cfg: SolverConfig) -> str:
-    """Stable string naming the algorithmic choices, e.g. broyden_bfgs_lf_xi0.1_dr."""
+    """Stable string naming the algorithmic choices, e.g. broyden_bfgs_lf_xi0.1_dr.
+
+    ``xi`` is written with ``%g`` when that reads back exactly, else with ``repr``.
+    """
     t = _TRANSPORT_CODES[cfg.transport]
     if cfg.direction is DirectionKind.BROYDEN:
-        return f"broyden_{cfg.phi_mode.value}_{_Z_CODES[cfg.z_mode]}_xi{cfg.xi:g}_{t}"
+        xi = f"{cfg.xi:g}"
+        if float(xi) != cfg.xi:
+            xi = repr(float(cfg.xi))
+        return f"broyden_{cfg.phi_mode.value}_{_Z_CODES[cfg.z_mode]}_xi{xi}_{t}"
     return f"{cfg.direction.value}_{t}"
 
 

@@ -65,6 +65,17 @@ HOT_PATH_COUNTS = {
 }
 
 
+# Runs attempted and failed in the rayleigh-grid block above (seed 0, 0.1 s).
+# A change that makes more runs fail shows here before it shows in the benchmark.
+RUN_COUNTS = {"attempted": 14, "failed": 1}
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_run_counts(trace):
+    result = _run_benchmark("rayleigh-grid", trace)
+    assert {name: result[name] for name in RUN_COUNTS} == RUN_COUNTS
+
+
 def test_hot_path_counts():
     metrics = _run_benchmark("rayleigh-grid", 1)["metrics"]
     assert {name: metrics[name]["value"] for name in HOT_PATH_COUNTS} == HOT_PATH_COUNTS

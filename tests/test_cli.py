@@ -60,6 +60,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_close_xi_values_are_distinct_solvers(self):
+        solvers = [{"direction": "broyden", "xi": xi} for xi in (0.1234567, 0.1234568)]
+        cfg = parse_config({"problem": {"kind": "rayleigh", "dims": {"n": 5}, "instances": 1,
+                                        "seed_base": 1}, "solvers": solvers})
+        assert cfg.solver_ids == ("broyden_bfgs_lf_xi0.1234567_dr",
+                                  "broyden_bfgs_lf_xi0.1234568_dr")
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({"problem": {}, "solvers": ["dy"], "surprise": 1})

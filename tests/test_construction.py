@@ -3,7 +3,8 @@
 ``Point`` and ``Tangent`` run their checks in ``__post_init__``, looked up on
 the class: the benchmark counts constructions by replacing that attribute in
 the class ``__dict__``, so every construction must go through it.  The step
-records (``StepEval``, ``StepMemory``, ``BroydenParams``) are immutable.
+records (``StepEval``, ``StepMemory``, ``BroydenParams``, ``CgScalars``) are
+immutable.
 Frozen arrays and copied views are tested in ``test_manifolds.py``.
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from riemqn import (
     BroydenParams,
+    CgScalars,
     InvalidPointError,
     LineSearchConfig,
     Oblique,
@@ -132,6 +134,11 @@ def _step_memory(ev):
                       sigma=1.0, g_prev_norm=1.0, g_prev_dot_eta=-1.0, g_dot_t_eta=ev.dphi)
 
 
+def _cg_scalars():
+    return CgScalars(g_norm2=1.0, g_prev_norm2=2.0, g_dot_t_eta=0.5, g_dot_t_g=0.25,
+                     y_norm2=3.0, g_prev_dot_eta=-1.0, sigma=1.0)
+
+
 class TestImmutable:
     def test_point_and_tangent_fields(self):
         x, eta, _ = _data(Sphere(4))
@@ -143,7 +150,7 @@ class TestImmutable:
     def test_step_records(self):
         ev = _step_eval()
         memory = _step_memory(ev)
-        for record in (ev, memory, memory.params):
+        for record in (ev, memory, memory.params, _cg_scalars()):
             for name in record._fields:
                 with pytest.raises(AttributeError):
                     setattr(record, name, getattr(record, name))
@@ -154,6 +161,11 @@ class TestImmutable:
         assert StepMemory._fields == ("s", "y", "z", "t_eta", "t_g", "params", "sigma",
                                       "g_prev_norm", "g_prev_dot_eta", "g_dot_t_eta")
         assert BroydenParams._fields == ("gamma", "tau", "phi", "xi", "ss", "sz", "zz")
+        assert CgScalars._fields == ("g_norm2", "g_prev_norm2", "g_dot_t_eta", "g_dot_t_g",
+                                     "y_norm2", "g_prev_dot_eta", "sigma", "hz_mu")
+        assert CgScalars._field_defaults == {"hz_mu": 2.0}
+        scalars = _cg_scalars()
+        assert CgScalars(*scalars) == scalars
         ev = _step_eval()
         assert StepEval(**ev._asdict()) == ev
 

@@ -18,7 +18,6 @@ from riemqn import (
     Tangent,
     TransportKind,
     inner,
-    inverse_retraction,
     norm,
     offdiag_instance,
     project_tangent,
@@ -346,7 +345,8 @@ class TestFastNorms:
 
 
 # The oblique maps written with the np.sum / np.max / np.any wrappers: the
-# reference for the ufunc reductions that Oblique calls.
+# reference for the ufunc reductions that Oblique calls.  The sphere maps below
+# them use np.dot and np.linalg.norm, since np.sum rounds differently from a dot.
 def _ref_point_defect(a):
     return float(np.max(np.abs(np.linalg.norm(a, axis=0) - 1.0)))
 
@@ -355,11 +355,15 @@ def _ref_tangent_defect(x, t):
     return float(np.max(np.abs(np.sum(x * t, axis=0))))
 
 
-def _ref_normalize(a):
+def _ref_scale(a):
     norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0.0):
         raise SingularRetractionError("zero column")
-    return a / norms
+    return norms
+
+
+def _ref_normalize(a):
+    return a / _ref_scale(a)
 
 
 def _ref_project(x, v):
@@ -382,13 +386,72 @@ def _ref_inverse_retraction(w, v):
     return v / d - w
 
 
+def _ref_sphere_point_defect(a):
+    return abs(float(np.linalg.norm(a)) - 1.0)
+
+
+def _ref_sphere_tangent_defect(x, t):
+    return abs(float(np.dot(x, t)))
+
+
+def _ref_sphere_scale(a):
+    nrm = float(np.linalg.norm(a))
+    if nrm == 0.0:
+        raise SingularRetractionError("zero vector")
+    return nrm
+
+
+def _ref_sphere_normalize(a):
+    return a / _ref_sphere_scale(a)
+
+
+def _ref_sphere_project(x, v):
+    return v - np.dot(x, v) * x
+
+
+def _ref_sphere_transport_dr(x, step, vs):
+    y = x + step
+    ny = _ref_sphere_scale(y)
+    u = y / ny
+    return [(v - u * np.dot(u, v)) / ny for v in vs]
+
+
+def _ref_sphere_inverse_retraction(w, v):
+    d = np.dot(w, v)
+    if d <= 0.0:
+        raise AntipodalPointsError("orthogonal or antipodal")
+    return v / d - w
+
+
+# ambient ndim -> map name -> reference
+_REFS = {
+    1: {"point_defect": _ref_sphere_point_defect, "tangent_defect": _ref_sphere_tangent_defect,
+        "_scale": _ref_sphere_scale, "_normalize": _ref_sphere_normalize,
+        "_project": _ref_sphere_project, "transport_dr": _ref_sphere_transport_dr,
+        "_inverse_retraction": _ref_sphere_inverse_retraction},
+    2: {"point_defect": _ref_point_defect, "tangent_defect": _ref_tangent_defect,
+        "_scale": _ref_scale, "_normalize": _ref_normalize, "_project": _ref_project,
+        "transport_dr": _ref_transport_dr, "_inverse_retraction": _ref_inverse_retraction},
+}
+
+
 def _ref_transport(kind, x, eta, alpha, g, x_new):
+    refs = _REFS[x.ndim]
+    project = refs["_project"]
     if kind is INVRET:
-        s = _ref_project(x_new, -_ref_inverse_retraction(x_new, x))
-        return [s / alpha, s, _ref_project(x_new, g)]
+        s = project(x_new, -refs["_inverse_retraction"](x_new, x))
+        return [s / alpha, s, project(x_new, g)]
     step = alpha * eta
-    raws = _ref_transport_dr(x, step, (eta, step, g)) if kind is DR else (eta, step, g)
-    return [_ref_project(x_new, raw) for raw in raws]
+    raws = refs["transport_dr"](x, step, (eta, step, g)) if kind is DR else (eta, step, g)
+    return [project(x_new, raw) for raw in raws]
+
+
+def _dr_from_scale(m, x, step, vs):
+    """The differentiated retraction before its re-projection, as ``transport_direction``
+    forms it: the projection at the normalized ``x + step`` over the manifold's scale."""
+    y = x + step
+    scale = m._scale(y)
+    return [m._project(y / scale, v) / scale for v in vs]
 
 
 def _outcome(fn, *args):
@@ -405,57 +468,64 @@ def _outcome(fn, *args):
 
 
 class TestUfuncReductions:
-    """The oblique maps give bitwise what their np.sum/np.max/np.any forms give."""
+    """The manifold maps give bitwise what their wrapper forms give: np.sum/np.max/np.any
+    on the oblique manifold, np.dot/np.linalg.norm on the sphere."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        shape=st.one_of(st.tuples(st.integers(1, 6)),
+                        st.tuples(st.integers(1, 6), st.integers(1, 4))),
         seed=st.integers(0, 2**32 - 1),
         log_scale=st.floats(-300.0, 300.0),
         order=st.sampled_from("CFT"),
         defect=st.sampled_from([None, "zero", "nan", "minus_x", "opposite"]),
     )
     def test_maps_match_the_wrapper_forms(self, shape, seed, log_scale, order, defect):
-        m = Oblique(*shape)
+        m = Sphere(*shape) if len(shape) == 1 else Oblique(*shape)
+        refs = _REFS[len(shape)]
         rng = SplitMix64(seed)
         scale = 10.0**log_scale
         x = layout(random_point(m, rng).ambient, order)
         a = layout(rng.normal(shape) * scale, order)
         v = layout(rng.normal(shape) * scale, order)
-        col = seed % shape[1]
-        # one column of a made zero, NaN, -x (so x + a has a zero column) or
-        # opposite to x (so <x, a> is negative in that column)
+        col = (slice(None), seed % shape[1]) if len(shape) == 2 else slice(None)
+        # one column of a (the whole vector on the sphere) made zero, NaN, -x (so
+        # x + a has a zero column) or opposite to x (so <x, a> is negative there)
         if defect == "zero":
-            a[:, col] = 0.0
+            a[col] = 0.0
         elif defect == "nan":
-            a[:, col] = np.nan
+            a[col] = np.nan
         elif defect == "minus_x":
-            a[:, col] = -x[:, col]
+            a[col] = -x[col]
         elif defect == "opposite":
-            a[:, col] = -scale * x[:, col]
+            a[col] = -scale * x[col]
         cases = [
-            (m.point_defect, _ref_point_defect, (a,)),
-            (m.point_defect, _ref_point_defect, (x,)),
-            (m.tangent_defect, _ref_tangent_defect, (x, a)),
-            (m._normalize, _ref_normalize, (a,)),
-            (m._project, _ref_project, (x, a)),
-            (m._transport_dr, _ref_transport_dr, (x, a, (v, a, x))),
-            (m._inverse_retraction, _ref_inverse_retraction, (x, a)),
-            (m._inverse_retraction, _ref_inverse_retraction, (a, x)),
+            ("point_defect", (a,)),
+            ("point_defect", (x,)),
+            ("tangent_defect", (x, a)),
+            ("_scale", (a,)),
+            ("_normalize", (a,)),
+            ("_project", (x, a)),
+            ("_inverse_retraction", (x, a)),
+            ("_inverse_retraction", (a, x)),
         ]
         with np.errstate(all="ignore"):
-            for fn, ref, args in cases:
-                assert _outcome(fn, *args) == _outcome(ref, *args), fn.__name__
+            for name, args in cases:
+                assert _outcome(getattr(m, name), *args) == _outcome(refs[name], *args), name
+            dr_args = (x, a, (v, a, x))
+            assert _outcome(_dr_from_scale, m, *dr_args) == _outcome(refs["transport_dr"],
+                                                                     *dr_args)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        shape=st.one_of(st.tuples(st.integers(1, 6)),
+                        st.tuples(st.integers(1, 6), st.integers(1, 4))),
         seed=st.integers(0, 2**32 - 1),
         log_alpha=st.floats(-12.0, 12.0),
         order=st.sampled_from("CFT"),
     )
     def test_transports_match_the_wrapper_forms(self, shape, seed, log_alpha, order):
-        m = Oblique(*shape)
+        m = Sphere(*shape) if len(shape) == 1 else Oblique(*shape)
         rng = SplitMix64(seed)
         alpha = 10.0**log_alpha
         x = Point(m, layout(random_point(m, rng).ambient, order))
@@ -480,7 +550,7 @@ class TestUfuncReductions:
             assert _outcome(m._normalize, a) == _outcome(_ref_normalize, a)
             for v in (-x, x[:, ::-1]):
                 assert _outcome(m._inverse_retraction, x, v) is AntipodalPointsError
-            assert _outcome(m._transport_dr, x, a - x, (a,)) == _outcome(
+            assert _outcome(_dr_from_scale, m, x, a - x, (a,)) == _outcome(
                 _ref_transport_dr, x, a - x, (a,))
             for w, v in ((x, a), (a, x), (x, -x), (x, x[:, ::-1])):
                 assert _outcome(m._inverse_retraction, w, v) == _outcome(
@@ -504,7 +574,7 @@ class TestUfuncReductions:
         with np.errstate(all="ignore"):
             singular = 0.0 in np.linalg.norm(a, axis=0)
             assert (_outcome(m._normalize, a) is SingularRetractionError) == singular
-            assert (_outcome(m._transport_dr, x.ambient, eta.ambient, (a,))
+            assert (_outcome(m._scale, x.ambient + eta.ambient)
                     is SingularRetractionError) == singular
             for call in (lambda: retract(x, eta, 1.0),
                          lambda: transport_direction(DR, x, eta, 1.0, eta, x)):
@@ -522,12 +592,14 @@ class TestUfuncReductions:
     ], ids=repr)
     def test_zero_norm_decision(self, norms, monkeypatch):
         # the decision itself, on norms the column sums could not produce (-0.0)
+        m = Oblique(2, 2)
+        x = Point(m, np.eye(2))
+        eta = Tangent(x, np.zeros((2, 2)))
         norms = np.array(norms)
         monkeypatch.setattr(manifolds, "_column_norms", lambda arr: norms)
-        m = Oblique(2, 2)
         with np.errstate(all="ignore"):
-            for fn, args in ((m._normalize, (np.eye(2),)),
-                             (m._transport_dr, (np.eye(2), np.zeros((2, 2)), (np.eye(2),)))):
+            for fn, args in ((m._scale, (np.eye(2),)), (m._normalize, (np.eye(2),)),
+                             (transport_direction, (DR, x, eta, 1.0, eta, x))):
                 assert (_outcome(fn, *args) is SingularRetractionError) == (0.0 in norms)
 
 
@@ -622,19 +694,44 @@ class TestTransport:
             transport_direction(DR, x, eta, 0.0, g, x_new)
 
     def test_inverse_retraction_roundtrip(self):
-        # retracting the inverse retraction recovers the target point
+        # the step image is s = -R_{x_new}^{-1}(x), so retracting -s from x_new recovers x
         rng = SplitMix64(53)
         for manifold in MANIFOLDS:
-            w = random_point(manifold, rng)
-            v = retract(w, 0.3 * random_tangent(w, rng, unit=True))
-            back = retract(w, inverse_retraction(w, v))
-            assert np.max(np.abs(back.ambient - v.ambient)) <= 1e-12
+            x = random_point(manifold, rng)
+            eta = random_tangent(x, rng, unit=True)
+            g = random_tangent(x, rng)
+            x_new = retract(x, eta, 0.3)
+            s = transport_direction(INVRET, x, eta, 0.3, g, x_new)[1]
+            back = retract(x_new, -s)
+            assert np.max(np.abs(back.ambient - x.ambient)) <= 1e-12
 
     def test_antipodal_inverse_retraction_raises(self):
-        w = sphere_point(1.0, 0.0)
-        v = sphere_point(-1.0, 0.0)
+        x = sphere_point(1.0, 0.0)
+        eta = Tangent(x, np.array([0.0, 1.0]))
         with pytest.raises(AntipodalPointsError):
-            inverse_retraction(w, v)
+            transport_direction(INVRET, x, eta, 1.0, eta, sphere_point(-1.0, 0.0))
+
+    # seeds at which projecting at x and at x / |x| round differently
+    @pytest.mark.parametrize("manifold,seed", [(Sphere(6), 72), (Oblique(5, 3), 73)], ids=repr)
+    def test_zero_step_differentiated_retraction(self, manifold, seed):
+        # a step that underflows to zero retracts to x itself, so the map projects at x
+        # (not at x / |x|) and divides by |x|, which is 1 up to rounding
+        rng = SplitMix64(seed)
+        x = random_point(manifold, rng)
+        eta = Tangent(x, random_tangent(x, rng).ambient * 1e-300)
+        g = random_tangent(x, rng)
+        alpha = 1e-30
+        assert retract(x, eta, alpha) is x
+        step = alpha * eta.ambient
+        assert not np.count_nonzero(step)
+        base, scale = x.ambient, manifold._scale(x.ambient)
+        outs = transport_direction(DR, x, eta, alpha, g, x)
+        old = _ref_transport(DR, base, eta.ambient, alpha, g.ambient, base)
+        for got, v, was in zip(outs, (eta.ambient, step, g.ambient), old):
+            want = manifold._project(base, manifold._project(base, v) / scale)
+            assert got.ambient.tobytes() == want.tobytes()
+            assert _max_abs(got.ambient - was) <= 1e-15 * max(1e-300, _max_abs(was))
+        assert any(got.ambient.tobytes() != was.tobytes() for got, was in zip(outs, old))
 
     def test_consistency_orders_with_differentiated_retraction(self):
         # residual of the step image s against DR_x(a*eta)[a*eta] shrinks at

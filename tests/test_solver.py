@@ -116,6 +116,14 @@ class TestSolverConfig:
         assert solver_id(cfg) == "broyden_bfgs_lf_xi0.8_dr"
         assert solver_id(SolverConfig(direction=DirectionKind.DY)) == "dy_dr"
 
+    @settings(max_examples=200, deadline=None)
+    @given(xi=st.floats(0.0, 1.0))
+    def test_solver_id_roundtrips_xi(self, xi):
+        # %g keeps six digits; an id must still read back to its exact xi
+        sid = solver_id(SolverConfig(xi=xi))
+        assert sid.count("_") == 4
+        assert config_from_id(sid).xi == xi
+
     def test_bare_cg_id_defaults_transport(self):
         cfg = config_from_id("hz")
         assert cfg.direction is DirectionKind.HZ
