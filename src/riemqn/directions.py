@@ -254,9 +254,10 @@ def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
     if kind is DirectionKind.HS:
         return None if den == 0.0 else num / den
     if kind is DirectionKind.HZ:
-        if den == 0.0:
+        dd = den * den  # underflows to 0 for |den| below about 1e-162
+        if dd == 0.0:
             return None
-        return num / den - s.hz_mu * s.y_norm2 * s.g_dot_t_eta / (den * den)
+        return num / den - s.hz_mu * s.y_norm2 * s.g_dot_t_eta / dd
     raise ContractViolationError(f"{kind!r} is not a conjugate-gradient rule")
 
 

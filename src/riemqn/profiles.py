@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product, repeat
 from typing import Mapping
 
 import numpy as np
@@ -54,39 +55,26 @@ def performance_profile(costs: Mapping[str, Mapping[str, float]]) -> ProfileTabl
     if not solvers:
         raise EmptyTableError("no solvers in the cost table")
 
-    ratio_map: dict = {}
-    for p in problems:
-        row = costs[p]
-        ts = {}
-        for s in solvers:
-            t = float(row.get(s, math.inf))
-            if math.isnan(t) or t < 0.0:
-                raise ConfigError(f"invalid cost {t!r} for ({p!r}, {s!r})")
-            ts[s] = t
-        best = min(ts.values())
-        for s in solvers:
-            t = ts[s]
-            if math.isinf(t):
-                ratio_map[(p, s)] = math.inf
-            elif t == best:
-                ratio_map[(p, s)] = 1.0
-            elif best == 0.0:
-                # a zero-cost winner makes every other ratio unbounded
-                ratio_map[(p, s)] = math.inf
-            else:
-                ratio_map[(p, s)] = t / best
-
-    finite = sorted({r for r in ratio_map.values() if math.isfinite(r)} | {1.0})
-    tau_grid = np.asarray(finite)
-    curves = {}
+    # problems x solvers; a missing entry is a failure
+    t = np.array([list(map(costs[p].get, solvers, repeat(math.inf))) for p in problems],
+                 dtype=float)
+    bad = ~(t >= 0.0)  # nan or negative
+    if bad.any():
+        i, j = np.argwhere(bad)[0]  # the first in row-major order
+        raise ConfigError(f"invalid cost {float(t[i, j])!r} for ({problems[i]!r}, {solvers[j]!r})")
+    # abs: a -0.0 winner divides like 0.0, so every other ratio is +inf
+    best = np.abs(t.min(axis=1, keepdims=True))
+    with np.errstate(all="ignore"):  # t/0 and t/tiny are inf, inf/inf is masked
+        r = np.where(np.isinf(t), math.inf, np.where(t == best, 1.0, t / best))
+    # a set, not np.unique: np.unique imports numpy.ma, about 1 MB of peak RSS
+    tau_grid = np.asarray(sorted(set(r[np.isfinite(r)].tolist()) | {1.0}))
     n = len(problems)
-    for s in solvers:
-        rs = np.asarray([ratio_map[(p, s)] for p in problems])
-        curves[s] = np.asarray([(rs <= tau).sum() / n for tau in tau_grid])
+    curves = {s: np.searchsorted(np.sort(r[:, j]), tau_grid, side="right") / n
+              for j, s in enumerate(solvers)}
     return ProfileTable(
         problems=problems,
         solvers=solvers,
-        ratios=ratio_map,
+        ratios=dict(zip(product(problems, solvers), r.ravel().tolist())),
         tau_grid=tau_grid,
         curves=curves,
     )

@@ -200,7 +200,7 @@ def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """One trace row; the terminal row carries nan step fields."""
+    """One trace row at ``point``; the terminal row carries nan step fields and no direction."""
 
     iteration: int
     f: float
@@ -347,7 +347,18 @@ def solve(
 
     diag = RunDiagnostics()
     trace: list[IterationTrace] = []
-    emit_rows = cfg.record_trace or callback is not None
+    sinks = [trace.append] if cfg.record_trace else []
+    if callback is not None:
+        sinks.append(callback)
+
+    def emit(gnorm, alpha, g_dot_eta, direction) -> None:
+        # one row at the current (k, f, x) to every sink; the terminal row has no direction
+        if sinks:
+            row = IterationTrace(iteration=k, f=f, gnorm=gnorm, alpha=alpha, g_dot_eta=g_dot_eta,
+                                 time_ms=now_ms(), point=x, direction=direction)
+            for sink in sinks:
+                sink(row)
+
     x = x0
     f = problem.cost(x)
     g = problem.grad(x)
@@ -391,21 +402,7 @@ def solve(
             failure = FailureReason.NON_FINITE
             break
         diag.alpha.append(ev.alpha)
-        if emit_rows:
-            row = IterationTrace(
-                iteration=k,
-                f=f,
-                gnorm=gnorm,
-                alpha=ev.alpha,
-                g_dot_eta=gde,
-                time_ms=now_ms(),
-                point=x if cfg.record_trace else None,
-                direction=eta if cfg.record_trace else None,
-            )
-            if cfg.record_trace:
-                trace.append(row)
-            if callback is not None:
-                callback(row)
+        emit(gnorm, ev.alpha, gde, eta)
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
         try:
@@ -415,20 +412,7 @@ def solve(
             break
 
     final_gnorm = norm(g)
-    terminal = IterationTrace(
-        iteration=k,
-        f=f,
-        gnorm=final_gnorm,
-        alpha=math.nan,
-        g_dot_eta=math.nan,
-        time_ms=now_ms(),
-        point=x if cfg.record_trace else None,
-        direction=None,
-    )
-    if cfg.record_trace:
-        trace.append(terminal)
-    if callback is not None:
-        callback(terminal)
+    emit(final_gnorm, math.nan, math.nan, None)
     return RunResult(
         converged=converged,
         iters=k,

@@ -1,15 +1,28 @@
 """Shared numerical oracles for the test suite.
 
 These are deliberately independent routes: a cyclic Jacobi eigenvalue solver,
-central finite differences through the retraction, and a dense assembly of
-the memoryless operator in explicit tangent coordinates.
+central finite differences through the retraction, a dense assembly of
+the memoryless operator in explicit tangent coordinates, and an
+element-by-element performance profile.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from riemqn import Oblique, Point, Sphere, Tangent, random_tangent, retract
+from riemqn import (
+    ConfigError,
+    EmptyTableError,
+    Oblique,
+    Point,
+    ProfileTable,
+    Sphere,
+    Tangent,
+    random_tangent,
+    retract,
+)
 from riemqn.rng import SplitMix64
 
 
@@ -121,3 +134,44 @@ def layout(a: np.ndarray, order: str) -> np.ndarray:
     if order == "T":
         return np.ascontiguousarray(a.T).T
     return np.ascontiguousarray(a)
+
+
+def _ref_performance_profile(costs) -> ProfileTable:
+    """The profile table built one (problem, solver) entry and one tau at a time."""
+    if not costs:
+        raise EmptyTableError("no problems in the cost table")
+    problems = tuple(sorted(costs))
+    solvers = tuple(sorted({s for row in costs.values() for s in row}))
+    if not solvers:
+        raise EmptyTableError("no solvers in the cost table")
+
+    ratio_map: dict = {}
+    for p in problems:
+        row = costs[p]
+        ts = {}
+        for s in solvers:
+            t = float(row.get(s, math.inf))
+            if math.isnan(t) or t < 0.0:
+                raise ConfigError(f"invalid cost {t!r} for ({p!r}, {s!r})")
+            ts[s] = t
+        best = min(ts.values())
+        for s in solvers:
+            t = ts[s]
+            if math.isinf(t):
+                ratio_map[(p, s)] = math.inf
+            elif t == best:
+                ratio_map[(p, s)] = 1.0
+            elif best == 0.0:
+                # a zero-cost winner makes every other ratio unbounded
+                ratio_map[(p, s)] = math.inf
+            else:
+                ratio_map[(p, s)] = t / best
+
+    tau_grid = np.asarray(sorted({r for r in ratio_map.values() if math.isfinite(r)} | {1.0}))
+    curves = {}
+    n = len(problems)
+    for s in solvers:
+        rs = np.asarray([ratio_map[(p, s)] for p in problems])
+        curves[s] = np.asarray([(rs <= tau).sum() / n for tau in tau_grid])
+    return ProfileTable(problems=problems, solvers=solvers, ratios=ratio_map,
+                        tau_grid=tau_grid, curves=curves)

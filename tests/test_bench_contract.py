@@ -76,6 +76,17 @@ def test_run_counts(trace):
     assert {name: result[name] for name in RUN_COUNTS} == RUN_COUNTS
 
 
+# The same counts for the traced offdiag-transports block above, the only workload
+# that runs the oblique maps.
+OFFDIAG_RUN_COUNTS = {"attempted": 15, "failed": 0}
+
+
+@pytest.mark.slow
+def test_offdiag_run_counts():
+    result = _run_benchmark("offdiag-transports", 1)
+    assert {name: result[name] for name in OFFDIAG_RUN_COUNTS} == OFFDIAG_RUN_COUNTS
+
+
 def test_hot_path_counts():
     metrics = _run_benchmark("rayleigh-grid", 1)["metrics"]
     assert {name: metrics[name]["value"] for name in HOT_PATH_COUNTS} == HOT_PATH_COUNTS

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,13 @@ class TestCgBeta:
         assert cg_beta(DirectionKind.HS, s) is None
         assert cg_beta(DirectionKind.HZ, s) is None
         assert cg_beta(DirectionKind.FR, make_scalars(g_prev_norm2=0.0)) is None
+
+    def test_hz_underflowing_denominator_square_signals_restart(self):
+        # den ~ 1e-170 is nonzero, but den * den underflows to 0
+        s = make_scalars(g_dot_t_eta=5e-171, g_prev_dot_eta=-5e-171, sigma=1.0)
+        assert s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta != 0.0
+        assert cg_beta(DirectionKind.HZ, s) is None
+        assert math.isfinite(cg_beta(DirectionKind.HS, s))
 
     def test_hz_formula(self):
         s = make_scalars()

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemqn import ConfigError, EmptyTableError, performance_profile
+
+from _support import _ref_performance_profile
 
 INF = math.inf
 
@@ -93,3 +97,70 @@ class TestProperties:
             for s in table.solvers:
                 for v in table.curves[s]:
                     assert (v * n_problems) == int(round(v * n_problems))
+
+
+_MISSING = object()
+# small integers tie often; 0.0, -0.0 and a subnormal make zero and overflowing ratios
+_COST = st.one_of(
+    st.sampled_from([1.0, 2.0, 3.0, 0.0, -0.0, INF, 5e-324, 1e300, _MISSING]),
+    st.floats(0.0, 1e6),
+)
+_TABLE = st.dictionaries(
+    st.sampled_from([f"p{i}" for i in range(8)]),
+    st.lists(_COST, min_size=5, max_size=5),
+    min_size=1,
+)
+
+
+def _costs(rows, bad=None):
+    costs = {p: {f"s{j}": v for j, v in enumerate(row) if v is not _MISSING}
+             for p, row in rows.items()}
+    if bad is not None:
+        p, j, value = bad
+        costs[sorted(costs)[p % len(costs)]][f"s{j}"] = value
+    return costs
+
+
+def _outcome(build, costs):
+    try:
+        return build(costs)
+    except (ConfigError, EmptyTableError) as exc:
+        return exc
+
+
+class TestMatchesReference:
+    """The matrix build gives the element-by-element reference's table, bit for bit."""
+
+    def _check(self, costs):
+        want = _outcome(_ref_performance_profile, costs)
+        got = _outcome(performance_profile, costs)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            return
+        assert got.problems == want.problems
+        assert got.solvers == want.solvers
+        assert got.tau_grid.tobytes() == want.tau_grid.tobytes()
+        for s in want.solvers:
+            assert got.curves[s].tobytes() == want.curves[s].tobytes()
+        assert list(got.ratios.items()) == list(want.ratios.items())
+        assert got.to_csv() == want.to_csv()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_TABLE)
+    def test_valid_tables(self, rows):
+        self._check(_costs(rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_TABLE, p=st.integers(0, 7), j=st.integers(0, 5),
+           value=st.sampled_from([-1.0, -5e-324, -INF, math.nan]))
+    def test_invalid_entry_message(self, rows, p, j, value):
+        self._check(_costs(rows, (p, j, value)))
+
+    @pytest.mark.parametrize("costs", [{"p": {"s": -2.0}}, {"p": {"s": math.nan}},
+                                       {"a": {"s": 1.0}, "b": {"s": np.float64(-3.0)}}])
+    def test_message_names_a_python_float(self, costs):
+        with pytest.raises(ConfigError) as exc:
+            performance_profile(costs)
+        assert "np.float64" not in str(exc.value)
+        assert str(exc.value) == str(_outcome(_ref_performance_profile, costs))

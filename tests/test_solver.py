@@ -22,6 +22,7 @@ from riemqn import (
     SolverConfig,
     Sphere,
     SplitMix64,
+    Tangent,
     TransportKind,
     ZMode,
     config_from_id,
@@ -478,6 +479,19 @@ class TestSolve:
         res = solve(inst, inst.initial_point(), SolverConfig(), callback=rows.append)
         assert len(rows) == res.iters + 1
         assert rows[-1].gnorm == res.final_gnorm
+        # rows carry the iterate and the direction without record_trace
+        assert res.trace == []
+        assert all(isinstance(row.point, Point) for row in rows)
+        assert all(isinstance(row.direction, Tangent) for row in rows[:-1])
+        assert rows[-1].direction is None
+
+    def test_callback_and_trace_get_the_same_rows(self):
+        inst = rayleigh_instance(8, seed=42)
+        rows = []
+        res = solve(inst, inst.initial_point(), SolverConfig(record_trace=True),
+                    callback=rows.append)
+        assert len(rows) == len(res.trace) == res.iters + 1
+        assert all(a is b for a, b in zip(rows, res.trace))
 
 
 class TestAllEngines:
@@ -535,12 +549,21 @@ class TestNumericalBreakdown:
         kind=st.sampled_from(["rayleigh", "offdiag"]),
         exponent=st.floats(-300.0, 307.0),
         sid=st.sampled_from(["broyden_bfgs_lf_xi0.1_dr", "broyden_preconvex_powell_xi0.8_invret",
-                             "hz_proj", "dy_dr"]),
+                             "hz_proj", "hz_invret", "dy_dr"]),
     )
     def test_scaled_problem_returns_a_result(self, seed, kind, exponent, sid):
         scale = 10.0 ** exponent
         inst = _scaled_instance(kind, seed, scale)
         cfg = config_from_id(sid, SolverConfig(tol=1e-6 * scale, max_iters=300))
+        with np.errstate(all="ignore"):
+            res = solve(inst, inst.initial_point(), cfg)
+        assert isinstance(res, RunResult)
+        assert res.converged == (res.failure_reason is None)
+
+    def test_hz_underflowing_denominator_square_does_not_raise(self):
+        # |den| falls below 1e-162 here, so den * den underflows to 0 mid-run
+        inst = _scaled_instance("rayleigh", 1, 1e-150)
+        cfg = config_from_id("hz_invret", SolverConfig(tol=1e-6 * 1e-150, max_iters=300))
         with np.errstate(all="ignore"):
             res = solve(inst, inst.initial_point(), cfg)
         assert isinstance(res, RunResult)
