@@ -11,7 +11,6 @@ from .directions import (
     CgScalars,
     DirectionKind,
     PhiMode,
-    StepMemory,
     ZMode,
     broyden_direction,
     cg_beta,
@@ -68,6 +67,7 @@ from .solver import (
     RunDiagnostics,
     RunResult,
     SolverConfig,
+    StepMemory,
     config_from_id,
     solve,
     solver_id,

@@ -173,7 +173,8 @@ def write_runs_csv(records: list[RunRecord], path: Path) -> None:
 
 def read_runs_csv(path: str | Path) -> list[RunRecord]:
     """The records of a ``runs.csv`` file, read as strictly as a config: the header is exactly
-    ``RUNS_HEADER``, each value parses by its column, no (instance, solver) pair repeats."""
+    ``RUNS_HEADER``, each value parses by its column, a row is converged exactly when its
+    failure_reason is empty, and no (instance, solver) pair repeats."""
     records: dict[tuple[int, str], RunRecord] = {}
     try:
         with open(path, newline="") as fh:
@@ -191,6 +192,9 @@ def read_runs_csv(path: str | Path) -> list[RunRecord]:
                     except (KeyError, ValueError) as exc:
                         raise ConfigError(f"{where}: bad {name} {text!r}") from exc
                 record = RunRecord(*values)
+                if record.converged != (record.failure_reason == ""):
+                    raise ConfigError(f"{where}: converged {int(record.converged)} with "
+                                      f"failure_reason {record.failure_reason!r}")
                 key = (record.instance, record.solver)
                 if key in records:
                     raise ConfigError(f"{where}: repeats instance {key[0]}, solver {key[1]}")

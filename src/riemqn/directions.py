@@ -66,27 +66,6 @@ _PRECONVEX_THETA_FLOOR = 1e-5
 _DEGENERATE_EPS = 1e-12
 
 
-class StepMemory(NamedTuple):
-    """Transported data from the latest accepted step, based at the new iterate.
-
-    s is the transported step, y the transported gradient difference, z its
-    regularization, t_eta / t_g the transported direction and gradient, params
-    what ``schedule_params`` measured on s and z, and the scalars record what
-    the beta formulas need (g_dot_t_eta is the accepted step's <g_new, T(eta)>).
-    """
-
-    s: Tangent
-    y: Tangent
-    z: Tangent
-    t_eta: Tangent
-    t_g: Tangent
-    params: BroydenParams
-    sigma: float
-    g_prev_norm: float
-    g_prev_dot_eta: float
-    g_dot_t_eta: float
-
-
 class BroydenParams(NamedTuple):
     """One step's parameters and the ss = <s,s>, sz = <s,z> > 0, zz = <z,z> > 0 they rest on."""
 

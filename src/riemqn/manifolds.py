@@ -57,11 +57,16 @@ def _column_norms(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(arr * arr, axis=0))
 
 
-def _float64_array(value) -> np.ndarray:
-    """``np.asarray(value, dtype=np.float64)``, without the call for a float64 ndarray."""
-    if type(value) is np.ndarray and value.dtype is _FLOAT64:
-        return value
-    return np.asarray(value, dtype=np.float64)
+def _ambient_array(value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``; any other shape raises ``InvalidPointError``.
+
+    ``np.asarray`` is called only when ``value`` is not a float64 ndarray already.
+    """
+    if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+        value = np.asarray(value, dtype=np.float64)
+    if value.shape != shape:
+        raise InvalidPointError(f"expected ambient shape {shape}, got {value.shape}")
+    return value
 
 
 class TransportKind(Enum):
@@ -183,11 +188,7 @@ class Point:
         self.__post_init__()
 
     def __post_init__(self):
-        arr = _float64_array(self.ambient)
-        if arr.shape != self.manifold.ambient_shape:
-            raise InvalidPointError(
-                f"expected ambient shape {self.manifold.ambient_shape}, got {arr.shape}"
-            )
+        arr = _ambient_array(self.ambient, self.manifold.ambient_shape)
         defect = self.manifold.point_defect(arr)
         if not defect <= POINT_TOL:
             raise InvalidPointError(
@@ -213,11 +214,7 @@ class Tangent:
         self.__post_init__()
 
     def __post_init__(self):
-        arr = _float64_array(self.ambient)
-        if arr.shape != self.point.manifold.ambient_shape:
-            raise InvalidPointError(
-                f"expected ambient shape {self.point.manifold.ambient_shape}, got {arr.shape}"
-            )
+        arr = _ambient_array(self.ambient, self.point.manifold.ambient_shape)
         self.__dict__["ambient"] = _freeze(arr)
 
     def __add__(self, other: "Tangent") -> "Tangent":
@@ -288,11 +285,7 @@ def tangency_defect(t: Tangent) -> float:
 
 def project_tangent(x: Point, v_ambient) -> Tangent:
     """Orthogonal projection of an ambient vector onto the tangent space at x."""
-    arr = _float64_array(v_ambient)
-    if arr.shape != x.manifold.ambient_shape:
-        raise InvalidPointError(
-            f"expected ambient shape {x.manifold.ambient_shape}, got {arr.shape}"
-        )
+    arr = _ambient_array(v_ambient, x.manifold.ambient_shape)
     return Tangent(x, x.manifold._project(x.ambient, arr))
 
 
@@ -324,11 +317,7 @@ def transport_direction(
     _require_base(x, g, "g")
     if not alpha > 0.0:
         raise ContractViolationError("step size must be positive")
-    if x_new.ambient.shape != x.ambient.shape:
-        raise InvalidPointError(
-            f"expected ambient shape {x.ambient.shape}, got {x_new.ambient.shape}"
-        )
-    project, base = x_new.manifold._project, x_new.ambient
+    project, base = x_new.manifold._project, _ambient_array(x_new.ambient, x.ambient.shape)
     if kind is TransportKind.INVERSE_RETRACTION:
         s = project(base, -x_new.manifold._inverse_retraction(base, x.ambient))
         outs = (s / float(alpha), s, project(base, g.ambient))

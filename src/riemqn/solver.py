@@ -15,16 +15,16 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, Optional
+from typing import Callable, ClassVar, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .directions import (
     DEFAULT_NU_HAT,
+    BroydenParams,
     CgScalars,
     DirectionKind,
     PhiMode,
-    StepMemory,
     ZMode,
     broyden_direction,
     cg_beta,
@@ -43,7 +43,7 @@ from .errors import (
     LineSearchFailedError,
     SingularRetractionError,
 )
-from .linesearch import LineSearchConfig, search_step
+from .linesearch import LineSearchConfig, StepEval, search_step
 from .manifolds import (
     Point,
     Tangent,
@@ -230,9 +230,11 @@ class IterationTrace:
 class RunDiagnostics:
     """Cheap per-iteration scalars recorded on every run.
 
-    gnorm/g_dot_eta/eta_norm/alpha have one entry per accepted step;
-    z_margin/z_ratio one entry per memory build; gamma/tau/phi one entry per
-    Broyden direction actually computed from memory.
+    gnorm/g_dot_eta/eta_norm have one entry per line search started, so a run
+    ending line_search_failed has one more of them than of alpha, which has one
+    entry per accepted step; z_margin/z_ratio one entry per memory build;
+    gamma/tau/phi one entry per Broyden direction actually computed from memory;
+    restarts counts the steepest-descent steps taken after a step was accepted.
     """
 
     gnorm: list[float] = field(default_factory=list)
@@ -275,31 +277,49 @@ class RunResult:
         return json.dumps(self.to_dict(include_trace=include_trace))
 
 
+class StepMemory(NamedTuple):
+    """The latest accepted step and what the directions take from it, based at the new iterate.
+
+    step is the accepted ``StepEval`` (its s, t_eta, t_g, and dphi = <g_new, T(eta)>), y the
+    transported gradient difference, z its regularization, params what ``schedule_params``
+    measured on s and z, sigma the scaling of T(eta), and g_prev_norm / g_prev_dot_eta the
+    norm and slope of the gradient the step left.
+    """
+
+    step: StepEval
+    y: Tangent
+    z: Tangent
+    params: BroydenParams
+    sigma: float
+    g_prev_norm: float
+    g_prev_dot_eta: float
+
+
 def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
-               diag: RunDiagnostics) -> Tangent:
+               diag: RunDiagnostics) -> Optional[Tangent]:
+    """The engine's direction, or None when it has none (no step yet, or no CG beta)."""
     if memory is None:
-        return -g
+        return None
+    step = memory.step
     if cfg.direction is DirectionKind.BROYDEN:
         params = memory.params
         diag.gamma.append(params.gamma)
         diag.tau.append(params.tau)
         diag.phi.append(params.phi)
-        return broyden_direction(g, memory.s, memory.z, params)
+        return broyden_direction(g, step.s, memory.z, params)
     x = g.point
     scalars = CgScalars(
         g_norm2=inner(x, g, g),
         g_prev_norm2=memory.g_prev_norm * memory.g_prev_norm,
-        g_dot_t_eta=memory.g_dot_t_eta,
-        g_dot_t_g=inner(x, g, memory.t_g),
+        g_dot_t_eta=step.dphi,
+        g_dot_t_g=inner(x, g, step.t_g),
         y_norm2=inner(x, memory.y, memory.y),
         g_prev_dot_eta=memory.g_prev_dot_eta,
         sigma=memory.sigma,
         hz_mu=cfg.hz_mu,
     )
     beta = cg_beta(cfg.direction, scalars)
-    if beta is None:
-        return -g
-    return cg_direction(g, beta, memory.sigma, memory.t_eta)
+    return None if beta is None else cg_direction(g, beta, memory.sigma, step.t_eta)
 
 
 def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
@@ -312,18 +332,8 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
     diag.z_margin.append(params.sz - nu_hat * params.ss)
     diag.z_ratio.append(math.sqrt(params.zz / params.ss))
     sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
-    return StepMemory(
-        s=s,
-        y=y,
-        z=z,
-        t_eta=ev.t_eta,
-        t_g=ev.t_g,
-        params=params,
-        sigma=sigma,
-        g_prev_norm=gnorm,
-        g_prev_dot_eta=gde,
-        g_dot_t_eta=ev.dphi,
-    )
+    return StepMemory(step=ev, y=y, z=z, params=params, sigma=sigma, g_prev_norm=gnorm,
+                      g_prev_dot_eta=gde)
 
 
 # overflow and nan end a run as non_finite; numpy need not also warn of them
@@ -364,25 +374,22 @@ def solve(
     g = problem.grad(x)
     memory: Optional[StepMemory] = None
     k = 0
-    converged = False
     failure: Optional[FailureReason] = None
 
     while True:
         gnorm = norm(g)
         if gnorm < cfg.tol:  # strict: tol itself does not stop the run
-            converged = True
             break
         if k >= cfg.max_iters:
             failure = FailureReason.MAX_ITERS
             break
         eta = _direction(g, memory, cfg, diag)
-        gde = inner(x, g, eta)
-        if gde >= -_DESCENT_GUARD * gnorm * gnorm:
-            # safeguard: fall back to steepest descent, drop stale memory
+        if eta is None or (gde := inner(x, g, eta)) >= -_DESCENT_GUARD * gnorm * gnorm:
+            # steepest descent; a restart when the last step gave no descent direction
+            if memory is not None:
+                diag.restarts += 1
             eta = -g
             gde = inner(x, g, eta)
-            memory = None
-            diag.restarts += 1
         if not gde < 0.0:  # nan, or -|g|^2 underflowed to zero
             failure = FailureReason.NON_FINITE
             break
@@ -414,7 +421,7 @@ def solve(
     final_gnorm = norm(g)
     emit(final_gnorm, math.nan, math.nan, None)
     return RunResult(
-        converged=converged,
+        converged=failure is None,
         iters=k,
         final_f=f,
         final_gnorm=final_gnorm,

@@ -44,6 +44,7 @@ def _run_benchmark(workload: str, trace: int) -> dict:
         ("rayleigh-grid", 0),
         ("rayleigh-grid", 1),
         pytest.param("offdiag-transports", 1, marks=pytest.mark.slow),
+        pytest.param("rayleigh-large", 0, marks=pytest.mark.slow),
     ],
 )
 def test_result_line(workload, trace):
@@ -85,6 +86,17 @@ OFFDIAG_RUN_COUNTS = {"attempted": 15, "failed": 0}
 def test_offdiag_run_counts():
     result = _run_benchmark("offdiag-transports", 1)
     assert {name: result[name] for name in OFFDIAG_RUN_COUNTS} == OFFDIAG_RUN_COUNTS
+
+
+# The same counts for the untraced rayleigh-large block above: one Sphere(1000)
+# instance, on which 8 of the 14 solvers end line_search_failed.
+LARGE_RUN_COUNTS = {"attempted": 14, "failed": 8}
+
+
+@pytest.mark.slow
+def test_large_run_counts():
+    result = _run_benchmark("rayleigh-large", 0)
+    assert {name: result[name] for name in LARGE_RUN_COUNTS} == LARGE_RUN_COUNTS
 
 
 def test_hot_path_counts():

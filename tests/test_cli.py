@@ -271,6 +271,8 @@ class TestRunsFile:
             (HEADER, [ROWS[1].replace(",2,", ",-2,")]),
             (HEADER, [ROWS[1].replace("0.480", "fast")]),
             (HEADER, [ROWS[1].replace("max_iters", "gave_up")]),
+            (HEADER, [ROWS[1].replace("dy_dr,0,", "dy_dr,1,")]),
+            (HEADER, [ROWS[0].replace("_dr,1,", "_dr,0,")]),
             (HEADER.replace("iters,time_ms", "time_ms,iters"), ROWS),
             (HEADER.replace("final_gnorm", "gnorm"), ROWS),
             (HEADER + ",notes", ROWS),
@@ -279,7 +281,8 @@ class TestRunsFile:
             (HEADER, []),
         ],
         ids=["short-row", "extra-field", "converged-7", "float-iters", "negative-iters",
-             "text-time", "unknown-reason", "reordered-header", "renamed-header",
+             "text-time", "unknown-reason", "converged-with-reason",
+             "failed-without-reason", "reordered-header", "renamed-header",
              "extra-column", "duplicate-pair", "empty-file", "header-only"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, header, rows):

@@ -130,8 +130,8 @@ def _step_eval():
 
 def _step_memory(ev):
     params = BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0, ss=1.0, sz=2.0, zz=4.0)
-    return StepMemory(s=ev.s, y=ev.t_g, z=ev.t_g, t_eta=ev.t_eta, t_g=ev.t_g, params=params,
-                      sigma=1.0, g_prev_norm=1.0, g_prev_dot_eta=-1.0, g_dot_t_eta=ev.dphi)
+    return StepMemory(step=ev, y=ev.t_g, z=ev.t_g, params=params, sigma=1.0, g_prev_norm=1.0,
+                      g_prev_dot_eta=-1.0)
 
 
 def _cg_scalars():
@@ -158,8 +158,8 @@ class TestImmutable:
     def test_field_names_and_order(self):
         assert StepEval._fields == ("alpha", "x_new", "f_new", "g_new", "t_eta", "s", "t_g",
                                     "dphi")
-        assert StepMemory._fields == ("s", "y", "z", "t_eta", "t_g", "params", "sigma",
-                                      "g_prev_norm", "g_prev_dot_eta", "g_dot_t_eta")
+        assert StepMemory._fields == ("step", "y", "z", "params", "sigma", "g_prev_norm",
+                                      "g_prev_dot_eta")
         assert BroydenParams._fields == ("gamma", "tau", "phi", "xi", "ss", "sz", "zz")
         assert CgScalars._fields == ("g_norm2", "g_prev_norm2", "g_dot_t_eta", "g_dot_t_g",
                                      "y_norm2", "g_prev_dot_eta", "sigma", "hz_mu")

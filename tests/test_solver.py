@@ -464,6 +464,17 @@ class TestSolve:
         assert all(g >= 1.0 for g in d.gamma)
         assert all(0.0 < t <= 1.0 for t in d.tau)
 
+    def test_diagnostics_count_line_searches_started(self):
+        # the third line search fails: gnorm/g_dot_eta/eta_norm record it, alpha does not
+        inst = rayleigh_instance(30, seed=3)
+        cfg = SolverConfig(xi=0.1, line_search=LineSearchConfig(max_evals=3))
+        res = solve(inst, inst.initial_point(), cfg)
+        d = res.diagnostics
+        assert res.failure_reason is FailureReason.LINE_SEARCH_FAILED
+        assert res.iters == 2
+        assert (len(d.gnorm), len(d.g_dot_eta), len(d.eta_norm)) == (3, 3, 3)
+        assert len(d.alpha) == 2
+
     def test_result_json_roundtrip(self):
         inst = rayleigh_instance(8, seed=41)
         res = solve(inst, inst.initial_point(), SolverConfig(record_trace=True))
@@ -561,13 +572,18 @@ class TestNumericalBreakdown:
         assert res.converged == (res.failure_reason is None)
 
     def test_hz_underflowing_denominator_square_does_not_raise(self):
-        # |den| falls below 1e-162 here, so den * den underflows to 0 mid-run
+        # |den| falls below 1e-162 here, so den * den underflows to 0 on every
+        # step after the first: cg_beta gives no beta, and each of those 299
+        # steps restarts along -g and counts (the first step has no memory)
         inst = _scaled_instance("rayleigh", 1, 1e-150)
         cfg = config_from_id("hz_invret", SolverConfig(tol=1e-6 * 1e-150, max_iters=300))
         with np.errstate(all="ignore"):
             res = solve(inst, inst.initial_point(), cfg)
         assert isinstance(res, RunResult)
-        assert res.converged == (res.failure_reason is None)
+        assert res.failure_reason is FailureReason.MAX_ITERS
+        assert res.iters == 300
+        assert res.diagnostics.restarts == 299
+        assert res.final_f == 6.258950719665593e-151
 
     @pytest.mark.parametrize("kind,scale", [("rayleigh", 1e154), ("offdiag", 1e77),
                                             ("offdiag", 1e154)])
@@ -588,6 +604,7 @@ class TestNumericalBreakdown:
         res = solve(inst, inst.initial_point(), cfg)
         assert res.failure_reason is FailureReason.NON_FINITE
         assert res.iters == 0
+        assert res.diagnostics.restarts == 0  # no step was taken, so none to restart from
         assert res.final_gnorm == pytest.approx(4.5335e-300, rel=1e-4)
 
     def test_overflow_emits_no_warning(self):
