@@ -23,6 +23,7 @@ provided as baselines; they share the same transported step data.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -219,7 +220,8 @@ class CgScalars(NamedTuple):
 
 
 def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
-    """Transported beta value, or None when a denominator vanishes (restart)."""
+    """Transported beta value, or None (restart) when a denominator vanishes or HZ's squared
+    denominator leaves the float range."""
     if kind is DirectionKind.FR:
         if s.g_prev_norm2 == 0.0:
             return None
@@ -233,8 +235,8 @@ def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
     if kind is DirectionKind.HS:
         return None if den == 0.0 else num / den
     if kind is DirectionKind.HZ:
-        dd = den * den  # underflows to 0 for |den| below about 1e-162
-        if dd == 0.0:
+        dd = den * den  # underflows to 0 below |den| ~ 1e-162, overflows above ~ 1e154
+        if dd == 0.0 or dd == math.inf:
             return None
         return num / den - s.hz_mu * s.y_norm2 * s.g_dot_t_eta / dd
     raise ContractViolationError(f"{kind!r} is not a conjugate-gradient rule")

@@ -13,12 +13,22 @@ search brackets by doubling and then zooms; zoom progress is guaranteed by
 bisection, with a safeguarded quadratic fit for its first trial to cut
 evaluations on stiff objectives.  Gradients are only evaluated for trials
 that pass Armijo.  Any step returned passes both predicates exactly as
-``wolfe_check`` re-evaluates them.
+``wolfe_check`` re-evaluates them: both call the one Armijo test, ``armijo``.
+
+Near a minimizer ``f(x_new) - f(x)`` cancels to rounding noise while
+``c1 * alpha * <g, eta>`` is still resolvable.  So when ``f(x_new)`` lies
+within ``1000 eps |f(x)|`` of ``f(x)`` and the problem offers the optional
+hook ``cost_change(x, eta, alpha, f0, d0)``, which returns that change
+computed without the cancellation, Armijo tests the change instead, and the
+search compares two such trials by their changes (in the spirit of Hager and
+Zhang's approximate Wolfe conditions, SIAM J. Optim. 16, 2005).  Elsewhere
+Armijo is ``f_new <= f0 + c1 * alpha * d0``, evaluated as written.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -32,6 +42,9 @@ from .manifolds import (
     transport_direction,
 )
 from .schema import Check, check_fields, integer, real
+
+# |f_new - f0| <= FLOOR_BAND * |f0|: f_new - f0 may be rounding noise
+FLOOR_BAND = 1000.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,23 @@ class StepEval(NamedTuple):
     dphi: float
 
 
+def armijo(
+    problem, x: Point, eta: Tangent, alpha: float, f0: float, d0: float, f_new: float, c1: float,
+) -> tuple[bool, float | None]:
+    """The Armijo test of the trial step alpha, and the cost change it tested, if any.
+
+    Within the rounding floor of f0, on a problem with ``cost_change``, the test is
+    ``change <= c1 * alpha * d0`` and the change is returned; otherwise it is
+    ``f_new <= f0 + c1 * alpha * d0``, evaluated as written, and the change is None.
+    """
+    if abs(f_new - f0) <= FLOOR_BAND * abs(f0):
+        cost_change = getattr(problem, "cost_change", None)
+        if cost_change is not None:
+            change = cost_change(x, eta, alpha, f0, d0)
+            return change <= c1 * alpha * d0, change
+    return f_new <= f0 + c1 * alpha * d0, None
+
+
 def _complete(
     problem, x: Point, eta: Tangent, g0: Tangent, kind: TransportKind,
     alpha: float, x_new: Point, f_new: float,
@@ -105,7 +135,7 @@ def wolfe_check(
         raise ContractViolationError("eta is not a descent direction")
     x_new = retract(x, eta, alpha)
     ev = _complete(problem, x, eta, g0, kind, alpha, x_new, problem.cost(x_new))
-    armijo_ok = ev.f_new <= f0 + cfg.c1 * alpha * d0
+    armijo_ok, _ = armijo(problem, x, eta, alpha, f0, d0, ev.f_new, cfg.c1)
     curvature_ok = ev.dphi >= cfg.c2 * d0
     return armijo_ok, curvature_ok
 
@@ -118,8 +148,12 @@ def search_step(
     kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION,
     f0: float | None = None,
     g0: Tangent | None = None,
+    alpha0: float | None = None,
 ) -> StepEval:
-    """Bracket-and-zoom search returning the full evaluation of a Wolfe step."""
+    """Bracket-and-zoom search returning the full evaluation of a Wolfe step.
+
+    The first trial is ``alpha0`` (default ``cfg.alpha_init``), capped at ``cfg.alpha_max``.
+    """
     if f0 is None:
         f0 = problem.cost(x)
     if g0 is None:
@@ -131,14 +165,15 @@ def search_step(
     # One loop makes every trial: it doubles alpha until a trial brackets a
     # Wolfe step (a_hi is set), then zooms.  a_lo always satisfies Armijo with
     # the lowest f seen so far; a Wolfe point lies between a_lo and a_hi (the
-    # interval may be reversed).  The zoom's first trial is the minimizer of
-    # the quadratic through (0, f0, d0) and (a_hi, f_hi), kept strictly
-    # interior so progress never stalls.
+    # interval may be reversed).  ch_lo is a_lo's cost change when Armijo
+    # tested one (0 at a_lo = 0), else None.  The zoom's first trial is the
+    # minimizer of the quadratic through (0, f0, d0) and (a_hi, f_hi), kept
+    # strictly interior so progress never stalls.
     evals = 0
-    a_lo, f_lo = 0.0, f0
+    a_lo, f_lo, ch_lo = 0.0, f0, 0.0
     a_hi = f_hi = None
     use_fit = True
-    alpha = min(cfg.alpha_init, cfg.alpha_max)
+    alpha = min(cfg.alpha_init if alpha0 is None else alpha0, cfg.alpha_max)
     while True:
         if evals >= cfg.max_evals:
             raise LineSearchFailedError(f"no Wolfe step within {cfg.max_evals} evaluations")
@@ -146,8 +181,10 @@ def search_step(
         x_new = retract(x, eta, alpha)
         f_new = problem.cost(x_new)
         # Armijo, as wolfe_check replays it; after the first trial, a trial no
-        # lower than f_lo also brackets
-        if not f_new <= f0 + cfg.c1 * alpha * d0 or (evals > 1 and f_new >= f_lo):
+        # lower than a_lo also brackets, compared by cost change when both have one
+        armijo_ok, change = armijo(problem, x, eta, alpha, f0, d0, f_new, cfg.c1)
+        if not armijo_ok or (evals > 1 and (
+                f_new >= f_lo if change is None or ch_lo is None else change >= ch_lo)):
             a_hi, f_hi = alpha, f_new
         else:
             ev = _complete(problem, x, eta, g0, kind, alpha, x_new, f_new)
@@ -156,12 +193,12 @@ def search_step(
             if a_hi is None:
                 if alpha >= cfg.alpha_max:
                     raise LineSearchFailedError("reached alpha_max while still descending steeply")
-                a_lo, f_lo = alpha, f_new
+                a_lo, f_lo, ch_lo = alpha, f_new, change
                 alpha = min(2.0 * alpha, cfg.alpha_max)
                 continue
             if ev.dphi * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi = a_lo, f_lo
-            a_lo, f_lo = alpha, f_new
+            a_lo, f_lo, ch_lo = alpha, f_new, change
         alpha = 0.5 * (a_lo + a_hi)
         if use_fit:
             use_fit = False

@@ -19,6 +19,13 @@ by a strong reference and matched by identity, with the products that cost
 and gradient share (``A x``; ``C_i X`` and ``E_i``).  So ``grad(x)`` right
 after ``cost(x)`` computes them once, and every evaluation is still one
 ``cost`` or ``grad`` call.  The entry is one tuple, replaced as a whole.
+
+``RayleighInstance.cost_change`` gives the line search ``f(R_x(alpha eta)) - f(x)``
+without the cancellation of that difference (see ``linesearch.armijo``).  It
+keeps a second entry, matched by the identity of the ``Tangent`` eta, with
+the scalars that ``A eta`` gives, so one search computes ``A eta`` once.  It
+is not an evaluation of the objective.  The off-diagonal problem has no such
+hook.
 """
 
 from __future__ import annotations
@@ -91,6 +98,7 @@ class RayleighInstance:
         object.__setattr__(self, "manifold", Sphere(a.shape[0]))
         _set_start(self, self.x0)
         object.__setattr__(self, "_memo", (None, None))
+        object.__setattr__(self, "_direction_memo", (None, 1.0, 0.0, 0.0, 0.0))
 
     def _product(self, x: Point) -> np.ndarray:
         """A x, computed once for the last point evaluated."""
@@ -111,6 +119,27 @@ class RayleighInstance:
         """Tangent projection of the ambient gradient 2 A x."""
         _check_point(self, x)
         return project_tangent(x, 2.0 * self._product(x))
+
+    def cost_change(self, x: Point, eta: Tangent, alpha: float, f0: float, d0: float) -> float:
+        """``cost(retract(x, eta, alpha)) - f0`` in closed form, for ``eta`` based at ``x``.
+
+        With ``f0 = x'A x`` and ``d0 = <grad f(x), eta> = 2 (x'A eta - f0 x'eta)`` the
+        change is ``(alpha d0 + alpha^2 (eta'A eta - f0 |eta|^2)) / |x + alpha eta|^2``,
+        where ``|x + alpha eta|^2 = 1 + 2 alpha x'eta + alpha^2 |eta|^2``.  No term
+        cancels to rounding noise as the step shrinks.  The quadratic terms are
+        taken of ``u = eta / m``, ``m = max |eta_i|``, with the step ``b = alpha m``,
+        so that ``eta'A eta`` cannot overflow while the step itself is finite.
+        """
+        key, m, quad, sq, cross = self._direction_memo
+        if key is not eta:
+            e = eta.ambient
+            m = float(np.maximum.reduce(np.abs(e)))
+            u = e / m
+            quad, sq, cross = float(u @ (self.matrix @ u)), float(u @ u), float(x.ambient @ u)
+            self.__dict__["_direction_memo"] = (eta, m, quad, sq, cross)
+        b = alpha * m
+        b2 = b * b
+        return (alpha * d0 + b2 * (quad - f0 * sq)) / (1.0 + 2.0 * b * cross + b2 * sq)
 
     def initial_point(self) -> Point:
         return self._start

@@ -230,9 +230,10 @@ class IterationTrace:
 class RunDiagnostics:
     """Cheap per-iteration scalars recorded on every run.
 
-    gnorm/g_dot_eta/eta_norm have one entry per line search started, so a run
-    ending line_search_failed has one more of them than of alpha, which has one
-    entry per accepted step; z_margin/z_ratio one entry per memory build;
+    gnorm/g_dot_eta/eta_norm/alpha0 have one entry per line search started, so a
+    run ending line_search_failed has one more of them than of alpha, which has
+    one entry per accepted step; alpha0 is the search's first trial step, as the
+    line search's start rule chose it; z_margin/z_ratio one entry per memory build;
     gamma/tau/phi one entry per Broyden direction actually computed from memory;
     restarts counts the steepest-descent steps taken after a step was accepted.
     """
@@ -240,6 +241,7 @@ class RunDiagnostics:
     gnorm: list[float] = field(default_factory=list)
     g_dot_eta: list[float] = field(default_factory=list)
     eta_norm: list[float] = field(default_factory=list)
+    alpha0: list[float] = field(default_factory=list)
     alpha: list[float] = field(default_factory=list)
     gamma: list[float] = field(default_factory=list)
     tau: list[float] = field(default_factory=list)
@@ -350,6 +352,7 @@ def solve(
             f"x0 on {x0.manifold} but the problem lives on {problem.manifold}"
         )
     nu_hat = cfg.resolved_nu_hat()
+    ls = cfg.line_search
     t_start = time.perf_counter()
 
     def now_ms() -> float:
@@ -397,9 +400,15 @@ def solve(
         diag.g_dot_eta.append(gde)
         eta_norm = norm(eta)
         diag.eta_norm.append(eta_norm)
+        # Nocedal & Wright (3.60): the step that repeats the last decrease,
+        # 1 / |g| on the first search, capped at alpha_init; alpha_init when
+        # that is not finite and positive (|g| = inf, no decrease, a rounding rise)
+        rule = 1.0 / gnorm if k == 0 else 1.01 * 2.0 * (f - f_prev) / gde
+        alpha0 = min(ls.alpha_init, rule) if 0.0 < rule < math.inf else ls.alpha_init
+        diag.alpha0.append(alpha0)
         try:
             ev = search_step(
-                problem, x, eta, cfg.line_search, cfg.transport, f0=f, g0=g
+                problem, x, eta, ls, cfg.transport, f0=f, g0=g, alpha0=alpha0
             )
         except LineSearchFailedError:
             failure = FailureReason.LINE_SEARCH_FAILED
@@ -410,6 +419,7 @@ def solve(
             break
         diag.alpha.append(ev.alpha)
         emit(gnorm, ev.alpha, gde, eta)
+        f_prev = f
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
         try:

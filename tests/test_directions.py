@@ -329,6 +329,15 @@ class TestCgBeta:
         assert cg_beta(DirectionKind.HZ, s) is None
         assert math.isfinite(cg_beta(DirectionKind.HS, s))
 
+    def test_hz_overflowing_denominator_square_signals_restart(self):
+        # den ~ 1e200 is finite, but den * den overflows to inf, and with it
+        # y_norm2 * g_dot_t_eta: inf / inf would make beta nan
+        s = make_scalars(g_dot_t_eta=5e199, g_prev_dot_eta=-5e199, y_norm2=1e250,
+                         g_norm2=1e200, g_dot_t_g=0.0, sigma=1.0)
+        assert math.isfinite(s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta)
+        assert cg_beta(DirectionKind.HZ, s) is None
+        assert math.isfinite(cg_beta(DirectionKind.HS, s))
+
     def test_hz_formula(self):
         s = make_scalars()
         den = s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riemqn import (
     ConfigError,
@@ -12,6 +14,7 @@ from riemqn import (
     Tangent,
     TransportKind,
     inner,
+    offdiag_instance,
     random_point,
     random_tangent,
     rayleigh_instance,
@@ -20,6 +23,8 @@ from riemqn import (
     transport_direction,
     wolfe_check,
 )
+from riemqn import linesearch
+from riemqn.linesearch import FLOOR_BAND, armijo
 
 DR = TransportKind.DIFFERENTIATED_RETRACTION
 
@@ -207,3 +212,96 @@ class TestAcceptanceArithmetic:
         cfg = LineSearchConfig()
         problem = _Scripted(self.x, self.g, 1e20, 1e20)
         assert search_step(problem, self.x, self.eta, cfg).alpha == cfg.alpha_init
+
+
+class TestStartStep:
+    @pytest.mark.parametrize("alpha0", [None, 1e-3, 0.37])
+    def test_first_trial_is_alpha0(self, monkeypatch, alpha0):
+        trials = []
+
+        def recording_retract(x, eta, alpha=1.0):
+            trials.append(alpha)
+            return retract(x, eta, alpha)
+
+        monkeypatch.setattr(linesearch, "retract", recording_retract)
+        inst = rayleigh_instance(30, seed=7)
+        x = inst.initial_point()
+        eta = -inst.grad(x)
+        cfg = LineSearchConfig(alpha_init=0.5)
+        ev = search_step(inst, x, eta, cfg, alpha0=alpha0)
+        assert trials[0] == (cfg.alpha_init if alpha0 is None else alpha0)
+        assert ev.alpha == trials[-1]
+        assert wolfe_check(inst, x, eta, ev.alpha, cfg) == (True, True)
+
+    def test_alpha0_capped_at_alpha_max(self):
+        # the first trial is alpha_max, which passes both tests on this scripted problem
+        x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
+        g = Tangent(x, np.array([0.0, -1.0, 0.0]))
+        eta = Tangent(x, np.array([0.0, 1.0, 0.0]))
+        problem = _Scripted(x, g, 0.0, -1.0)
+        cfg = LineSearchConfig(alpha_init=0.25, alpha_max=0.5)
+        assert search_step(problem, x, eta, cfg, alpha0=4.0).alpha == 0.5
+
+
+class _WithChange(_Scripted):
+    """A scripted problem whose cost change is scripted too."""
+
+    def __init__(self, x0, g0, f0, f_trial, change):
+        super().__init__(x0, g0, f0, f_trial)
+        self.change = change
+
+    def cost_change(self, x, eta, alpha, f0, d0):
+        return self.change
+
+
+class TestArmijo:
+    """One Armijo test: the plain predicate, or the cost change within the rounding floor."""
+
+    finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f0=finite, f_new=finite, near=st.one_of(st.none(), st.floats(-1e-10, 1e-10)),
+           alpha=st.floats(1e-12, 1e6), d0=st.floats(-1e100, -1e-100), c1=st.floats(1e-6, 0.5),
+           with_hook=st.booleans())
+    def test_plain_predicate_away_from_the_floor(self, f0, f_new, near, alpha, d0, c1, with_hook):
+        # near: f_new within a relative 1e-10 of f0, inside the floor band or just outside
+        if near is not None:
+            f_new = f0 + near * abs(f0)
+        x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
+        g = Tangent(x, np.array([0.0, 1.0, 0.0]))
+        problem = (_WithChange(x, g, f0, f_new, -1.0) if with_hook
+                   else _Scripted(x, g, f0, f_new))
+        if with_hook:
+            assume(abs(f_new - f0) > FLOOR_BAND * abs(f0))
+        got = armijo(problem, x, -g, alpha, f0, d0, f_new, c1)
+        assert got == (f_new <= f0 + c1 * alpha * d0, None)
+
+    @pytest.mark.parametrize("change,ok", [(-1e-3, True), (-1e-5, False), (0.0, False)])
+    def test_floor_form_tests_the_cost_change(self, change, ok):
+        # f_new == f0 would pass the plain test at f0 = 1e20 (its decrease rounds
+        # away); within the floor the change decides, against c1 * alpha * d0 = -1e-4
+        x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
+        g = Tangent(x, np.array([0.0, 1.0, 0.0]))
+        problem = _WithChange(x, g, 1e20, 1e20, change)
+        assert armijo(problem, x, -g, 1.0, 1e20, -1.0, 1e20, 1e-4) == (ok, change)
+        cfg = LineSearchConfig(c1=1e-4)
+        assert wolfe_check(problem, x, -g, 1.0, cfg)[0] is ok
+
+    def test_offdiag_never_takes_the_floor_form(self):
+        inst = offdiag_instance(4, 2, 2, seed=3)
+        assert not hasattr(inst, "cost_change")
+        x = inst.initial_point()
+        g = inst.grad(x)
+        f0 = inst.cost(x)
+        assert armijo(inst, x, -g, 1e-3, f0, -1.0, f0, 1e-4) == (f0 <= f0 + 1e-4 * 1e-3 * -1.0, None)
+
+    def test_rayleigh_floor_form_uses_its_cost_change(self):
+        inst = rayleigh_instance(10, seed=2)
+        x = inst.initial_point()
+        g = inst.grad(x)
+        f0 = inst.cost(x)
+        d0 = inner(x, g, -g)
+        alpha = 1e-20  # f_new rounds to f0, the change does not
+        ok, change = armijo(inst, x, -g, alpha, f0, d0, inst.cost(retract(x, -g, alpha)), 1e-4)
+        assert change == inst.cost_change(x, -g, alpha, f0, d0)
+        assert ok and change < 0.0

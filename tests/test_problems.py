@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from riemqn import (
     Sphere,
     SolverConfig,
     SplitMix64,
+    Tangent,
     config_from_id,
     generate_instance,
     inner,
@@ -135,6 +138,92 @@ class TestRayleigh:
         other = random_point(Sphere(6), SplitMix64(1))
         with pytest.raises(ContractViolationError):
             inst.cost(other)
+
+
+EPS = np.finfo(float).eps
+
+
+def _scaled_setup(n, seed, scale):
+    """Rayleigh (n, seed) scaled by ``scale``, its start x, f0, and a unit tangent eta with its d0."""
+    base = rayleigh_instance(n, seed)
+    inst = RayleighInstance(matrix=scale * base.matrix, x0=base.x0, seed=seed)
+    x = inst.initial_point()
+    eta = random_tangent(x, SplitMix64(seed))
+    eta = Tangent(x, eta.ambient / norm(eta))
+    return inst, x, inst.cost(x), eta, inner(x, inst.grad(x), eta)
+
+
+def _exact_change(a, x, eta, alpha):
+    """q(x + alpha eta) - q(x) for q(v) = v'A v / v'v, in rational arithmetic."""
+    a = [[Fraction(v) for v in row] for row in a.tolist()]
+    x = [Fraction(v) for v in x.tolist()]
+    v = [xi + Fraction(alpha) * ei for xi, ei in zip(x, (Fraction(e) for e in eta.tolist()))]
+
+    def q(u):
+        au = [sum(aij * uj for aij, uj in zip(row, u)) for row in a]
+        return sum(ui * ai for ui, ai in zip(u, au)) / sum(ui * ui for ui in u)
+
+    return q(v) - q(x)
+
+
+class TestCostChange:
+    """``RayleighInstance.cost_change`` is f(R_x(alpha eta)) - f(x) without the cancellation."""
+
+    scales = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+    alphas = st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1), scale=scales, alpha=alphas)
+    def test_agrees_with_the_difference(self, n, seed, scale, alpha):
+        # each computed quotient x'A x is within about n eps |x|'|A||x| <= n eps |A|_F of
+        # its value, so the difference of two is within 2 n eps |A|_F of the change
+        inst, x, f0, eta, d0 = _scaled_setup(n, seed, scale)
+        change = inst.cost_change(x, eta, alpha, f0, d0)
+        diff = inst.cost(retract(x, eta, alpha)) - f0
+        assert abs(change - diff) <= 4 * n * EPS * np.linalg.norm(inst.matrix)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), scale=scales, alpha=alphas)
+    def test_has_no_cancellation(self, n, seed, scale, alpha):
+        # against the exact change of the quotient: the error shrinks with the step,
+        # where the difference keeps an error of order eps |A|
+        inst, x, f0, eta, d0 = _scaled_setup(n, seed, scale)
+        change = inst.cost_change(x, eta, alpha, f0, d0)
+        exact = _exact_change(inst.matrix, x.ambient, eta.ambient, alpha)
+        bound = 4 * n * EPS * np.linalg.norm(inst.matrix) * alpha * (1.0 + alpha)
+        assert abs(Fraction(change) - exact) <= Fraction(bound)
+
+    def test_long_direction_does_not_overflow(self):
+        # |eta| ~ 1e150 on a matrix scaled by 1e150: eta'A eta itself would be inf
+        inst, x, f0, _, _ = _scaled_setup(30, 7, 1e150)
+        g = inst.grad(x)
+        eta = -g
+        d0 = inner(x, g, eta)
+        alpha = 1e-152
+        change = inst.cost_change(x, eta, alpha, f0, d0)
+        diff = inst.cost(retract(x, eta, alpha)) - f0
+        assert np.isfinite(change) and change < 0.0
+        assert abs(change - diff) <= 4 * 30 * EPS * np.linalg.norm(inst.matrix)
+
+    def test_a_eta_once_per_direction(self):
+        inst, x, f0, eta, d0 = _scaled_setup(20, 4, 1.0)
+
+        class CountingMatrix:
+            calls = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.calls += 1
+                return matrix @ other
+
+        matrix = inst.matrix
+        object.__setattr__(inst, "matrix", CountingMatrix())
+        first = inst.cost_change(x, eta, 0.5, f0, d0)
+        for alpha in (0.25, 1e-3, 0.5):
+            inst.cost_change(x, eta, alpha, f0, d0)
+        assert CountingMatrix.calls == 1
+        assert inst.cost_change(x, eta, 0.5, f0, d0) == first
+        inst.cost_change(x, Tangent(x, eta.ambient.copy()), 0.5, f0, d0)  # a new direction
+        assert CountingMatrix.calls == 2
 
 
 class TestOffDiagonal:
@@ -432,14 +521,15 @@ class TestMemo:
             inst.grad(other)
 
     # (iterations, cost calls, grad calls) of one solve, recorded before the memo
+    # and re-recorded when the line search came to start at the quadratic step
     @pytest.mark.parametrize(
         "kind, dims, seed, sid, counts",
         [
-            ("rayleigh", {"n": 30}, 7, "broyden_bfgs_lf_xi0.1_dr", (46, 164, 47)),
-            ("rayleigh", {"n": 30}, 7, "hz_dr", (68, 297, 69)),
+            ("rayleigh", {"n": 30}, 7, "broyden_bfgs_lf_xi0.1_dr", (54, 76, 56)),
+            ("rayleigh", {"n": 30}, 7, "hz_dr", (67, 91, 68)),
             ("offdiag", {"n": 6, "p": 3, "N": 2}, 3, "broyden_bfgs_powell_xi0.8_invret",
-             (43, 218, 44)),
-            ("offdiag", {"n": 6, "p": 3, "N": 2}, 3, "dy_proj", (38, 195, 39)),
+             (30, 55, 31)),
+            ("offdiag", {"n": 6, "p": 3, "N": 2}, 3, "dy_proj", (29, 59, 34)),
         ],
     )
     def test_solve_makes_the_same_calls(self, monkeypatch, kind, dims, seed, sid, counts):

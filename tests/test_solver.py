@@ -35,6 +35,8 @@ from riemqn import (
     wolfe_check,
 )
 
+from riemqn import solver as solver_mod
+
 from _support import jacobi_eigenvalues
 
 
@@ -472,7 +474,7 @@ class TestSolve:
         d = res.diagnostics
         assert res.failure_reason is FailureReason.LINE_SEARCH_FAILED
         assert res.iters == 2
-        assert (len(d.gnorm), len(d.g_dot_eta), len(d.eta_norm)) == (3, 3, 3)
+        assert (len(d.gnorm), len(d.g_dot_eta), len(d.eta_norm), len(d.alpha0)) == (3, 3, 3, 3)
         assert len(d.alpha) == 2
 
     def test_result_json_roundtrip(self):
@@ -503,6 +505,94 @@ class TestSolve:
                     callback=rows.append)
         assert len(rows) == len(res.trace) == res.iters + 1
         assert all(a is b for a, b in zip(rows, res.trace))
+
+
+class TestStartRule:
+    """Where each line search starts: Nocedal & Wright (3.60), or alpha_init."""
+
+    def test_quadratic_start(self):
+        inst = rayleigh_instance(30, seed=7)
+        res = solve(inst, inst.initial_point(), SolverConfig(xi=0.1, record_trace=True))
+        d = res.diagnostics
+        assert res.converged and len(d.alpha0) == res.iters
+        assert d.alpha0[0] == min(1.0, 1.0 / d.gnorm[0])
+        f = [row.f for row in res.trace]
+        for k in range(1, res.iters):
+            rule = 1.01 * 2.0 * (f[k] - f[k - 1]) / d.g_dot_eta[k]
+            assert d.alpha0[k] == (min(1.0, rule) if 0.0 < rule < math.inf else 1.0)
+        assert min(d.alpha0) < 1e-2  # the rule does shorten starts on this run
+
+    def test_infinite_gradient_norm_starts_at_alpha_init(self):
+        # 1 / |g| = 0 is no step; from alpha_init the run ends non_finite
+        inst = _scaled_instance("rayleigh", 7, 1e154)
+        cfg = config_from_id("broyden_bfgs_lf_xi0.1_dr", SolverConfig(tol=1e-6 * 1e154))
+        res = solve(inst, inst.initial_point(), cfg)
+        assert res.diagnostics.gnorm == [math.inf]
+        assert res.diagnostics.alpha0 == [1.0]
+        assert res.failure_reason is FailureReason.NON_FINITE
+
+    @pytest.mark.parametrize("rise", [0.0, 1e-12], ids=["no-change", "rise"])
+    def test_no_decrease_starts_at_alpha_init(self, monkeypatch, rise):
+        # the first step's stored f is set to f0 (no decrease) or just above it
+        # (a rounding rise): the rule's value is 0 or negative, so the second
+        # search starts at alpha_init
+        real = solver_mod.search_step
+
+        def search(problem, x, eta, cfg, kind, f0, g0, alpha0):
+            ev = real(problem, x, eta, cfg, kind, f0=f0, g0=g0, alpha0=alpha0)
+            return ev._replace(f_new=f0 + rise * abs(f0))
+
+        monkeypatch.setattr(solver_mod, "search_step", search)
+        inst = rayleigh_instance(30, seed=7)
+        cfg = SolverConfig(line_search=LineSearchConfig(alpha_init=0.5), max_iters=2)
+        d = solve(inst, inst.initial_point(), cfg).diagnostics
+        assert len(d.alpha0) == 2
+        assert d.alpha0[0] == min(0.5, 1.0 / d.gnorm[0]) < 0.5
+        assert d.alpha0[1] == 0.5
+
+    def test_each_search_starts_at_its_recorded_alpha0(self, monkeypatch):
+        real, seen = solver_mod.search_step, []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["alpha0"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "search_step", spy)
+        inst = rayleigh_instance(30, seed=7)
+        ls = LineSearchConfig(alpha_init=0.5)
+        res = solve(inst, inst.initial_point(), SolverConfig(line_search=ls))
+        assert res.converged
+        assert seen == res.diagnostics.alpha0
+        assert max(seen) <= 0.5 and min(seen) < 1e-2  # the rule, capped at alpha_init
+
+
+class TestRoundingFloor:
+    """Runs that end line_search_failed when Armijo tests f_new - f0 at the rounding floor."""
+
+    def test_fixed_start_converges_with_the_floor_form(self, monkeypatch):
+        # every search starts at alpha_init: search_step is handed no alpha0
+        real = solver_mod.search_step
+
+        def fixed(*args, alpha0, **kwargs):
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "search_step", fixed)
+        inst = rayleigh_instance(30, seed=0)
+        cfg = config_from_id("prp_dr")
+        res = solve(inst, inst.initial_point(), cfg)
+        assert (res.iters, res.failure_reason) == (89, None)
+        # without the hook, Armijo tests f_new itself, and the run fails at the floor
+        monkeypatch.delattr(RayleighInstance, "cost_change")
+        res = solve(inst, inst.initial_point(), cfg)
+        assert (res.iters, res.failure_reason) == (81, FailureReason.LINE_SEARCH_FAILED)
+
+    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.8_dr", "broyden_bfgs_powell_xi0.8_dr"])
+    def test_bracket_compares_cost_changes(self, sid):
+        # here f_new - f0 wanders by rounding while the cost change falls; a search
+        # that compared two floor trials by f ended line_search_failed at iteration 48
+        inst = rayleigh_instance(30, seed=34)
+        res = solve(inst, inst.initial_point(), config_from_id(sid))
+        assert (res.iters, res.failure_reason) == (51, None)
 
 
 class TestAllEngines:
@@ -541,10 +631,10 @@ class TestAllEngines:
         assert np.all(np.isfinite(maxima))
 
 
-def _scaled_instance(kind: str, seed: int, scale: float):
-    """The seeded instance with its matrices multiplied by ``scale``."""
+def _scaled_instance(kind: str, seed: int, scale: float, n: int = 5):
+    """The seeded instance (Rayleigh of size n) with its matrices multiplied by ``scale``."""
     if kind == "rayleigh":
-        inst = rayleigh_instance(5, seed)
+        inst = rayleigh_instance(n, seed)
         return RayleighInstance(matrix=inst.matrix * scale, x0=inst.x0, seed=seed)
     inst = offdiag_instance(4, 2, 2, seed)
     mats = tuple(m * scale for m in inst.matrices)
@@ -584,6 +674,35 @@ class TestNumericalBreakdown:
         assert res.iters == 300
         assert res.diagnostics.restarts == 299
         assert res.final_f == 6.258950719665593e-151
+
+    def test_hz_overflowing_denominator_square_restarts(self):
+        # Rayleigh n=30 seed 7 scaled by 1e100: den * den overflows on every step
+        # after the first, so cg_beta gives no beta and each of those steps restarts
+        inst = _scaled_instance("rayleigh", 7, 1e100, n=30)
+        cfg = config_from_id("hz_dr", SolverConfig(tol=1e-6 * 1e100))
+        res = solve(inst, inst.initial_point(), cfg)
+        assert (res.iters, res.failure_reason) == (82, None)
+        assert res.diagnostics.restarts == 81
+
+    @pytest.mark.parametrize("scale,iters", [(1.0, 54), (1e50, 58), (1e100, 54), (1e150, 52)])
+    def test_scaled_rayleigh_converges(self, scale, iters):
+        # the start rule needs no jump to alpha_init: from a short start the bracket
+        # doubles, and a scaled problem converges in about as many iterations
+        inst = _scaled_instance("rayleigh", 7, scale, n=30)
+        cfg = config_from_id("broyden_bfgs_lf_xi0.1_dr", SolverConfig(tol=1e-6 * scale))
+        res = solve(inst, inst.initial_point(), cfg)
+        assert (res.iters, res.failure_reason) == (iters, None)
+
+    @pytest.mark.parametrize("sid,iters,restarts", [("hz_dr", 31, 30), ("dy_dr", 50, 0)])
+    def test_scaled_cg_converges_from_the_rule_start(self, sid, iters, restarts):
+        # Rayleigh n=5 seed 7 scaled by 1e150: from alpha_init = 1 the first search
+        # cannot halve down to a step near 1 / |g| within max_evals, and the run
+        # ends line_search_failed at iteration 0; the rule starts it at 1 / |g|
+        inst = _scaled_instance("rayleigh", 7, 1e150)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-6 * 1e150))
+        res = solve(inst, inst.initial_point(), cfg)
+        assert (res.iters, res.failure_reason) == (iters, None)
+        assert res.diagnostics.restarts == restarts
 
     @pytest.mark.parametrize("kind,scale", [("rayleigh", 1e154), ("offdiag", 1e77),
                                             ("offdiag", 1e154)])
