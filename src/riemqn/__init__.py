@@ -42,7 +42,6 @@ from .manifolds import (
     TransportKind,
     inner,
     norm,
-    points_equal,
     project_tangent,
     random_point,
     random_tangent,

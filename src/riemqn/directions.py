@@ -97,18 +97,19 @@ def _lift_to_floor(s: Tangent, z: np.ndarray, ss: float, target: float) -> Tange
 
 
 def compute_z(mode: ZMode, s: Tangent, y: Tangent, nu_hat: float,
-              ss: float | None = None) -> Tangent:
+              ss: float | None = None, sy: float | None = None) -> Tangent:
     """Regularize y so that <s, z> >= nu_hat * |s|^2.
 
     Li-Fukushima shifts y along s; Powell blends y with s.  Both leave y
-    untouched when the raw curvature <s, y> already clears the floor.
-    ``ss``, when given, is <s, s> as ``inner`` takes it.
+    itself untouched when the raw curvature <s, y> already clears the floor.
+    ``ss`` and ``sy``, when given, are <s, s> and <s, y> as ``inner`` takes them.
     """
     if ss is None:
         ss = inner(s.point, s, s)
     if ss == 0.0:
         raise DegenerateStepError("previous step has zero norm")
-    sy = inner(s.point, s, y)
+    if sy is None:
+        sy = inner(s.point, s, y)
     if mode is ZMode.LI_FUKUSHIMA:
         if not nu_hat > 0.0:
             raise ContractViolationError("Li-Fukushima requires nu_hat > 0")
@@ -148,18 +149,21 @@ def schedule_params(
     xi: float,
     preconvex_mu_reciprocal: bool = False,
     ss: float | None = None,
+    sz: float | None = None,
 ) -> BroydenParams:
     """Per-iteration sizing/scaling: gamma = max{1, sz/zz}, tau = min{1, zz/sz}.
 
-    The one place sz and zz are taken and checked (``DegenerateZError``).
-    ``ss``, when given, is <s, s> as ``inner`` takes it; otherwise it is
+    The one place sz and zz are checked (``DegenerateZError``).  ``ss`` and
+    ``sz``, when given, are <s, s> and <s, z> as ``inner`` takes them (the
+    caller's <s, y> when ``compute_z`` returned y itself); otherwise they are
     taken here.
     """
     if not 0.0 <= xi <= 1.0:
         raise ContractViolationError("xi must lie in [0, 1]")
     if ss is None:
         ss = inner(s.point, s, s)
-    sz = inner(s.point, s, z)
+    if sz is None:
+        sz = inner(s.point, s, z)
     zz = inner(z.point, z, z)
     if zz == 0.0:
         raise DegenerateZError("z has zero norm")

@@ -149,16 +149,20 @@ def search_step(
     f0: float | None = None,
     g0: Tangent | None = None,
     alpha0: float | None = None,
+    d0: float | None = None,
 ) -> StepEval:
     """Bracket-and-zoom search returning the full evaluation of a Wolfe step.
 
     The first trial is ``alpha0`` (default ``cfg.alpha_init``), capped at ``cfg.alpha_max``.
+    ``f0``, ``g0`` and ``d0``, when given, are f(x), grad f(x) and <g0, eta> as
+    ``inner`` takes it; otherwise they are evaluated here.
     """
     if f0 is None:
         f0 = problem.cost(x)
     if g0 is None:
         g0 = problem.grad(x)
-    d0 = inner(x, g0, eta)
+    if d0 is None:
+        d0 = inner(x, g0, eta)
     if not d0 < 0.0:
         raise ContractViolationError("eta is not a descent direction")
 

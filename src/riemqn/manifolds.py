@@ -7,20 +7,22 @@ in ambient coordinates and renormalize (column-wise on the oblique manifold).
 After a step alpha * eta from x to x_new = R_x(alpha * eta), one call,
 ``transport_direction``, carries the step data across: it returns the images
 ``(T(eta), s, T(g))`` of the direction, of the step and of the gradient at x.
+Each image is one scaled projection onto the tangent space at x_new,
+``T(v) = P_{x_new}(v) * w``, and the step image is ``s = alpha * T(eta)``.
 Three transport-like maps are available:
 
 * ``DIFFERENTIATED_RETRACTION`` -- the derivative of the retraction, the
-  default and a genuine (linear) vector transport.  For this retraction it is
-  the projection onto the tangent space at x_new divided by the retraction's
-  scale ``|x + alpha * eta|`` (column norms on the oblique manifold);
-* ``PROJECTION`` -- orthogonal projection onto the tangent space at x_new;
+  default and a genuine (linear) vector transport.  For this retraction both
+  weights are ``1 / |x + alpha * eta|``, the retraction's scale (column norms
+  on the oblique manifold; Absil, Mahony & Sepulchre 2008, section 8.1);
+* ``PROJECTION`` -- orthogonal projection onto the tangent space at x_new:
+  both weights are 1;
 * ``INVERSE_RETRACTION`` -- the negated inverse retraction of x taken at
-  x_new.  It is defined only for the displacement itself: it gives s, and
-  ``T(eta) = s / alpha``.  The gradient falls back to projection.
-
-Every transport output is re-projected onto the destination tangent space to
-suppress accumulated drift, so tangency holds to machine precision rather
-than merely to the documented tolerance.
+  x_new, defined only for the displacement itself.  Since
+  ``x = |x + alpha * eta| x_new - alpha * eta``, it is
+  ``-R^{-1}_{x_new}(x) = alpha * P_{x_new}(eta) / <x_new, x>`` column by
+  column, so eta's weight is ``1 / <x_new, x>``; the gradient falls back to
+  projection (weight 1).
 """
 
 from __future__ import annotations
@@ -106,13 +108,14 @@ class Sphere:
     def _project(self, x_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
         return v_arr - np.dot(x_arr, v_arr) * x_arr
 
-    def _inverse_retraction(self, w_arr, v_arr) -> np.ndarray:
+    def _overlap(self, w_arr, v_arr) -> float:
+        """<w, v>, which the inverse retraction of v at w divides by; it must be positive."""
         d = float(np.dot(w_arr, v_arr))
         if d <= 0.0:
             raise AntipodalPointsError(
                 "inverse retraction undefined: points are orthogonal or antipodal"
             )
-        return v_arr / d - w_arr
+        return d
 
 
 @dataclass(frozen=True)
@@ -149,13 +152,15 @@ class Oblique:
     def _project(self, x_arr, v_arr) -> np.ndarray:
         return v_arr - x_arr * np.add.reduce(x_arr * v_arr, axis=0)
 
-    def _inverse_retraction(self, w_arr, v_arr) -> np.ndarray:
+    def _overlap(self, w_arr, v_arr) -> np.ndarray:
+        """The column products <w_j, v_j>, which the inverse retraction divides by; each
+        must be positive."""
         d = np.add.reduce(w_arr * v_arr, axis=0)
         if np.logical_or.reduce(d <= 0.0):
             raise AntipodalPointsError(
                 "inverse retraction undefined: a column pair is orthogonal or antipodal"
             )
-        return v_arr / d - w_arr
+        return d
 
 
 Manifold = Union[Sphere, Oblique]
@@ -245,7 +250,7 @@ class Tangent:
         return Tangent(self.point, self.ambient / float(scalar))
 
 
-def points_equal(a: Point, b: Point) -> bool:
+def _points_equal(a: Point, b: Point) -> bool:
     """Same manifold and bitwise-equal ambient coordinates."""
     if a is b:
         return True
@@ -253,7 +258,7 @@ def points_equal(a: Point, b: Point) -> bool:
 
 
 def _require_base(x: Point, t: Tangent, name: str) -> None:
-    if t.point is not x and not points_equal(x, t.point):
+    if t.point is not x and not _points_equal(x, t.point):
         raise ContractViolationError(f"{name} is not based at the given point")
 
 
@@ -308,30 +313,28 @@ def transport_direction(
     """Carry the step data at x to x_new = retract(x, eta, alpha).
 
     Returns ``(t_eta, s, t_g)``: the images of the direction eta, of the step
-    alpha * eta and of the gradient g, all tangent at x_new.  The
-    inverse-retraction map is defined only for the displacement itself: it
-    gives ``s = -R_{x_new}^{-1}(x)`` and ``t_eta = s / alpha``, and g falls
-    back to projection onto the tangent space at x_new.
+    alpha * eta and of the gradient g, all tangent at x_new.  With u = x_new,
+    ``t_eta = P_u(eta) * w_eta``, ``t_g = P_u(g) * w_g`` and ``s = alpha * t_eta``:
+    the weights are ``1 / |x + alpha * eta|`` for the differentiated retraction,
+    1 for projection, and ``w_eta = 1 / <u, x>``, ``w_g = 1`` for the inverse
+    retraction, whose step image is ``s = -R_u^{-1}(x)``.  Two projections in all.
     """
     _require_base(x, eta, "eta")
     _require_base(x, g, "g")
     if not alpha > 0.0:
         raise ContractViolationError("step size must be positive")
-    project, base = x_new.manifold._project, _ambient_array(x_new.ambient, x.ambient.shape)
-    if kind is TransportKind.INVERSE_RETRACTION:
-        s = project(base, -x_new.manifold._inverse_retraction(base, x.ambient))
-        outs = (s / float(alpha), s, project(base, g.ambient))
-    elif kind is TransportKind.PROJECTION or kind is TransportKind.DIFFERENTIATED_RETRACTION:
-        step = float(alpha) * eta.ambient
-        outs = [project(base, v) for v in (eta.ambient, step, g.ambient)]
-        if kind is TransportKind.DIFFERENTIATED_RETRACTION:
-            # x_new is (x + step) / scale, so out / scale is (v - u <u, v>) / |x + step|
-            # with u = x_new: the retraction's image is not normalized again
-            scale = x.manifold._scale(x.ambient + step)
-            outs = [project(base, out / scale) for out in outs]
-    else:
+    alpha = float(alpha)
+    manifold, u = x_new.manifold, _ambient_array(x_new.ambient, x.ambient.shape)
+    t_eta, t_g = manifold._project(u, eta.ambient), manifold._project(u, g.ambient)
+    if kind is TransportKind.DIFFERENTIATED_RETRACTION:
+        # the scale retract divided x + alpha * eta by to reach x_new
+        scale = x.manifold._scale(x.ambient + alpha * eta.ambient)
+        t_eta, t_g = t_eta / scale, t_g / scale
+    elif kind is TransportKind.INVERSE_RETRACTION:
+        t_eta = t_eta / manifold._overlap(u, x.ambient)
+    elif kind is not TransportKind.PROJECTION:
         raise ContractViolationError(f"unknown transport kind: {kind!r}")
-    return tuple(Tangent(x_new, out) for out in outs)
+    return Tangent(x_new, t_eta), Tangent(x_new, alpha * t_eta), Tangent(x_new, t_g)
 
 
 def scaling_sigma(x_next: Point, eta_prev_norm: float, t_eta: Tangent) -> float:

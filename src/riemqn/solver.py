@@ -284,15 +284,16 @@ class StepMemory(NamedTuple):
 
     step is the accepted ``StepEval`` (its s, t_eta, t_g, and dphi = <g_new, T(eta)>), y the
     transported gradient difference, z its regularization, params what ``schedule_params``
-    measured on s and z, sigma the scaling of T(eta), and g_prev_norm / g_prev_dot_eta the
-    norm and slope of the gradient the step left.
+    measured on s and z, sigma the scaling of T(eta) (None for Broyden directions, which do
+    not read it), and g_prev_norm / g_prev_dot_eta the norm and slope of the gradient the
+    step left.
     """
 
     step: StepEval
     y: Tangent
     z: Tangent
     params: BroydenParams
-    sigma: float
+    sigma: Optional[float]
     g_prev_norm: float
     g_prev_dot_eta: float
 
@@ -329,11 +330,15 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
     _require_base(g_new.point, ev.t_g, "t_g")
     y = Tangent(g_new.point, g_new.ambient - ev.t_g.ambient)
     ss = inner(s.point, s, s)
-    z = compute_z(cfg.z_mode, s, y, nu_hat, ss=ss)
-    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, cfg.preconvex_mu_reciprocal, ss=ss)
+    sy = inner(s.point, s, y)
+    z = compute_z(cfg.z_mode, s, y, nu_hat, ss=ss, sy=sy)
+    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, cfg.preconvex_mu_reciprocal, ss=ss,
+                             sz=sy if z is y else None)
     diag.z_margin.append(params.sz - nu_hat * params.ss)
     diag.z_ratio.append(math.sqrt(params.zz / params.ss))
-    sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
+    sigma = None
+    if cfg.direction is not DirectionKind.BROYDEN:
+        sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
     return StepMemory(step=ev, y=y, z=z, params=params, sigma=sigma, g_prev_norm=gnorm,
                       g_prev_dot_eta=gde)
 
@@ -408,7 +413,7 @@ def solve(
         diag.alpha0.append(alpha0)
         try:
             ev = search_step(
-                problem, x, eta, ls, cfg.transport, f0=f, g0=g, alpha0=alpha0
+                problem, x, eta, ls, cfg.transport, f0=f, g0=g, alpha0=alpha0, d0=gde
             )
         except LineSearchFailedError:
             failure = FailureReason.LINE_SEARCH_FAILED

@@ -379,11 +379,11 @@ def _ref_transport_dr(x, step, vs):
     return [(v - u * np.sum(u * v, axis=0)) / norms for v in vs]
 
 
-def _ref_inverse_retraction(w, v):
+def _ref_overlap(w, v):
     d = np.sum(w * v, axis=0)
     if np.any(d <= 0.0):
         raise AntipodalPointsError("orthogonal or antipodal column")
-    return v / d - w
+    return d
 
 
 def _ref_sphere_point_defect(a):
@@ -416,11 +416,11 @@ def _ref_sphere_transport_dr(x, step, vs):
     return [(v - u * np.dot(u, v)) / ny for v in vs]
 
 
-def _ref_sphere_inverse_retraction(w, v):
-    d = np.dot(w, v)
+def _ref_sphere_overlap(w, v):
+    d = float(np.dot(w, v))
     if d <= 0.0:
         raise AntipodalPointsError("orthogonal or antipodal")
-    return v / d - w
+    return d
 
 
 # ambient ndim -> map name -> reference
@@ -428,27 +428,28 @@ _REFS = {
     1: {"point_defect": _ref_sphere_point_defect, "tangent_defect": _ref_sphere_tangent_defect,
         "_scale": _ref_sphere_scale, "_normalize": _ref_sphere_normalize,
         "_project": _ref_sphere_project, "transport_dr": _ref_sphere_transport_dr,
-        "_inverse_retraction": _ref_sphere_inverse_retraction},
+        "_overlap": _ref_sphere_overlap},
     2: {"point_defect": _ref_point_defect, "tangent_defect": _ref_tangent_defect,
         "_scale": _ref_scale, "_normalize": _ref_normalize, "_project": _ref_project,
-        "transport_dr": _ref_transport_dr, "_inverse_retraction": _ref_inverse_retraction},
+        "transport_dr": _ref_transport_dr, "_overlap": _ref_overlap},
 }
 
 
 def _ref_transport(kind, x, eta, alpha, g, x_new):
+    # one scaled projection per image at u = x_new, and s = alpha * T(eta)
     refs = _REFS[x.ndim]
-    project = refs["_project"]
-    if kind is INVRET:
-        s = project(x_new, -refs["_inverse_retraction"](x_new, x))
-        return [s / alpha, s, project(x_new, g)]
-    step = alpha * eta
-    raws = refs["transport_dr"](x, step, (eta, step, g)) if kind is DR else (eta, step, g)
-    return [project(x_new, raw) for raw in raws]
+    t_eta, t_g = refs["_project"](x_new, eta), refs["_project"](x_new, g)
+    if kind is DR:
+        scale = refs["_scale"](x + alpha * eta)
+        t_eta, t_g = t_eta / scale, t_g / scale
+    elif kind is INVRET:
+        t_eta = t_eta / refs["_overlap"](x_new, x)
+    return [t_eta, alpha * t_eta, t_g]
 
 
 def _dr_from_scale(m, x, step, vs):
-    """The differentiated retraction before its re-projection, as ``transport_direction``
-    forms it: the projection at the normalized ``x + step`` over the manifold's scale."""
+    """The differentiated retraction as ``transport_direction`` forms it: the projection
+    at the normalized ``x + step`` over the manifold's scale."""
     y = x + step
     scale = m._scale(y)
     return [m._project(y / scale, v) / scale for v in vs]
@@ -506,8 +507,8 @@ class TestUfuncReductions:
             ("_scale", (a,)),
             ("_normalize", (a,)),
             ("_project", (x, a)),
-            ("_inverse_retraction", (x, a)),
-            ("_inverse_retraction", (a, x)),
+            ("_overlap", (x, a)),
+            ("_overlap", (a, x)),
         ]
         with np.errstate(all="ignore"):
             for name, args in cases:
@@ -549,12 +550,11 @@ class TestUfuncReductions:
             assert singular == (column == [0.0, 0.0])
             assert _outcome(m._normalize, a) == _outcome(_ref_normalize, a)
             for v in (-x, x[:, ::-1]):
-                assert _outcome(m._inverse_retraction, x, v) is AntipodalPointsError
+                assert _outcome(m._overlap, x, v) is AntipodalPointsError
             assert _outcome(_dr_from_scale, m, x, a - x, (a,)) == _outcome(
                 _ref_transport_dr, x, a - x, (a,))
             for w, v in ((x, a), (a, x), (x, -x), (x, x[:, ::-1])):
-                assert _outcome(m._inverse_retraction, w, v) == _outcome(
-                    _ref_inverse_retraction, w, v)
+                assert _outcome(m._overlap, w, v) == _outcome(_ref_overlap, w, v)
 
     @pytest.mark.parametrize("columns", [
         [[0.0, 0.0], [0.0, 1.0]],
@@ -620,8 +620,8 @@ class TestTransport:
                 assert out.point is x_new
                 assert tangency_defect(out) <= 1e-10 * max(1.0, norm(out))
             t_eta, s, t_g = outs
+            assert s.ambient.tobytes() == (alpha * t_eta.ambient).tobytes()
             if kind is INVRET:
-                assert _max_abs(alpha * t_eta.ambient - s.ambient) <= 1e-14 * max(1.0, norm(s))
                 # the gradient falls back to projection
                 want = transport_direction(PROJ, x, eta, alpha, g, x_new)[2]
                 assert np.array_equal(t_g.ambient, want.ambient)
@@ -631,7 +631,9 @@ class TestTransport:
                     want = _dr_closed_form(x.ambient, step, v)
                     assert _max_abs(got.ambient - want) <= 1e-12 * max(1.0, _max_abs(want))
             else:
-                assert np.array_equal(s.ambient, project_tangent(x_new, step).ambient)
+                # both forms cancel to ~ eps * alpha |eta| once alpha |eta| exceeds |s|
+                want = project_tangent(x_new, step).ambient
+                assert _max_abs(s.ambient - want) <= 1e-14 * max(1.0, alpha * norm(eta))
             # t_g is linear in g for the two vector transports
             h = random_tangent(x, SplitMix64(seed + 1))
             combo = 2.0 * g - 3.0 * h
@@ -658,8 +660,7 @@ class TestTransport:
         assert x_new is x
         for kind in (DR, PROJ, INVRET):
             t_eta, s, t_g = transport_direction(kind, x, zero, alpha, g, x_new)
-            # invret divides s by alpha, so bound the step image alpha * t_eta
-            assert alpha * norm(t_eta) <= 1e-12
+            assert norm(t_eta) <= 1e-12
             assert norm(s) <= 1e-12
             assert _max_abs(t_g.ambient - g.ambient) <= 1e-12 * max(1.0, norm(g))
 
@@ -674,15 +675,56 @@ class TestTransport:
         assert np.allclose(t_g.ambient, 2.0 * want, atol=1e-15)
 
     def test_step_is_alpha_times_direction(self):
+        # bitwise, for every kind: s is formed as alpha * T(eta)
         rng = SplitMix64(67)
-        x = random_point(Oblique(4, 2), rng)
-        eta = random_tangent(x, rng)
-        g = random_tangent(x, rng)
-        alpha = 0.37
-        x_new = retract(x, alpha * eta)
-        for kind in (DR, PROJ, INVRET):
-            t_eta, s, _ = transport_direction(kind, x, eta, alpha, g, x_new)
-            assert np.allclose(s.ambient, alpha * t_eta.ambient, rtol=1e-12, atol=1e-14)
+        for manifold in MANIFOLDS:
+            x = random_point(manifold, rng)
+            eta = random_tangent(x, rng)
+            g = random_tangent(x, rng)
+            for alpha in (1e-300, 1e-9, 0.37, 1e3):
+                x_new = retract(x, eta, alpha)
+                for kind in (DR, PROJ, INVRET):
+                    t_eta, s, _ = transport_direction(kind, x, eta, alpha, g, x_new)
+                    assert s.ambient.tobytes() == (alpha * t_eta.ambient).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        manifold=manifolds_st,
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-12.0, 3.0),
+    )
+    def test_inverse_retraction_matches_an_extended_precision_reference(
+            self, manifold, seed, log_alpha):
+        # T(eta) = P_u(eta) / <u, x> at u = R_x(alpha * eta), evaluated in np.longdouble
+        # from the exact retraction.  The relative error stays near eps for every step;
+        # past alpha |eta| = 1 it grows with alpha |eta|, since rounding x_new to float64
+        # alone moves P_u(eta) (of size ~ 1 / alpha) by ~ eps |eta|
+        alpha = 10.0**log_alpha
+        x, eta, g, x_new = _step_data(manifold, seed, alpha)
+        t_eta = transport_direction(INVRET, x, eta, alpha, g, x_new)[0]
+        ld = np.longdouble
+        xl, el = x.ambient.astype(ld), eta.ambient.astype(ld)
+        y = xl + ld(alpha) * el
+        u = y / np.sqrt(np.sum(y * y, axis=0))
+        want = (el - u * np.sum(u * el, axis=0)) / np.sum(u * xl, axis=0)
+        err = float(np.max(np.abs(t_eta.ambient - want)) / np.max(np.abs(want)))
+        assert err <= 10.0 * np.finfo(float).eps * max(1.0, alpha * norm(eta))
+
+    @pytest.mark.parametrize("kind", [DR, PROJ, INVRET], ids=lambda k: k.name)
+    def test_two_projections_per_transport(self, kind, monkeypatch):
+        # one projection of eta and one of g; s is alpha * T(eta), and nothing is re-projected
+        calls = []
+        for cls in (Sphere, Oblique):
+            def counted(self, x_arr, v_arr, real=cls._project):
+                calls.append(type(self))
+                return real(self, x_arr, v_arr)
+
+            monkeypatch.setattr(cls, "_project", counted)
+        for manifold in MANIFOLDS:
+            x, eta, g, x_new = _step_data(manifold, 5, 0.3)
+            del calls[:]
+            transport_direction(kind, x, eta, 0.3, g, x_new)
+            assert len(calls) == 2, manifold
 
     def test_contract_checks(self):
         rng = SplitMix64(48)
@@ -726,12 +768,14 @@ class TestTransport:
         assert not np.count_nonzero(step)
         base, scale = x.ambient, manifold._scale(x.ambient)
         outs = transport_direction(DR, x, eta, alpha, g, x)
-        old = _ref_transport(DR, base, eta.ambient, alpha, g.ambient, base)
-        for got, v, was in zip(outs, (eta.ambient, step, g.ambient), old):
-            want = manifold._project(base, manifold._project(base, v) / scale)
+        t_eta = manifold._project(base, eta.ambient) / scale
+        wants = (t_eta, alpha * t_eta, manifold._project(base, g.ambient) / scale)
+        # the closed form projects at the normalized x + step instead
+        normalized = [_dr_closed_form(base, step, v) for v in (eta.ambient, step, g.ambient)]
+        for got, want, was in zip(outs, wants, normalized):
             assert got.ambient.tobytes() == want.tobytes()
             assert _max_abs(got.ambient - was) <= 1e-15 * max(1e-300, _max_abs(was))
-        assert any(got.ambient.tobytes() != was.tobytes() for got, was in zip(outs, old))
+        assert any(got.ambient.tobytes() != was.tobytes() for got, was in zip(outs, normalized))
 
     def test_consistency_orders_with_differentiated_retraction(self):
         # residual of the step image s against DR_x(a*eta)[a*eta] shrinks at

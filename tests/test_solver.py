@@ -35,6 +35,7 @@ from riemqn import (
     wolfe_check,
 )
 
+from riemqn import linesearch as linesearch_mod
 from riemqn import solver as solver_mod
 
 from _support import jacobi_eigenvalues
@@ -538,8 +539,8 @@ class TestStartRule:
         # search starts at alpha_init
         real = solver_mod.search_step
 
-        def search(problem, x, eta, cfg, kind, f0, g0, alpha0):
-            ev = real(problem, x, eta, cfg, kind, f0=f0, g0=g0, alpha0=alpha0)
+        def search(problem, x, eta, cfg, kind, f0, g0, alpha0, d0):
+            ev = real(problem, x, eta, cfg, kind, f0=f0, g0=g0, alpha0=alpha0, d0=d0)
             return ev._replace(f_new=f0 + rise * abs(f0))
 
         monkeypatch.setattr(solver_mod, "search_step", search)
@@ -558,7 +559,7 @@ class TestStartRule:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "search_step", spy)
-        inst = rayleigh_instance(30, seed=7)
+        inst = rayleigh_instance(30, seed=0)
         ls = LineSearchConfig(alpha_init=0.5)
         res = solve(inst, inst.initial_point(), SolverConfig(line_search=ls))
         assert res.converged
@@ -577,22 +578,22 @@ class TestRoundingFloor:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "search_step", fixed)
-        inst = rayleigh_instance(30, seed=0)
+        inst = rayleigh_instance(30, seed=3)
         cfg = config_from_id("prp_dr")
         res = solve(inst, inst.initial_point(), cfg)
-        assert (res.iters, res.failure_reason) == (89, None)
+        assert (res.iters, res.failure_reason) == (54, None)
         # without the hook, Armijo tests f_new itself, and the run fails at the floor
         monkeypatch.delattr(RayleighInstance, "cost_change")
         res = solve(inst, inst.initial_point(), cfg)
-        assert (res.iters, res.failure_reason) == (81, FailureReason.LINE_SEARCH_FAILED)
+        assert (res.iters, res.failure_reason) == (46, FailureReason.LINE_SEARCH_FAILED)
 
-    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.8_dr", "broyden_bfgs_powell_xi0.8_dr"])
+    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi1_dr", "broyden_bfgs_powell_xi1_dr"])
     def test_bracket_compares_cost_changes(self, sid):
         # here f_new - f0 wanders by rounding while the cost change falls; a search
-        # that compared two floor trials by f ended line_search_failed at iteration 48
-        inst = rayleigh_instance(30, seed=34)
+        # that compared two floor trials by f ended line_search_failed at iteration 97
+        inst = rayleigh_instance(100, seed=20)
         res = solve(inst, inst.initial_point(), config_from_id(sid))
-        assert (res.iters, res.failure_reason) == (51, None)
+        assert (res.iters, res.failure_reason) == (99, None)
 
 
 class TestAllEngines:
@@ -662,18 +663,38 @@ class TestNumericalBreakdown:
         assert res.converged == (res.failure_reason is None)
 
     def test_hz_underflowing_denominator_square_does_not_raise(self):
-        # |den| falls below 1e-162 here, so den * den underflows to 0 on every
-        # step after the first: cg_beta gives no beta, and each of those 299
-        # steps restarts along -g and counts (the first step has no memory)
+        # the first search starts at alpha_init = 1 (1 / |g| ~ 4e149 is capped), and
+        # no step within max_evals doublings moves x: x + alpha * eta rounds back to
+        # x, so T(eta) = P_x(eta) = eta fails the curvature test at every trial and
+        # the run ends line_search_failed at iteration 0, as hz_dr and hz_proj do.
+        # (invret once took T(eta) = s / alpha with s exactly 0 there, so every
+        # curvature test passed and the run never moved.)  HZ's restart on an
+        # underflowing den * den is covered in tests/test_directions.py.
         inst = _scaled_instance("rayleigh", 1, 1e-150)
         cfg = config_from_id("hz_invret", SolverConfig(tol=1e-6 * 1e-150, max_iters=300))
         with np.errstate(all="ignore"):
             res = solve(inst, inst.initial_point(), cfg)
         assert isinstance(res, RunResult)
-        assert res.failure_reason is FailureReason.MAX_ITERS
-        assert res.iters == 300
-        assert res.diagnostics.restarts == 299
-        assert res.final_f == 6.258950719665593e-151
+        assert res.failure_reason is FailureReason.LINE_SEARCH_FAILED
+        assert res.iters == 0
+        assert res.diagnostics.alpha0 == [1.0]
+        assert res.final_f == inst.cost(inst.initial_point())
+
+    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.1_dr", "dy_dr"])
+    def test_vanishing_transported_direction_is_a_degenerate_step(self, monkeypatch, sid):
+        # T(eta) = 0 passes the curvature test and makes s = alpha * T(eta) = 0, so
+        # compute_z finds <s, s> = 0; Broyden takes no sigma, CG none before that
+        real = linesearch_mod.transport_direction
+
+        def vanishing(*args):
+            t_eta, _, t_g = real(*args)
+            zero = Tangent(t_eta.point, np.zeros_like(t_eta.ambient))
+            return zero, zero, t_g
+
+        monkeypatch.setattr(linesearch_mod, "transport_direction", vanishing)
+        inst = rayleigh_instance(12, seed=3)
+        res = solve(inst, inst.initial_point(), config_from_id(sid))
+        assert (res.iters, res.failure_reason) == (1, FailureReason.DEGENERATE_STEP)
 
     def test_hz_overflowing_denominator_square_restarts(self):
         # Rayleigh n=30 seed 7 scaled by 1e100: den * den overflows on every step
@@ -684,7 +705,7 @@ class TestNumericalBreakdown:
         assert (res.iters, res.failure_reason) == (82, None)
         assert res.diagnostics.restarts == 81
 
-    @pytest.mark.parametrize("scale,iters", [(1.0, 54), (1e50, 58), (1e100, 54), (1e150, 52)])
+    @pytest.mark.parametrize("scale,iters", [(1.0, 54), (1e50, 57), (1e100, 56), (1e150, 54)])
     def test_scaled_rayleigh_converges(self, scale, iters):
         # the start rule needs no jump to alpha_init: from a short start the bracket
         # doubles, and a scaled problem converges in about as many iterations
@@ -693,7 +714,7 @@ class TestNumericalBreakdown:
         res = solve(inst, inst.initial_point(), cfg)
         assert (res.iters, res.failure_reason) == (iters, None)
 
-    @pytest.mark.parametrize("sid,iters,restarts", [("hz_dr", 31, 30), ("dy_dr", 50, 0)])
+    @pytest.mark.parametrize("sid,iters,restarts", [("hz_dr", 31, 30), ("dy_dr", 45, 0)])
     def test_scaled_cg_converges_from_the_rule_start(self, sid, iters, restarts):
         # Rayleigh n=5 seed 7 scaled by 1e150: from alpha_init = 1 the first search
         # cannot halve down to a step near 1 / |g| within max_evals, and the run
