@@ -12,8 +12,18 @@ solver's memory uses, so an accepted step needs no further transport.  The
 search brackets by doubling and then zooms; zoom progress is guaranteed by
 bisection, with a safeguarded quadratic fit for its first trial to cut
 evaluations on stiff objectives.  Gradients are only evaluated for trials
-that pass Armijo.  Any step returned passes both predicates exactly as
-``wolfe_check`` re-evaluates them: both call the one Armijo test, ``armijo``.
+that pass Armijo.  Both ``search_step`` and ``wolfe_check`` call the one
+Armijo test, ``armijo``.  ``wolfe_check`` evaluates with direct products,
+where the search may derive them along its ray (below), so a returned step
+passes both predicates as ``wolfe_check`` re-evaluates them to within that
+derivation's rounding (``4 n eps |A|_F`` on the Rayleigh problem).
+
+Before it evaluates a trial, the search names it to the problem through the
+optional hook ``on_ray(x, eta, alpha, x_new)``: x_new is
+``retract(x, eta, alpha)``.  A problem may derive what it computes at x_new
+from what it computed at the earlier trials of the same search
+(``RayleighInstance`` derives ``A x_new``; see ``problems``).  Every trial is
+still one ``cost`` call and every gradient one ``grad`` call.
 
 Near a minimizer ``f(x_new) - f(x)`` cancels to rounding noise while
 ``c1 * alpha * <g, eta>`` is still resolvable.  So when ``f(x_new)`` lies
@@ -173,6 +183,7 @@ def search_step(
     # tested one (0 at a_lo = 0), else None.  The zoom's first trial is the
     # minimizer of the quadratic through (0, f0, d0) and (a_hi, f_hi), kept
     # strictly interior so progress never stalls.
+    on_ray = getattr(problem, "on_ray", None)
     evals = 0
     a_lo, f_lo, ch_lo = 0.0, f0, 0.0
     a_hi = f_hi = None
@@ -183,6 +194,8 @@ def search_step(
             raise LineSearchFailedError(f"no Wolfe step within {cfg.max_evals} evaluations")
         evals += 1
         x_new = retract(x, eta, alpha)
+        if on_ray is not None:
+            on_ray(x, eta, alpha, x_new)
         f_new = problem.cost(x_new)
         # Armijo, as wolfe_check replays it; after the first trial, a trial no
         # lower than a_lo also brackets, compared by cost change when both have one

@@ -298,13 +298,33 @@ def retract(x: Point, eta: Tangent, alpha: float = 1.0) -> Point:
     """Metric-projection retraction of the step alpha * eta: renormalize x + alpha * eta.
 
     ``retract(x, eta, alpha)`` is bitwise ``retract(x, alpha * eta)``.  A zero
-    step returns x itself, so ``retract(x, 0)`` is exact.
+    step returns x itself, so ``retract(x, 0)`` is exact.  The new point keeps
+    the scale it was divided by, ``|x + alpha * eta|`` (column norms on the
+    oblique manifold), so the differentiated retraction's weights need no
+    second norm.
     """
     _require_base(x, eta, "eta")
     step = float(alpha) * eta.ambient
     if not np.count_nonzero(step):
         return x
-    return Point(x.manifold, x.manifold._normalize(x.ambient + step))
+    arr = x.ambient + step
+    scale = x.manifold._scale(arr)
+    x_new = Point(x.manifold, arr / scale)
+    x_new.__dict__["_retraction_scale"] = scale
+    return x_new
+
+
+def _retraction_scale(x: Point, eta: Tangent, alpha: float, x_new: Point):
+    """``|x + alpha * eta|``, the scale ``retract(x, eta, alpha)`` divided by to reach x_new.
+
+    Read from x_new when retract made it; when the step underflowed and retract
+    returned x itself, or for a point retract did not make, it is computed as
+    retract computes it (``|x|`` for a vanished step).
+    """
+    scale = x_new.__dict__.get("_retraction_scale")
+    if scale is None or x_new is x:
+        scale = x.manifold._scale(x.ambient + float(alpha) * eta.ambient)
+    return scale
 
 
 def transport_direction(
@@ -327,8 +347,7 @@ def transport_direction(
     manifold, u = x_new.manifold, _ambient_array(x_new.ambient, x.ambient.shape)
     t_eta, t_g = manifold._project(u, eta.ambient), manifold._project(u, g.ambient)
     if kind is TransportKind.DIFFERENTIATED_RETRACTION:
-        # the scale retract divided x + alpha * eta by to reach x_new
-        scale = x.manifold._scale(x.ambient + alpha * eta.ambient)
+        scale = _retraction_scale(x, eta, alpha, x_new)
         t_eta, t_g = t_eta / scale, t_g / scale
     elif kind is TransportKind.INVERSE_RETRACTION:
         t_eta = t_eta / manifold._overlap(u, x.ambient)

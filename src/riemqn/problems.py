@@ -20,12 +20,29 @@ and gradient share (``A x``; ``C_i X`` and ``E_i``).  So ``grad(x)`` right
 after ``cost(x)`` computes them once, and every evaluation is still one
 ``cost`` or ``grad`` call.  The entry is one tuple, replaced as a whole.
 
+``RayleighInstance`` also keeps one ray entry, for the line search in hand
+along eta from x.  The search names each trial ``x_t = R_x(alpha eta)``
+through the optional hook ``on_ray`` before it evaluates the cost there, and
+the entry holds ``A x``, the trial with the longest step ``alpha_1`` whose
+product was computed directly, with its scale ``c_1 = |x + alpha_1 eta|`` and
+``A x_1``, and the last trial named.  On a ray ``A (x + alpha eta)`` is linear
+in alpha, so a shorter trial takes
+
+    A x_t = ((1 - t) A x + t c_1 A x_1) / |x + alpha eta|,   t = alpha / alpha_1,
+
+and only the first trial, and a trial past the longest so far, multiply by
+A (the entry never extrapolates, t > 1, where rounding grows with t).  Each
+term is within about ``n eps |A|_F`` of its value, and both weights are at
+most 1 (``t c_1 <= |x + alpha eta|`` for a tangent eta), so a derived
+product is within ``4 n eps |A|_F`` of ``A @ x_t``.
+
 ``RayleighInstance.cost_change`` gives the line search ``f(R_x(alpha eta)) - f(x)``
-without the cancellation of that difference (see ``linesearch.armijo``).  It
-keeps a second entry, matched by the identity of the ``Tangent`` eta, with
-the scalars that ``A eta`` gives, so one search computes ``A eta`` once.  It
-is not an evaluation of the objective.  The off-diagonal problem has no such
-hook.
+without the cancellation of that difference (see ``linesearch.armijo``).  On
+the ray in hand it reads ``A eta = (c_1 A x_1 - A x) / alpha_1`` from the
+entry, whose error of order ``eps |A| / alpha_1`` reaches the change only
+multiplied by ``alpha^2 <= alpha alpha_1``; off it, it computes ``A eta``
+once per direction.  It is not an evaluation of the objective.  The
+off-diagonal problem has neither hook: its products cost a few microseconds.
 """
 
 from __future__ import annotations
@@ -36,7 +53,15 @@ from typing import ClassVar, Mapping, Union
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .manifolds import Oblique, Point, Sphere, Tangent, _freeze, project_tangent
+from .manifolds import (
+    Oblique,
+    Point,
+    Sphere,
+    Tangent,
+    _freeze,
+    _retraction_scale,
+    project_tangent,
+)
 from .rng import SplitMix64
 from .schema import integer, positive_integer, read_object
 
@@ -81,6 +106,23 @@ def _check_point(instance: ProblemInstance, x: Point) -> None:
         )
 
 
+class _Ray:
+    """The search in hand along eta from x (see the module docstring).
+
+    ``a1`` is 0 and ``c1``, ``ax1`` None until a trial's product is computed
+    directly; ``ax`` is None for an entry that ``cost_change`` opened off any
+    search; ``scalars`` caches the floor form's ``(m, quad, sq, cross)`` for
+    the current ``a1``.
+    """
+
+    __slots__ = ("x", "eta", "ax", "a1", "c1", "ax1", "trial", "alpha", "scalars")
+
+    def __init__(self, x, eta, ax):
+        self.x, self.eta, self.ax = x, eta, ax
+        self.a1, self.c1, self.ax1 = 0.0, None, None
+        self.trial, self.alpha, self.scalars = None, 0.0, None
+
+
 @dataclass(frozen=True)
 class RayleighInstance:
     """Rayleigh-quotient minimization over the unit sphere."""
@@ -98,18 +140,39 @@ class RayleighInstance:
         object.__setattr__(self, "manifold", Sphere(a.shape[0]))
         _set_start(self, self.x0)
         object.__setattr__(self, "_memo", (None, None))
-        object.__setattr__(self, "_direction_memo", (None, 1.0, 0.0, 0.0, 0.0))
+        object.__setattr__(self, "_ray", _Ray(None, None, None))
 
     def _product(self, x: Point) -> np.ndarray:
-        """A x, computed once for the last point evaluated."""
+        """A x, computed once for the last point evaluated; derived on the ray in hand."""
         point, ax = self._memo
         if point is not x:
-            ax = self.matrix @ x.ambient
+            ray = self._ray
+            if ray.trial is not x:
+                ax = self.matrix @ x.ambient
+            elif x is ray.x:  # the step underflowed: retract returned x itself
+                ax = ray.ax
+            else:
+                alpha = ray.alpha
+                scale = _retraction_scale(ray.x, ray.eta, alpha, x)
+                if alpha <= ray.a1:
+                    t = alpha / ray.a1
+                    ax = ((1.0 - t) / scale) * ray.ax + (t * ray.c1 / scale) * ray.ax1
+                else:
+                    ax = self.matrix @ x.ambient
+                    ray.a1, ray.c1, ray.ax1, ray.scalars = alpha, scale, ax, None
             # write=False, passed positionally (the keyword parse costs more than the
             # flag), and the frozen instance's dict set as object.__setattr__ would
             ax.setflags(False)
             self.__dict__["_memo"] = (x, ax)
         return ax
+
+    def on_ray(self, x: Point, eta: Tangent, alpha: float, x_new: Point) -> None:
+        """Note that the next point evaluated, x_new, is ``retract(x, eta, alpha)``."""
+        ray = self._ray
+        if ray.x is not x or ray.eta is not eta or ray.ax is None:
+            ray = _Ray(x, eta, self._product(x))
+            self.__dict__["_ray"] = ray
+        ray.trial, ray.alpha = x_new, alpha
 
     def cost(self, x: Point) -> float:
         _check_point(self, x)
@@ -129,14 +192,22 @@ class RayleighInstance:
         cancels to rounding noise as the step shrinks.  The quadratic terms are
         taken of ``u = eta / m``, ``m = max |eta_i|``, with the step ``b = alpha m``,
         so that ``eta'A eta`` cannot overflow while the step itself is finite.
+        ``A u`` comes from the ray entry when eta is the search in hand.
         """
-        key, m, quad, sq, cross = self._direction_memo
-        if key is not eta:
+        ray = self._ray
+        if ray.x is not x or ray.eta is not eta:
+            ray = _Ray(x, eta, None)
+            self.__dict__["_ray"] = ray
+        if ray.scalars is None:
             e = eta.ambient
             m = float(np.maximum.reduce(np.abs(e)))
             u = e / m
-            quad, sq, cross = float(u @ (self.matrix @ u)), float(u @ u), float(x.ambient @ u)
-            self.__dict__["_direction_memo"] = (eta, m, quad, sq, cross)
+            if ray.a1 > 0.0:  # A u = (c_1 A x_1 - A x) / (alpha_1 m)
+                au = (ray.c1 * ray.ax1 - ray.ax) / (ray.a1 * m)
+            else:
+                au = self.matrix @ u
+            ray.scalars = (m, float(u @ au), float(u @ u), float(x.ambient @ u))
+        m, quad, sq, cross = ray.scalars
         b = alpha * m
         b2 = b * b
         return (alpha * d0 + b2 * (quad - f0 * sq)) / (1.0 + 2.0 * b * cross + b2 * sq)

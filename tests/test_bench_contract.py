@@ -59,10 +59,10 @@ def test_result_line(workload, trace):
 # They are deterministic, so a wrapper added to the hot path, or a construction
 # that skips the class's __post_init__, changes one of them.
 HOT_PATH_COUNTS = {
-    "manifolds.point_checks_per_iter": 1.2008862629246677,
-    "manifolds.tangents_per_iter": 6.111275233874938,
-    "problems.cost.calls_per_iter": 1.207287050713934,
-    "linesearch.probes_per_step": 1.2003938946331856,
+    "manifolds.point_checks_per_iter": 1.2067961165048544,
+    "manifolds.tangents_per_iter": 6.119417475728155,
+    "problems.cost.calls_per_iter": 1.213106796116505,
+    "linesearch.probes_per_step": 1.2063106796116505,
 }
 
 

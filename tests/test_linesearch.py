@@ -305,3 +305,56 @@ class TestArmijo:
         ok, change = armijo(inst, x, -g, alpha, f0, d0, inst.cost(retract(x, -g, alpha)), 1e-4)
         assert change == inst.cost_change(x, -g, alpha, f0, d0)
         assert ok and change < 0.0
+
+
+class TestOnRay:
+    """search_step names each trial to the problem's optional ``on_ray`` before its cost."""
+
+    def _logged(self, monkeypatch):
+        cls = type(rayleigh_instance(3, seed=1))
+        on_ray, cost, log = cls.on_ray, cls.cost, []
+
+        def named(self, x, eta, alpha, x_new):
+            log.append(("ray", x, eta, alpha, x_new))
+            return on_ray(self, x, eta, alpha, x_new)
+
+        def evaluated(self, x):
+            log.append(("cost", x))
+            return cost(self, x)
+
+        monkeypatch.setattr(cls, "on_ray", named)
+        monkeypatch.setattr(cls, "cost", evaluated)
+        return log
+
+    def test_each_trial_is_named_before_its_cost(self, monkeypatch):
+        inst = rayleigh_instance(20, seed=5)
+        x = inst.initial_point()
+        g = inst.grad(x)
+        eta = -g
+        f0 = inst.cost(x)
+        log = self._logged(monkeypatch)
+        # a short start: the search doubles, then zooms
+        ev = search_step(inst, x, eta, LineSearchConfig(), f0=f0, g0=g, alpha0=1e-4)
+        assert len(log) >= 4 and len(log) % 2 == 0
+        for named, evaluated in zip(log[::2], log[1::2]):
+            assert named[0] == "ray" and evaluated[0] == "cost"
+            assert named[1] is x and named[2] is eta and named[4] is evaluated[1]
+        assert log[-2][3] == ev.alpha and log[-1][1] is ev.x_new
+
+    def test_wolfe_check_replays_with_direct_products(self, monkeypatch):
+        inst = rayleigh_instance(20, seed=5)
+        x = inst.initial_point()
+        eta = -inst.grad(x)
+        cfg = LineSearchConfig()
+        alpha = search_step(inst, x, eta, cfg, alpha0=1e-4).alpha
+        log = self._logged(monkeypatch)
+        assert wolfe_check(inst, x, eta, alpha, cfg) == (True, True)
+        assert [entry[0] for entry in log] == ["cost", "cost"]
+
+    def test_a_problem_without_the_hook_is_searched_as_before(self):
+        x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
+        g = Tangent(x, np.array([0.0, -1.0, 0.0]))
+        eta = Tangent(x, np.array([0.0, 1.0, 0.0]))
+        problem = _Scripted(x, g, 0.0, -1.0)
+        assert not hasattr(problem, "on_ray")
+        assert search_step(problem, x, eta, LineSearchConfig(alpha_init=0.25)).alpha == 0.25

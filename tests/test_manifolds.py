@@ -687,6 +687,30 @@ class TestTransport:
                     t_eta, s, _ = transport_direction(kind, x, eta, alpha, g, x_new)
                     assert s.ambient.tobytes() == (alpha * t_eta.ambient).tobytes()
 
+    def test_differentiated_retraction_reads_the_retraction_scale(self, monkeypatch):
+        # retract keeps |x + alpha eta| on the point it makes, and DR's weights read it:
+        # one norm per trial, bitwise the weights recomputed for a point retract did not make
+        calls = []
+        for cls in (Sphere, Oblique):
+            def counted(self, arr, real=cls._scale):
+                calls.append(type(self))
+                return real(self, arr)
+
+            monkeypatch.setattr(cls, "_scale", counted)
+        rng = SplitMix64(71)
+        for manifold in MANIFOLDS:
+            x = random_point(manifold, rng)
+            eta = random_tangent(x, rng)
+            g = random_tangent(x, rng)
+            for alpha in (1e-300, 1e-9, 0.37, 1e3):
+                del calls[:]
+                x_new = retract(x, eta, alpha)
+                outs = transport_direction(DR, x, eta, alpha, g, x_new)
+                assert len(calls) == 1, (manifold, alpha)
+                fresh = Point(manifold, x_new.ambient.copy())
+                for got, want in zip(outs, transport_direction(DR, x, eta, alpha, g, fresh)):
+                    assert got.ambient.tobytes() == want.ambient.tobytes()
+
     @settings(max_examples=80, deadline=None)
     @given(
         manifold=manifolds_st,

@@ -226,6 +226,122 @@ class TestCostChange:
         assert CountingMatrix.calls == 2
 
 
+class TestRay:
+    """On the search's ray, trial products with A are derived from the two in hand."""
+
+    scales = TestCostChange.scales
+    ts = st.floats(0.0, 1.0, exclude_min=True)
+
+    @staticmethod
+    def _trial(inst, x, eta, alpha):
+        """The trial retract(x, eta, alpha), named and evaluated as search_step does."""
+        x_t = retract(x, eta, alpha)
+        inst.on_ray(x, eta, alpha, x_t)
+        inst.cost(x_t)
+        return x_t
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1), scale=scales,
+           reach=st.floats(-14.0, 1.0).map(lambda e: 10.0 ** e),
+           ts=st.lists(ts, min_size=1, max_size=6))
+    def test_derived_product_is_within_the_bound(self, n, seed, scale, reach, ts):
+        # |eta| = 1, so reach is alpha_1 |eta|; each t names the trial t alpha_1
+        inst, x, _, eta, _ = _scaled_setup(n, seed, scale)
+        x_1 = self._trial(inst, x, eta, reach)
+        assert inst._ray.a1 == reach and inst._ray.ax1 is inst._memo[1]
+        bound = 4 * n * EPS * np.linalg.norm(inst.matrix)
+        for t in ts:
+            x_t = self._trial(inst, x, eta, t * reach)
+            point, derived = inst._memo
+            assert point is x_t and inst._ray.a1 == reach  # no product past alpha_1
+            assert np.linalg.norm(derived - inst.matrix @ x_t.ambient) <= bound
+        assert x_1 is not x
+        # another direction from the same x opens another ray
+        x_o = self._trial(inst, x, Tangent(x, -eta.ambient), 0.5 * reach)
+        assert np.linalg.norm(inst._memo[1] - inst.matrix @ x_o.ambient) <= bound
+
+    def test_vanished_step_reads_a_x_itself(self):
+        # a later trial whose step underflows is x itself: its product is the A x in
+        # hand, not one interpolated with weight 1 / |x| (|x| is not 1.0 at seed 0)
+        inst, x, f0, eta, _ = _scaled_setup(20, 0, 1.0)
+        eta = Tangent(x, 0.25 * eta.ambient)  # 5e-324 * |eta_i| rounds to 0
+        self._trial(inst, x, eta, 0.5)
+        assert self._trial(inst, x, eta, 5e-324) is x
+        assert inst._memo[0] is x and inst.cost(x) == f0
+        assert inst._memo[1].tobytes() == (inst.matrix @ x.ambient).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), scale=scales,
+           alpha_1=TestCostChange.alphas, t=st.floats(-3.0, 0.0).map(lambda e: 10.0 ** e))
+    def test_floor_form_through_the_ray_has_no_cancellation(self, n, seed, scale, alpha_1, t):
+        # TestCostChange's bound, with A eta taken as (c_1 A x_1 - A x) / alpha_1
+        inst, x, f0, eta, d0 = _scaled_setup(n, seed, scale)
+        alpha = t * alpha_1
+        self._trial(inst, x, eta, alpha_1)
+        self._trial(inst, x, eta, alpha)
+        change = inst.cost_change(x, eta, alpha, f0, d0)
+        assert inst._ray.scalars is not None and inst._ray.a1 == alpha_1
+        exact = _exact_change(inst.matrix, x.ambient, eta.ambient, alpha)
+        bound = 4 * n * EPS * np.linalg.norm(inst.matrix) * alpha * (1.0 + alpha)
+        assert abs(Fraction(change) - exact) <= Fraction(bound)
+
+    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.1_dr", "hz_dr", "dy_proj",
+                                     "broyden_preconvex_powell_xi0.8_invret"])
+    @pytest.mark.parametrize("scale", [1.0, 1e50, 1e100])
+    def test_every_gradient_reads_a_product_within_the_bound(self, monkeypatch, sid, scale):
+        base = rayleigh_instance(100, seed=4)
+        inst = RayleighInstance(matrix=scale * base.matrix, x0=base.x0, seed=4)
+        grad, errors = RayleighInstance.grad, []
+
+        def checked(self, x):
+            errors.append(np.linalg.norm(self._product(x) - self.matrix @ x.ambient))
+            return grad(self, x)
+
+        monkeypatch.setattr(RayleighInstance, "grad", checked)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-6 * scale))
+        assert solve(inst, inst.initial_point(), cfg).converged
+        assert max(errors) <= 4 * 100 * EPS * np.linalg.norm(inst.matrix)
+        assert sum(e > 0.0 for e in errors) > 0  # some gradients read a derived product
+
+    def test_one_direct_product_per_search_and_per_longer_trial(self, monkeypatch):
+        inst = rayleigh_instance(30, seed=7)
+        matrix = inst.matrix
+
+        class CountingMatrix:
+            calls = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.calls += 1
+                return matrix @ other
+
+        object.__setattr__(inst, "matrix", CountingMatrix())
+        on_ray, cost_change = RayleighInstance.on_ray, RayleighInstance.cost_change
+        seen = {"ray": None, "longest": 0.0, "searches": 0, "longer": 0, "changes": 0}
+
+        def named(self, x, eta, alpha, x_new):
+            if seen["ray"] is None or seen["ray"][0] is not x or seen["ray"][1] is not eta:
+                seen["ray"], seen["longest"] = (x, eta), 0.0
+                seen["searches"] += 1
+            elif alpha > seen["longest"]:
+                seen["longer"] += 1
+            seen["longest"] = max(seen["longest"], alpha)
+            return on_ray(self, x, eta, alpha, x_new)
+
+        def change(self, *args):
+            seen["changes"] += 1
+            return cost_change(self, *args)
+
+        monkeypatch.setattr(RayleighInstance, "on_ray", named)
+        monkeypatch.setattr(RayleighInstance, "cost_change", change)
+        res = solve(inst, inst.initial_point(), config_from_id("broyden_bfgs_lf_xi0.1_dr"))
+        assert res.converged
+        # one product for f(x0), one per search, one per trial past the longest so
+        # far, and none for the floor form
+        assert CountingMatrix.calls == 1 + seen["searches"] + seen["longer"]
+        assert (res.iters, seen["searches"], seen["longer"], CountingMatrix.calls) == (54, 54, 1, 56)
+        assert seen["changes"] > 0
+
+
 class TestOffDiagonal:
     def test_orthonormal_columns_identity_matrices(self):
         inst = offdiag_instance(4, 2, 3, seed=1)
@@ -522,12 +638,13 @@ class TestMemo:
 
     # (iterations, cost calls, grad calls) of one solve, recorded before the memo
     # and re-recorded when the line search came to start at the quadratic step
-    # and when each transported image became one scaled projection
+    # when each transported image became one scaled projection, and when Rayleigh
+    # trials came to take their products from the two in hand on the search's ray
     @pytest.mark.parametrize(
         "kind, dims, seed, sid, counts",
         [
             ("rayleigh", {"n": 30}, 7, "broyden_bfgs_lf_xi0.1_dr", (54, 76, 56)),
-            ("rayleigh", {"n": 30}, 7, "hz_dr", (67, 92, 68)),
+            ("rayleigh", {"n": 30}, 7, "hz_dr", (75, 98, 76)),
             ("offdiag", {"n": 6, "p": 3, "N": 2}, 3, "broyden_bfgs_powell_xi0.8_invret",
              (30, 55, 31)),
             ("offdiag", {"n": 6, "p": 3, "N": 2}, 3, "dy_proj", (29, 59, 34)),

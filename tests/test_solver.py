@@ -578,22 +578,22 @@ class TestRoundingFloor:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "search_step", fixed)
-        inst = rayleigh_instance(30, seed=3)
+        inst = rayleigh_instance(30, seed=12)
         cfg = config_from_id("prp_dr")
         res = solve(inst, inst.initial_point(), cfg)
-        assert (res.iters, res.failure_reason) == (54, None)
+        assert (res.iters, res.failure_reason) == (106, None)
         # without the hook, Armijo tests f_new itself, and the run fails at the floor
         monkeypatch.delattr(RayleighInstance, "cost_change")
         res = solve(inst, inst.initial_point(), cfg)
-        assert (res.iters, res.failure_reason) == (46, FailureReason.LINE_SEARCH_FAILED)
+        assert (res.iters, res.failure_reason) == (99, FailureReason.LINE_SEARCH_FAILED)
 
     @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi1_dr", "broyden_bfgs_powell_xi1_dr"])
     def test_bracket_compares_cost_changes(self, sid):
         # here f_new - f0 wanders by rounding while the cost change falls; a search
-        # that compared two floor trials by f ended line_search_failed at iteration 97
-        inst = rayleigh_instance(100, seed=20)
+        # that compared two floor trials by f ended line_search_failed at iteration 85
+        inst = rayleigh_instance(100, seed=36)
         res = solve(inst, inst.initial_point(), config_from_id(sid))
-        assert (res.iters, res.failure_reason) == (99, None)
+        assert (res.iters, res.failure_reason) == (88, None)
 
 
 class TestAllEngines:
@@ -702,10 +702,10 @@ class TestNumericalBreakdown:
         inst = _scaled_instance("rayleigh", 7, 1e100, n=30)
         cfg = config_from_id("hz_dr", SolverConfig(tol=1e-6 * 1e100))
         res = solve(inst, inst.initial_point(), cfg)
-        assert (res.iters, res.failure_reason) == (82, None)
-        assert res.diagnostics.restarts == 81
+        assert (res.iters, res.failure_reason) == (113, None)
+        assert res.diagnostics.restarts == 112
 
-    @pytest.mark.parametrize("scale,iters", [(1.0, 54), (1e50, 57), (1e100, 56), (1e150, 54)])
+    @pytest.mark.parametrize("scale,iters", [(1.0, 54), (1e50, 59), (1e100, 55), (1e150, 54)])
     def test_scaled_rayleigh_converges(self, scale, iters):
         # the start rule needs no jump to alpha_init: from a short start the bracket
         # doubles, and a scaled problem converges in about as many iterations
