@@ -2,8 +2,9 @@
 
 These are deliberately independent routes: a cyclic Jacobi eigenvalue solver,
 central finite differences through the retraction, a dense assembly of
-the memoryless operator in explicit tangent coordinates, and an
-element-by-element performance profile.
+the memoryless operator in explicit tangent coordinates, an
+element-by-element performance profile, and Box-Muller draws made as one
+block of whole-array numpy expressions.
 """
 
 from __future__ import annotations
@@ -24,6 +25,32 @@ from riemqn import (
     retract,
 )
 from riemqn.rng import SplitMix64
+
+
+def single_block_normal(seed: int, count: int, skip: int = 0) -> np.ndarray:
+    """``SplitMix64(seed).normal(count)`` after ``skip`` raw outputs, as one block.
+
+    Every raw output of the draw is mixed in one array expression, the first
+    half feeding the radii and the second half the angles, and the (cos, sin)
+    pairs are interleaved into a buffer of ``2 * pairs`` draws.
+    """
+    if count == 0:
+        return np.zeros(0)
+    pairs = (count + 1) // 2
+    seed_state = np.uint64(seed & ((1 << 64) - 1))
+    idx = np.arange(skip + 1, skip + 2 * pairs + 1, dtype=np.uint64)
+    z = seed_state + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    block = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+    u1 = (block[:pairs].astype(np.float64) + 1.0) * 2.0**-53
+    u2 = block[pairs:].astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:

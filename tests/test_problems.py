@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from riemqn import (
     retract,
     solve,
 )
+from riemqn.problems import _BLOCK, SYMMETRY_TOL
 
 from _support import central_diff_directional, jacobi_eigenvalues, layout
 
@@ -85,6 +88,36 @@ class TestGeneration:
         again = generate_instance("rayleigh", {"n": 9}, 44)
         assert np.array_equal(again.matrix, ray.matrix)
         assert np.array_equal(again.x0, ray.x0)
+
+    def test_instances_match_pinned_digests(self):
+        # sha256 of the C-ordered bytes, recorded before generation was chunked.  The
+        # draws go through numpy's float64 log, cos and sin, whose last bit can depend
+        # on the numpy build and the CPU's SIMD dispatch, so these pins hold for one
+        # such build and dispatch (recorded with numpy 2.4.6 on AVX512)
+        ray = rayleigh_instance(1000, 20250)
+        assert hashlib.sha256(ray.matrix.tobytes()).hexdigest() == (
+            "8217471b4b3f177cd2c0f2dbf48872a3f37ee17e3c2026c665dcd1d8e8de1594"
+        )
+        assert hashlib.sha256(ray.x0.tobytes()).hexdigest() == (
+            "6c4c2d620d68d54f1b19a918053a2a5121198817f7a02235bef0e3b09f5b13da"
+        )
+        off = offdiag_instance(10, 5, 5, 30500)
+        h = hashlib.sha256()
+        for m in off.matrices:
+            h.update(m.tobytes())
+        h.update(off.x0.tobytes())
+        assert h.hexdigest() == "dee2ce2f581371ae731d054a5043ea6f33136bc6f08274fae46842fbd0cca636"
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_generation_peak_is_the_matrix_plus_bounded_scratch(self, n):
+        # an odd n draws an odd count, whose last pair keeps its cosine alone
+        tracemalloc.start()
+        try:
+            inst = generate_instance("rayleigh", {"n": n}, 20250)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= inst.matrix.nbytes + 4 * 2**20
 
     def test_generate_instance_dispatch(self):
         inst = generate_instance("rayleigh", {"n": 8}, 3)
@@ -437,6 +470,54 @@ class TestNonFiniteData:
             RayleighInstance(matrix=a, x0=rayleigh_instance(4, seed=3).x0, seed=3)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestBlockwiseSymmetryCheck:
+    """The check visits a matrix larger than one block a block pair at a time and
+    makes the decisions, and gives the messages, of the whole-matrix defect."""
+
+    N = 2 * _BLOCK + 9
+    FAR = (_BLOCK + 3, 2 * _BLOCK + 4)  # an entry in the last block pair off the diagonal
+
+    def _matrix(self):
+        return np.array(rayleigh_instance(self.N, seed=8).matrix)
+
+    def _build(self, a):
+        return RayleighInstance(matrix=a, x0=rayleigh_instance(self.N, seed=8).x0, seed=8)
+
+    def test_mirrored_inf_pair_rejected(self):
+        # an exact-symmetry shortcut would let it through: inf - inf is nan, not 0
+        a = self._matrix()
+        i, j = self.FAR
+        a[i, j] = a[j, i] = np.inf
+        with pytest.raises(ConfigError, match=rf"matrix has 2 non-finite entries, the first at \({i}, {j}\)"):
+            self._build(a)
+
+    def test_nan_rejected_naming_the_first_entry(self):
+        a = self._matrix()
+        a[self.N - 1, 2] = np.nan
+        a[_BLOCK + 1, _BLOCK + 1] = np.nan
+        first = (_BLOCK + 1, _BLOCK + 1)
+        with pytest.raises(ConfigError, match=rf"2 non-finite entries, the first at \({first[0]}, {first[1]}\)"):
+            self._build(a)
+
+    def test_asymmetry_at_the_tolerance_passes(self):
+        a = self._matrix()
+        i, j = self.FAR
+        a[i, j], a[j, i] = 0.0, SYMMETRY_TOL
+        assert self._build(a).matrix[j, i] == SYMMETRY_TOL
+
+    def test_asymmetry_past_the_tolerance_names_the_largest_defect(self):
+        a = self._matrix()
+        a[0, 1], a[1, 0] = 0.0, 2.0 * SYMMETRY_TOL
+        i, j = self.FAR
+        a[i, j], a[j, i] = 0.0, 3.0 * SYMMETRY_TOL
+        with pytest.raises(ContractViolationError, match=r"not symmetric \(defect 3\.000e-14\)"):
+            self._build(a)
+        a[i, j] = a[j, i]
+        with pytest.raises(ContractViolationError, match=r"not symmetric \(defect 2\.000e-14\)"):
+            self._build(a)
+
+
 def _with_entry(x0, index, value):
     x0 = np.array(x0)
     x0[index] = value
@@ -568,6 +649,18 @@ class TestFrozenData:
         for arr in (*mats, x0, *inst.matrices, inst.x0):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+    def test_offdiag_matrices_are_views_of_the_one_stack(self):
+        inst = offdiag_instance(6, 3, 4, seed=3)
+        stacked = inst._stacked
+        assert not stacked.flags.writeable
+        assert len(inst.matrices) == 4
+        for i, m in enumerate(inst.matrices):
+            assert np.shares_memory(m, stacked)
+            assert m.tobytes() == stacked[i].tobytes()
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
 
 
 class TestGradientFiniteDifferences:
