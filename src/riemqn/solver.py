@@ -13,9 +13,10 @@ import dataclasses
 import json
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, NamedTuple, Optional
+from typing import Callable, ClassVar, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -236,19 +237,31 @@ class RunDiagnostics:
     line search's start rule chose it; z_margin/z_ratio one entry per memory build;
     gamma/tau/phi one entry per Broyden direction actually computed from memory;
     restarts counts the steepest-descent steps taken after a step was accepted.
+
+    While a run is in progress each series is a list; the run that ``solve``
+    returns holds each as an ``array('d')``, 8 bytes a value, with every value
+    the double that was recorded.  Reading one back gives a ``float``; ``len``,
+    indexing, iteration and slicing work as on a list.  ``np.asarray(series)`` is
+    a zero-copy float64 view for analysis; ``list(series)`` gives list semantics
+    (an array never compares equal to a list).
     """
 
-    gnorm: list[float] = field(default_factory=list)
-    g_dot_eta: list[float] = field(default_factory=list)
-    eta_norm: list[float] = field(default_factory=list)
-    alpha0: list[float] = field(default_factory=list)
-    alpha: list[float] = field(default_factory=list)
-    gamma: list[float] = field(default_factory=list)
-    tau: list[float] = field(default_factory=list)
-    phi: list[float] = field(default_factory=list)
-    z_margin: list[float] = field(default_factory=list)
-    z_ratio: list[float] = field(default_factory=list)
+    gnorm: Sequence[float] = field(default_factory=list)
+    g_dot_eta: Sequence[float] = field(default_factory=list)
+    eta_norm: Sequence[float] = field(default_factory=list)
+    alpha0: Sequence[float] = field(default_factory=list)
+    alpha: Sequence[float] = field(default_factory=list)
+    gamma: Sequence[float] = field(default_factory=list)
+    tau: Sequence[float] = field(default_factory=list)
+    phi: Sequence[float] = field(default_factory=list)
+    z_margin: Sequence[float] = field(default_factory=list)
+    z_ratio: Sequence[float] = field(default_factory=list)
     restarts: int = 0
+
+    SERIES: ClassVar[tuple[str, ...]] = (
+        "gnorm", "g_dot_eta", "eta_norm", "alpha0", "alpha", "gamma", "tau", "phi", "z_margin",
+        "z_ratio",
+    )
 
 
 @dataclass
@@ -261,6 +274,10 @@ class RunResult:
     trace: list[IterationTrace]
     failure_reason: Optional[FailureReason]
     diagnostics: RunDiagnostics
+    # the exact cause of a failure: "<ExceptionClass>: <message>" for one raised as an
+    # exception, a fixed text for a non-finite <g, eta>, "" when converged or at max_iters;
+    # neither to_dict nor runs.csv carries it
+    failure_detail: str = ""
 
     def to_dict(self, include_trace: bool = True) -> dict:
         out = {
@@ -343,6 +360,13 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
                       g_prev_dot_eta=gde)
 
 
+_NON_FINITE_SLOPE = "<g, eta> is not negative: nan, or -|g|^2 underflowed to zero"
+
+
+def _detail(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 # overflow and nan end a run as non_finite; numpy need not also warn of them
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(
@@ -383,6 +407,7 @@ def solve(
     memory: Optional[StepMemory] = None
     k = 0
     failure: Optional[FailureReason] = None
+    detail = ""
 
     while True:
         gnorm = norm(g)
@@ -400,6 +425,7 @@ def solve(
             gde = inner(x, g, eta)
         if not gde < 0.0:  # nan, or -|g|^2 underflowed to zero
             failure = FailureReason.NON_FINITE
+            detail = _NON_FINITE_SLOPE
             break
         diag.gnorm.append(gnorm)
         diag.g_dot_eta.append(gde)
@@ -415,12 +441,12 @@ def solve(
             ev = search_step(
                 problem, x, eta, ls, cfg.transport, f0=f, g0=g, alpha0=alpha0, d0=gde
             )
-        except LineSearchFailedError:
-            failure = FailureReason.LINE_SEARCH_FAILED
+        except LineSearchFailedError as exc:
+            failure, detail = FailureReason.LINE_SEARCH_FAILED, _detail(exc)
             break
-        except (InvalidPointError, SingularRetractionError, AntipodalPointsError):
+        except (InvalidPointError, SingularRetractionError, AntipodalPointsError) as exc:
             # overflow carried a trial step's arithmetic to inf or nan
-            failure = FailureReason.NON_FINITE
+            failure, detail = FailureReason.NON_FINITE, _detail(exc)
             break
         diag.alpha.append(ev.alpha)
         emit(gnorm, ev.alpha, gde, eta)
@@ -429,12 +455,14 @@ def solve(
         k += 1
         try:
             memory = _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag)
-        except (DegenerateStepError, DegenerateTransportError, DegenerateZError):
-            failure = FailureReason.DEGENERATE_STEP
+        except (DegenerateStepError, DegenerateTransportError, DegenerateZError) as exc:
+            failure, detail = FailureReason.DEGENERATE_STEP, _detail(exc)
             break
 
     final_gnorm = norm(g)
     emit(final_gnorm, math.nan, math.nan, None)
+    for name in RunDiagnostics.SERIES:  # the finished series, 8 bytes a value
+        setattr(diag, name, array("d", getattr(diag, name)))
     return RunResult(
         converged=failure is None,
         iters=k,
@@ -444,4 +472,5 @@ def solve(
         trace=trace,
         failure_reason=failure,
         diagnostics=diag,
+        failure_detail=detail,
     )

@@ -1,7 +1,11 @@
+import dataclasses
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from riemqn import (
     PhiMode,
     Point,
     RayleighInstance,
+    RunDiagnostics,
     RunResult,
     SolverConfig,
     Sphere,
@@ -426,6 +431,7 @@ class TestSolve:
         res = solve(inst, inst.initial_point(), SolverConfig(max_iters=2, record_trace=True))
         assert res.converged is False
         assert res.failure_reason is FailureReason.MAX_ITERS
+        assert res.failure_detail == ""
         assert res.iters == 2
         assert len(res.trace) == 3
 
@@ -474,6 +480,7 @@ class TestSolve:
         res = solve(inst, inst.initial_point(), cfg)
         d = res.diagnostics
         assert res.failure_reason is FailureReason.LINE_SEARCH_FAILED
+        assert res.failure_detail == "LineSearchFailedError: no Wolfe step within 3 evaluations"
         assert res.iters == 2
         assert (len(d.gnorm), len(d.g_dot_eta), len(d.eta_norm), len(d.alpha0)) == (3, 3, 3, 3)
         assert len(d.alpha) == 2
@@ -483,6 +490,7 @@ class TestSolve:
         res = solve(inst, inst.initial_point(), SolverConfig(record_trace=True))
         data = json.loads(res.to_json())
         assert data["converged"] is True
+        assert res.failure_detail == "" and "failure_detail" not in data
         assert data["iters"] == res.iters
         assert len(data["trace"]) == res.iters + 1
         assert "point" not in data["trace"][0]
@@ -508,6 +516,51 @@ class TestSolve:
         assert all(a is b for a, b in zip(rows, res.trace))
 
 
+class TestCompactDiagnostics:
+    """A returned run keeps each diagnostics series as an array of doubles."""
+
+    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.1_dr", "dy_proj"])
+    def test_every_series_is_a_double_array(self, sid):
+        inst = rayleigh_instance(12, seed=5)
+        d = solve(inst, inst.initial_point(), config_from_id(sid)).diagnostics
+        for name in RunDiagnostics.SERIES:
+            series = getattr(d, name)
+            assert isinstance(series, array) and series.typecode == "d", name
+        assert isinstance(d.restarts, int)
+        assert {f.name for f in dataclasses.fields(d)} == {*RunDiagnostics.SERIES, "restarts"}
+
+    def test_series_read_like_lists_and_view_as_numpy(self):
+        inst = rayleigh_instance(12, seed=5)
+        d = solve(inst, inst.initial_point(), config_from_id("broyden_bfgs_lf_xi0.1_dr")).diagnostics
+        values = list(d.gamma)
+        assert len(values) > 3 and all(type(v) is float for v in values)
+        assert [d.gamma[i] for i in range(len(d.gamma))] == values == [v for v in d.gamma]
+        assert list(d.gamma[1:3]) == values[1:3] and list(d.gamma[::-1]) == values[::-1]
+        view = np.asarray(d.gnorm)
+        assert view.dtype == np.float64 and view.tolist() == list(d.gnorm)
+        view[0] = -1.0  # a view, not a copy
+        assert d.gnorm[0] == -1.0
+
+    def test_kept_results_retain_at_most_100_bytes_an_iteration(self):
+        # ten series of Python floats in lists kept about 245 B an iteration here;
+        # as arrays they keep 8 B a value plus each run's fixed overhead
+        insts = [rayleigh_instance(100, seed) for seed in range(20)]
+        cfg = config_from_id("broyden_bfgs_lf_xi0.1_dr")
+        tracemalloc.start()
+        try:
+            kept = [solve(inst, inst.initial_point(), cfg) for inst in insts]
+            iters = sum(res.iters for res in kept)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del kept
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert iters > 1000
+        assert held / iters <= 100.0
+
+
 class TestStartRule:
     """Where each line search starts: Nocedal & Wright (3.60), or alpha_init."""
 
@@ -528,8 +581,8 @@ class TestStartRule:
         inst = _scaled_instance("rayleigh", 7, 1e154)
         cfg = config_from_id("broyden_bfgs_lf_xi0.1_dr", SolverConfig(tol=1e-6 * 1e154))
         res = solve(inst, inst.initial_point(), cfg)
-        assert res.diagnostics.gnorm == [math.inf]
-        assert res.diagnostics.alpha0 == [1.0]
+        assert list(res.diagnostics.gnorm) == [math.inf]
+        assert list(res.diagnostics.alpha0) == [1.0]
         assert res.failure_reason is FailureReason.NON_FINITE
 
     @pytest.mark.parametrize("rise", [0.0, 1e-12], ids=["no-change", "rise"])
@@ -563,7 +616,7 @@ class TestStartRule:
         ls = LineSearchConfig(alpha_init=0.5)
         res = solve(inst, inst.initial_point(), SolverConfig(line_search=ls))
         assert res.converged
-        assert seen == res.diagnostics.alpha0
+        assert seen == list(res.diagnostics.alpha0)
         assert max(seen) <= 0.5 and min(seen) < 1e-2  # the rule, capped at alpha_init
 
 
@@ -632,6 +685,17 @@ class TestAllEngines:
         assert np.all(np.isfinite(maxima))
 
 
+# 13 engines, each with the three transports: Broyden with either phi mode, either
+# z mode and xi 0.1 or 1, and the five CG rules
+PROPERTY_IDS = [
+    f"{engine}_{t}"
+    for engine in [f"broyden_{phi}_{z}_xi{xi}" for phi in ("bfgs", "preconvex")
+                   for z in ("lf", "powell") for xi in ("0.1", "1")]
+    + ["fr", "dy", "prp", "hs", "hz"]
+    for t in ("dr", "proj", "invret")
+]
+
+
 def _scaled_instance(kind: str, seed: int, scale: float, n: int = 5):
     """The seeded instance (Rayleigh of size n) with its matrices multiplied by ``scale``."""
     if kind == "rayleigh":
@@ -662,6 +726,50 @@ class TestNumericalBreakdown:
         assert isinstance(res, RunResult)
         assert res.converged == (res.failure_reason is None)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        problem=st.one_of(st.integers(1, 8), st.just("offdiag")),
+        seed=st.integers(0, 20),
+        exponent=st.floats(-300.0, 307.0),
+        sid=st.sampled_from(PROPERTY_IDS),
+        alpha_max=st.sampled_from([1e10, math.inf]),
+        max_iters=st.integers(1, 200),
+    )
+    def test_solve_never_raises(self, problem, seed, exponent, sid, alpha_max, max_iters):
+        # every run ends converged or with a named reason, and its series have
+        # the lengths the RunDiagnostics docstring states
+        scale = 10.0 ** exponent
+        if problem == "offdiag":
+            inst = _scaled_instance("offdiag", seed, scale)
+        else:
+            inst = _scaled_instance("rayleigh", seed, scale, n=problem)
+        ls = LineSearchConfig(alpha_max=alpha_max)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-6 * scale, max_iters=max_iters,
+                                               line_search=ls))
+        res = solve(inst, inst.initial_point(), cfg)
+        reason, d = res.failure_reason, res.diagnostics
+        assert res.converged == (reason is None)
+        assert reason is None or isinstance(reason, FailureReason)
+        assert (res.failure_detail == "") == (reason in (None, FailureReason.MAX_ITERS))
+        assert all(getattr(d, name).typecode == "d" for name in RunDiagnostics.SERIES)
+        searches = len(d.gnorm)
+        assert len(d.g_dot_eta) == len(d.eta_norm) == len(d.alpha0) == searches
+        assert len(d.alpha) == res.iters
+        # a search that raised was started but accepted no step
+        failed_search = reason is FailureReason.LINE_SEARCH_FAILED or (
+            reason is FailureReason.NON_FINITE
+            and res.failure_detail != solver_mod._NON_FINITE_SLOPE)
+        assert searches == res.iters + failed_search
+        # every accepted step builds the memory, unless that build is what failed
+        builds = res.iters - (reason is FailureReason.DEGENERATE_STEP)
+        assert len(d.z_margin) == len(d.z_ratio) == builds
+        # a Broyden direction is computed from memory before every search but the
+        # first, and before a slope that ends the run non_finite
+        directions = searches + (res.failure_detail == solver_mod._NON_FINITE_SLOPE)
+        broyden = sid.startswith("broyden")
+        assert len(d.gamma) == len(d.tau) == len(d.phi) == (
+            max(directions - 1, 0) if broyden else 0)
+
     def test_hz_underflowing_denominator_square_does_not_raise(self):
         # the first search starts at alpha_init = 1 (1 / |g| ~ 4e149 is capped), and
         # no step within max_evals doublings moves x: x + alpha * eta rounds back to
@@ -677,7 +785,7 @@ class TestNumericalBreakdown:
         assert isinstance(res, RunResult)
         assert res.failure_reason is FailureReason.LINE_SEARCH_FAILED
         assert res.iters == 0
-        assert res.diagnostics.alpha0 == [1.0]
+        assert list(res.diagnostics.alpha0) == [1.0]
         assert res.final_f == inst.cost(inst.initial_point())
 
     @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.1_dr", "dy_dr"])
@@ -695,6 +803,7 @@ class TestNumericalBreakdown:
         inst = rayleigh_instance(12, seed=3)
         res = solve(inst, inst.initial_point(), config_from_id(sid))
         assert (res.iters, res.failure_reason) == (1, FailureReason.DEGENERATE_STEP)
+        assert res.failure_detail == "DegenerateStepError: previous step has zero norm"
 
     def test_hz_overflowing_denominator_square_restarts(self):
         # Rayleigh n=30 seed 7 scaled by 1e100: den * den overflows on every step
@@ -744,6 +853,7 @@ class TestNumericalBreakdown:
         res = solve(inst, inst.initial_point(), cfg)
         assert res.failure_reason is FailureReason.NON_FINITE
         assert res.iters == 0
+        assert res.failure_detail == solver_mod._NON_FINITE_SLOPE
         assert res.diagnostics.restarts == 0  # no step was taken, so none to restart from
         assert res.final_gnorm == pytest.approx(4.5335e-300, rel=1e-4)
 
