@@ -213,10 +213,11 @@ def write_profiles(records: list[RunRecord], out_dir: Path) -> dict[str, Profile
     return tables
 
 
-def run_benchmark(config: BenchConfig, out_dir: str | Path, measure: str = "iters") -> dict:
-    """Run the grid, write runs.csv, both profile CSVs, and summary.json."""
-    if measure not in ("iters", "time"):
-        raise ConfigError(f"unknown measure: {measure!r}")
+def run_benchmark(config: BenchConfig, out_dir: str | Path) -> dict:
+    """Run the grid, write runs.csv, both profile CSVs, and summary.json.
+
+    The summary's ``profile_at_1`` is read from the iteration-count profile.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -234,13 +235,12 @@ def run_benchmark(config: BenchConfig, out_dir: str | Path, measure: str = "iter
             "instances": config.instances,
             "seed_base": config.seed_base,
         },
-        "measure": measure,
         "solvers": {
             sid: {
                 "converged": sum(r.converged for r in rs),
                 "runs": len(rs),
                 "total_iters": sum(r.iters for r in rs),
-                "profile_at_1": tables[measure].value(sid, 1.0),
+                "profile_at_1": tables["iters"].value(sid, 1.0),
             }
             for sid, rs in sorted(by_solver.items())
         },

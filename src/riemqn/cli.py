@@ -23,7 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an instance x solver grid from a JSON config")
     run_p.add_argument("--config", required=True, help="JSON config file")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--measure", choices=("iters", "time"), default="iters")
 
     prof_p = sub.add_parser("profile", help="rebuild performance profiles from runs.csv")
     prof_p.add_argument("--runs", required=True, help="runs.csv produced by 'run'")
@@ -33,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--problem", choices=sorted(KINDS), required=True)
     solve_p.add_argument("--n", type=int, required=True)
     solve_p.add_argument("--p", type=int, default=5, help="columns (offdiag only)")
-    solve_p.add_argument("--matrices", type=int, default=5, help="matrix count (offdiag only)")
+    solve_p.add_argument("--N", type=int, default=5, help="matrix count (offdiag only)")
     solve_p.add_argument("--seed", type=int, required=True)
     solve_p.add_argument("--solver", required=True, help="solver id, e.g. broyden_bfgs_lf_xi0.1_dr")
     solve_p.add_argument("--tol", type=float, default=1e-6)
@@ -43,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    summary = run_benchmark(config, args.out, measure=args.measure)
+    summary = run_benchmark(config, args.out)
     json.dump(summary, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -60,8 +59,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    keys, _ = KINDS[args.problem]  # in factory-argument order, as the flags are
-    dims = dict(zip(keys, (args.n, args.p, args.matrices)))
+    keys, _ = KINDS[args.problem]  # each dims key is a flag of the same name
+    dims = {key: getattr(args, key) for key in keys}
     instance = generate_instance(args.problem, dims, args.seed)
     base = SolverConfig(tol=args.tol, max_iters=args.max_iters)
     cfg = config_from_id(args.solver, base=base)

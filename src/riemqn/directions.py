@@ -39,9 +39,13 @@ from .manifolds import Tangent, _require_base, inner
 
 
 class ZMode(Enum):
-    """How the curvature vector z is regularized."""
+    """How the curvature vector z is regularized.
 
-    LI_FUKUSHIMA = "li_fukushima"
+    Each value is the code that solver ids and JSON configs use: Li-Fukushima
+    ``lf`` or Powell damping ``powell``.
+    """
+
+    LI_FUKUSHIMA = "lf"
     POWELL = "powell"
 
 

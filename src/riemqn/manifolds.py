@@ -72,11 +72,16 @@ def _ambient_array(value, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class TransportKind(Enum):
-    """Which map carries tangent data to the next iterate."""
+    """Which map carries tangent data to the next iterate.
 
-    DIFFERENTIATED_RETRACTION = "differentiated_retraction"
-    PROJECTION = "projection"
-    INVERSE_RETRACTION = "inverse_retraction"
+    Each value is the code that solver ids and JSON configs use: the
+    differentiated retraction ``dr``, the projection ``proj`` and the inverse
+    retraction ``invret``.
+    """
+
+    DIFFERENTIATED_RETRACTION = "dr"
+    PROJECTION = "proj"
+    INVERSE_RETRACTION = "invret"
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from enum import Enum
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
 
@@ -49,10 +49,9 @@ def flag(value, key: str) -> bool:
     raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
-def choice(enum: type[Enum], codes: Optional[Mapping[Enum, str]] = None) -> Check:
-    """A member of ``enum``, named by its value or by its short code in ``codes``."""
+def choice(enum: type[Enum]) -> Check:
+    """A member of ``enum``, named by its value: the one spelling of each member."""
     names = {member.value: member for member in enum}
-    names.update({code: member for member, code in (codes or {}).items()})
 
     def checked(value, key: str):
         if isinstance(value, str) and value in names:
@@ -77,7 +76,8 @@ def read_object(data, checks: Mapping[str, Check], what: str, required: bool = F
         raise ConfigError(f"{what} must be an object, got {data!r}")
     unknown = data.keys() - checks.keys()
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)} "
+                          f"(accepted: {', '.join(sorted(checks))})")
     missing = checks.keys() - data.keys() if required else ()
     if missing:
         raise ConfigError(f"{what} missing keys: {sorted(missing)}")

@@ -67,27 +67,13 @@ class FailureReason(Enum):
     NON_FINITE = "non_finite"
 
 
-_TRANSPORT_CODES = {
-    TransportKind.DIFFERENTIATED_RETRACTION: "dr",
-    TransportKind.PROJECTION: "proj",
-    TransportKind.INVERSE_RETRACTION: "invret",
-}
-_Z_CODES = {ZMode.LI_FUKUSHIMA: "lf", ZMode.POWELL: "powell"}
-
-# JSON key of the line_search object -> LineSearchConfig field (max_evals is max_ls_evals)
-_LINE_SEARCH_FIELDS = {
-    "max_ls_evals" if name == "max_evals" else name: name for name in LineSearchConfig.CHECKS
-}
-_LINE_SEARCH_KEYS = {key: LineSearchConfig.CHECKS[f] for key, f in _LINE_SEARCH_FIELDS.items()}
-
-# enum field -> its enum; the JSON reader also takes the short codes
+# enum field -> its enum; a member is spelled by its value, the code solver ids use
 _ENUM_FIELDS = {"direction": DirectionKind, "transport": TransportKind, "phi_mode": PhiMode,
                 "z_mode": ZMode}
-_ENUM_CODES = {"transport": _TRANSPORT_CODES, "z_mode": _Z_CODES}
 _TYPED_FIELDS = {**_ENUM_FIELDS, "line_search": LineSearchConfig}  # field -> its type
 
-# field -> check of the other scalar fields, for built and JSON configs alike.
-# Only nu_hat may be None (its default follows z_mode).
+# field -> check of the other scalar fields but record_trace, for built and JSON
+# configs alike.  Only nu_hat may be None (its default follows z_mode).
 _SCALAR_KEYS = {
     "xi": real,
     "nu_hat": lambda value, key: None if value is None else real(value, key),
@@ -95,14 +81,14 @@ _SCALAR_KEYS = {
     "preconvex_mu_reciprocal": flag,
     "tol": real,
     "max_iters": integer,
-    "record_trace": flag,
 }
 
-# JSON key -> check; each key names a SolverConfig field
+# JSON key -> check; each key names a SolverConfig field and to_dict writes every one.
+# record_trace is not a key: it is for Python callers, and no bench output reads a trace.
 _SOLVER_KEYS = {
-    **{key: choice(enum, _ENUM_CODES.get(key)) for key, enum in _ENUM_FIELDS.items()},
+    **{key: choice(enum) for key, enum in _ENUM_FIELDS.items()},
     **_SCALAR_KEYS,
-    "line_search": lambda value, key: read_object(value, _LINE_SEARCH_KEYS, key),
+    "line_search": lambda value, key: read_object(value, LineSearchConfig.CHECKS, key),
 }
 
 
@@ -128,6 +114,7 @@ class SolverConfig:
             if not isinstance(getattr(self, key), cls):
                 raise ConfigError(f"{key} must be a {cls.__name__}, got {getattr(self, key)!r}")
         check_fields(self, _SCALAR_KEYS)
+        flag(self.record_trace, "record_trace")
         if not self.tol > 0.0:
             raise ConfigError("tol must be positive")
         if self.max_iters < 1:
@@ -144,12 +131,11 @@ class SolverConfig:
         return self.nu_hat if self.nu_hat is not None else DEFAULT_NU_HAT[self.z_mode]
 
     def to_dict(self) -> dict:
-        """The JSON object ``from_dict`` reads back; ``record_trace`` is left out."""
-        out = {key: getattr(self, key) for key in _SOLVER_KEYS if key != "record_trace"}
+        """The JSON object ``from_dict`` reads back, with every key it accepts."""
+        out = {key: getattr(self, key) for key in _SOLVER_KEYS}
         out.update({key: value.value for key, value in out.items() if isinstance(value, Enum)})
-        out["line_search"] = {
-            key: getattr(self.line_search, name) for key, name in _LINE_SEARCH_FIELDS.items()
-        }
+        ls = self.line_search
+        out["line_search"] = {key: getattr(ls, key) for key in LineSearchConfig.CHECKS}
         return out
 
     @classmethod
@@ -158,29 +144,29 @@ class SolverConfig:
         base = base if base is not None else cls()
         fields = read_object(data, _SOLVER_KEYS, "solver config")
         if "line_search" in fields:
-            ls = {_LINE_SEARCH_FIELDS[k]: v for k, v in fields["line_search"].items()}
-            fields["line_search"] = dataclasses.replace(base.line_search, **ls)
+            fields["line_search"] = dataclasses.replace(base.line_search, **fields["line_search"])
         return dataclasses.replace(base, **fields)
 
 
 def solver_id(cfg: SolverConfig) -> str:
     """Stable string naming the algorithmic choices, e.g. broyden_bfgs_lf_xi0.1_dr.
 
-    ``xi`` is written with ``%g`` when that reads back exactly, else with ``repr``.
+    Each choice is written as its enum value; ``xi`` is written with ``%g`` when that
+    reads back exactly, else with ``repr``.
     """
-    t = _TRANSPORT_CODES[cfg.transport]
+    t = cfg.transport.value
     if cfg.direction is DirectionKind.BROYDEN:
         xi = f"{cfg.xi:g}"
         if float(xi) != cfg.xi:
             xi = repr(float(cfg.xi))
-        return f"broyden_{cfg.phi_mode.value}_{_Z_CODES[cfg.z_mode]}_xi{xi}_{t}"
+        return f"broyden_{cfg.phi_mode.value}_{cfg.z_mode.value}_xi{xi}_{t}"
     return f"{cfg.direction.value}_{t}"
 
 
 def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
     """Parse a solver id back into a config (other fields taken from ``base``).
 
-    Ids name the transport by its code only: ``dr``, ``proj`` or ``invret``.
+    Every id ends in its transport: ``dr``, ``proj`` or ``invret``.
     """
     parts = sid.split("_")
     if parts[0] == "broyden" and len(parts) == 5 and parts[3].startswith("xi"):
@@ -190,12 +176,10 @@ def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
             raise ConfigError(f"bad xi in solver id {sid!r}") from exc
         data = {"direction": parts[0], "phi_mode": parts[1], "z_mode": parts[2],
                 "xi": xi, "transport": parts[4]}
-    elif parts[0] != "broyden" and len(parts) <= 2:
-        data = {"direction": parts[0], "transport": parts[1] if len(parts) == 2 else "dr"}
+    elif parts[0] != "broyden" and len(parts) == 2:
+        data = {"direction": parts[0], "transport": parts[1]}
     else:
         raise ConfigError(f"malformed solver id: {sid!r}")
-    if data["transport"] not in _TRANSPORT_CODES.values():
-        raise ConfigError(f"solver id {sid!r} must end in a transport code: dr, proj or invret")
     return SolverConfig.from_dict(data, base)
 
 
@@ -227,7 +211,7 @@ class IterationTrace:
         return {column: getattr(self, name) for column, (name, _) in self.COLUMNS.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class RunDiagnostics:
     """Cheap per-iteration scalars recorded on every run.
 
@@ -264,7 +248,7 @@ class RunDiagnostics:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     converged: bool
     iters: int

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riemqn import performance_profile
 from riemqn.bench import (
     RunRecord,
     load_config,
@@ -56,7 +57,7 @@ class TestConfigParsing:
         assert cfg.solver_ids == ("broyden_bfgs_powell_xi0.8_dr",)
 
     def test_duplicate_solvers_rejected(self, tmp_path):
-        path = small_config(tmp_path, solvers=["dy_dr", "dy"])
+        path = small_config(tmp_path, solvers=["dy_dr", {"direction": "dy"}])
         with pytest.raises(ConfigError):
             load_config(path)
 
@@ -68,8 +69,9 @@ class TestConfigParsing:
                                   "broyden_bfgs_lf_xi0.1234568_dr")
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config({"problem": {}, "solvers": ["dy"], "surprise": 1})
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['surprise'\] \(accepted: "
+                                              r"line_search, max_iters, problem, solvers, tol\)"):
+            parse_config({"problem": {}, "solvers": ["dy_dr"], "surprise": 1})
 
     @pytest.mark.parametrize(
         "problem",
@@ -92,13 +94,14 @@ class TestConfigParsing:
             parse_config({"problem": {**base, **problem}, "solvers": ["dy_dr"]})
 
     @pytest.mark.parametrize("top", [{"max_iters": 20.0}, {"tol": "1e-6"},
-                                     {"line_search": {"max_ls_evals": 2.5}}], ids=repr)
+                                     {"line_search": {"max_evals": 2.5}}], ids=repr)
     def test_malformed_solver_defaults_rejected(self, top):
         problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
         with pytest.raises(ConfigError):
             parse_config({"problem": problem, "solvers": ["dy_dr"], **top})
 
-    @pytest.mark.parametrize("entry", ["hz_projection", {"direction": "hz", "hz_mu": "2"}, 3],
+    @pytest.mark.parametrize("entry", ["hz_projection", "hz", {"direction": "hz", "hz_mu": "2"},
+                                       {"transport": "projection"}, 3],
                              ids=repr)
     def test_malformed_solver_entry_rejected(self, entry):
         problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
@@ -108,7 +111,7 @@ class TestConfigParsing:
     def test_dims_kept_as_checked(self):
         cfg = parse_config(
             {"problem": {"kind": "offdiag", "dims": {"N": np.int64(2), "p": 2, "n": 5},
-                         "instances": 1, "seed_base": 1}, "solvers": ["dy"]}
+                         "instances": 1, "seed_base": 1}, "solvers": ["dy_dr"]}
         )
         assert cfg.dims == {"n": 5, "p": 2, "N": 2}
         assert all(type(v) is int for v in cfg.dims.values())
@@ -149,8 +152,6 @@ class TestBenchmark:
     def test_single_solver_profile_is_constant_one(self, tmp_path):
         cfg = load_config(small_config(tmp_path, instances=1, solvers=["broyden_bfgs_lf_xi0.1_dr"]))
         records = run_grid(cfg)
-        from riemqn import performance_profile
-
         table = performance_profile(profile_costs(records, "iters"))
         assert all(v == 1.0 for v in table.curves["broyden_bfgs_lf_xi0.1_dr"])
 
@@ -172,7 +173,11 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["measure"] == "iters"
+        assert "measure" not in summary
+        # P(1) is read from the iteration-count profile
+        iters = performance_profile(profile_costs(read_runs_csv(out / "runs.csv"), "iters"))
+        for sid, row in summary["solvers"].items():
+            assert row["profile_at_1"] == iters.value(sid, 1.0)
 
         prof_out = tmp_path / "prof"
         code = main(["profile", "--runs", str(out / "runs.csv"), "--out", str(prof_out)])
@@ -205,10 +210,23 @@ class TestCliCommands:
 
     def test_solve_offdiag(self, capsys):
         code = main(
-            ["solve", "--problem", "offdiag", "--n", "6", "--p", "3", "--matrices", "2",
+            ["solve", "--problem", "offdiag", "--n", "6", "--p", "3", "--N", "2",
              "--seed", "3", "--solver", "broyden_bfgs_powell_xi0.8_dr", "--max-iters", "2000"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "--config", "c.json", "--out", "o", "--measure", "time"],
+         ["solve", "--problem", "offdiag", "--n", "6", "--matrices", "2", "--seed", "3",
+          "--solver", "dy_dr"]],
+        ids=["measure", "matrices"],
+    )
+    def test_removed_flags_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "profile"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
@@ -225,10 +243,12 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_unknown_solver_exits_2(self, capsys):
+    @pytest.mark.parametrize("sid", ["sgd", "hz"])
+    def test_unknown_solver_exits_2(self, capsys, sid):
         code = main(["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1",
-                     "--solver", "sgd"])
+                     "--solver", sid])
         assert code == 2
+        assert f"malformed solver id: {sid!r}" in capsys.readouterr().err
 
 
 HEADER = "instance,solver,converged,iters,time_ms,final_f,final_gnorm,failure_reason"

@@ -133,10 +133,12 @@ class TestSolverConfig:
         assert sid.count("_") == 4
         assert config_from_id(sid).xi == xi
 
-    def test_bare_cg_id_defaults_transport(self):
-        cfg = config_from_id("hz")
+    def test_cg_id_names_its_transport(self):
+        cfg = config_from_id("hz_dr")
         assert cfg.direction is DirectionKind.HZ
         assert cfg.transport is TransportKind.DIFFERENTIATED_RETRACTION
+        with pytest.raises(ConfigError, match="malformed solver id: 'hz'"):
+            config_from_id("hz")
 
     def test_bad_ids_rejected(self):
         for sid in ("newton", "broyden_bfgs_lf_dr", "broyden_bfgs_lf_xi0.1_warp", "dy_dr_x"):
@@ -245,7 +247,7 @@ class TestStrictConfig:
             {"max_iters": "10"},
             {"preconvex_mu_reciprocal": "false"},
             {"preconvex_mu_reciprocal": 0},
-            {"record_trace": "no"},
+            {"record_trace": True},
             {"tol": None},
             {"xi": "0.5"},
             {"xi": False},
@@ -256,9 +258,9 @@ class TestStrictConfig:
             {"transport": None},
             {"z_mode": 1},
             {"direction": "HZ"},
-            {"line_search": {"max_ls_evals": 2.5}},
-            {"line_search": {"max_ls_evals": 40.5}},
-            {"line_search": {"max_evals": 40}},
+            {"line_search": {"max_evals": 2.5}},
+            {"line_search": {"max_evals": 40.5}},
+            {"line_search": {"max_evals": 2}},
             {"line_search": {"c1": "1e-4"}},
             {"line_search": {"c2": None}},
             {"line_search": [0.1, 0.9]},
@@ -283,15 +285,51 @@ class TestStrictConfig:
         assert LineSearchConfig(alpha_max=math.inf).alpha_max == math.inf
         assert SolverConfig.from_dict(json.loads('{"line_search": {"alpha_max": 1e400}}'))
 
-    def test_accepted_spellings(self):
-        assert SolverConfig.from_dict({"transport": "proj"}) == SolverConfig.from_dict(
-            {"transport": "projection"}
-        )
-        assert SolverConfig.from_dict({"z_mode": "lf"}).z_mode is ZMode.LI_FUKUSHIMA
-        assert SolverConfig.from_dict({"z_mode": "li_fukushima"}).z_mode is ZMode.LI_FUKUSHIMA
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"transport": "differentiated_retraction"},
+            {"transport": "projection"},
+            {"transport": "inverse_retraction"},
+            {"z_mode": "li_fukushima"},
+            {"line_search": {"max_ls_evals": 40}},
+            {"record_trace": False},
+        ],
+        ids=repr,
+    )
+    def test_removed_spellings_rejected(self, data):
+        # each setting has one spelling: the enum value, the field name
+        with pytest.raises(ConfigError):
+            SolverConfig.from_dict(data)
+
+    def test_unknown_keys_name_the_accepted_keys(self):
+        with pytest.raises(ConfigError, match=r"unknown line_search keys: \['max_ls_evals'\] "
+                                              r"\(accepted: alpha_init, alpha_max, c1, c2, "
+                                              r"max_evals\)"):
+            SolverConfig.from_dict({"line_search": {"max_ls_evals": 40}})
+        accepted = ", ".join(sorted(SolverConfig().to_dict()))
+        with pytest.raises(ConfigError, match=rf"\['record_trace'\] \(accepted: {accepted}\)"):
+            SolverConfig.from_dict({"record_trace": True})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [SolverConfig(), SolverConfig(record_trace=True),
+         SolverConfig(direction=DirectionKind.HZ, transport=TransportKind.INVERSE_RETRACTION,
+                      z_mode=ZMode.POWELL, nu_hat=0.2, xi=0.1, preconvex_mu_reciprocal=True,
+                      line_search=LineSearchConfig(c2=0.5, max_evals=40))],
+        ids=["default", "record_trace", "hz_invret"],
+    )
+    def test_from_dict_reads_exactly_what_to_dict_writes(self, cfg):
+        data = cfg.to_dict()
+        assert set(data) == set(solver_mod._SOLVER_KEYS)
+        assert set(data["line_search"]) == {f.name for f in dataclasses.fields(LineSearchConfig)}
+        # record_trace is the one field that is not a JSON key
+        assert SolverConfig.from_dict(data) == dataclasses.replace(cfg, record_trace=False)
+
+    def test_json_numbers_normalized(self):
         cfg = SolverConfig.from_dict(
             {"xi": 1, "nu_hat": None, "max_iters": np.int64(50),
-             "line_search": {"max_ls_evals": np.int32(40), "alpha_max": 10}}
+             "line_search": {"max_evals": np.int32(40), "alpha_max": 10}}
         )
         assert type(cfg.xi) is float and cfg.xi == 1.0
         assert cfg.nu_hat is None
@@ -322,9 +360,9 @@ class TestStrictConfig:
     def test_default_to_dict(self):
         assert SolverConfig().to_dict() == {
             "direction": "broyden",
-            "transport": "differentiated_retraction",
+            "transport": "dr",
             "phi_mode": "bfgs",
-            "z_mode": "li_fukushima",
+            "z_mode": "lf",
             "xi": 1.0,
             "nu_hat": None,
             "hz_mu": 2.0,
@@ -336,7 +374,7 @@ class TestStrictConfig:
                 "c2": 0.9,
                 "alpha_init": 1.0,
                 "alpha_max": 1e10,
-                "max_ls_evals": 120,
+                "max_evals": 120,
             },
         }
 
@@ -349,6 +387,16 @@ class TestStrictConfig:
         cfg = SolverConfig(**{name: member})
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
         assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize(
+        "name,member",
+        [(name, m) for name, enum in ENUM_FIELDS.items() for m in enum],
+        ids=str,
+    )
+    def test_enum_value_is_the_id_code(self, name, member):
+        sid = solver_id(SolverConfig(**{name: member}))
+        assert member.value in sid.split("_")
+        assert getattr(config_from_id(sid), name) is member
 
     @pytest.mark.parametrize("sid", ["hz_projection", "broyden_bfgs_lf_xi0.1_projection",
                                      "broyden_bfgs_li_fukushima_xi0.1_dr", "broyden_dr",
@@ -559,6 +607,26 @@ class TestCompactDiagnostics:
             tracemalloc.stop()
         assert iters > 1000
         assert held / iters <= 100.0
+
+    def test_kept_result_fixed_cost_at_most_1200_bytes(self):
+        # a zero-iteration result keeps ten empty arrays, an empty trace list and the two
+        # slotted dataclasses; with an instance __dict__ each it kept about 1,260 B here
+        inst = rayleigh_instance(12, seed=5)
+        x0, cfg = inst.initial_point(), SolverConfig(tol=1e10)
+        tracemalloc.start()
+        try:
+            kept = [solve(inst, x0, cfg) for _ in range(1000)]
+            assert all(res.iters == 0 for res in kept)
+            assert not hasattr(kept[0], "__dict__")
+            assert not hasattr(kept[0].diagnostics, "__dict__")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del kept
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / 1000 <= 1200.0
 
 
 class TestStartRule:
