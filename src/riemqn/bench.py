@@ -62,15 +62,19 @@ def parse_config(data: Mapping) -> BenchConfig:
     base = SolverConfig.from_dict(
         {key: data[key] for key in ("tol", "max_iters", "line_search") if key in data}
     )
-    solvers = tuple(
-        config_from_id(e, base) if isinstance(e, str) else SolverConfig.from_dict(e, base)
-        for e in solver_entries
-    )
+    solvers = []
+    for i, entry in enumerate(solver_entries):
+        try:
+            solvers.append(config_from_id(entry, base) if isinstance(entry, str)
+                           else SolverConfig.from_dict(entry, base))
+        except ConfigError as exc:
+            named = "" if isinstance(entry, str) else f" {entry!r}"  # an id's error names it
+            raise ConfigError(f"solvers[{i}]{named}: {exc}") from exc
     ids = [solver_id(cfg) for cfg in solvers]
     duplicates = sorted({sid for sid in ids if ids.count(sid) > 1})
     if duplicates:
         raise ConfigError(f"duplicate solver ids: {duplicates}")
-    return BenchConfig(**prob, solvers=solvers)
+    return BenchConfig(**prob, solvers=tuple(solvers))
 
 
 def load_config(path: str | Path) -> BenchConfig:

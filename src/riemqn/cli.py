@@ -35,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--N", type=int, default=5, help="matrix count (offdiag only)")
     solve_p.add_argument("--seed", type=int, required=True)
     solve_p.add_argument("--solver", required=True, help="solver id, e.g. broyden_bfgs_lf_xi0.1_dr")
-    solve_p.add_argument("--tol", type=float, default=1e-6)
-    solve_p.add_argument("--max-iters", type=int, default=10000)
+    solve_p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    solve_p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     return parser
 
 
@@ -71,7 +71,7 @@ def _cmd_solve(args) -> int:
         print(row.csv_row())
 
     result = solve(instance, instance.initial_point(), cfg, callback=stream)
-    print(result.to_json(include_trace=False), file=sys.stderr)
+    print(result.to_json(), file=sys.stderr)
     return 0
 
 

@@ -15,10 +15,10 @@ direction is
 with sizing gamma, spectral scaling tau, and family parameter phi (phi = 0 is
 DFP, phi = 1 is BFGS, phi > 1 the preconvex class).  z is produced from the
 raw difference y by Li-Fukushima regularization or Powell damping, both of
-which guarantee the curvature floor <s, z> >= nu_hat * |s|^2.
+which guarantee the curvature floor <s, z> >= nu_hat * |s|^2 (``DEFAULT_NU_HAT``).
 
-Conjugate-gradient directions with transported FR/DY/PRP/HS/HZ beta rules are
-provided as baselines; they share the same transported step data.
+Conjugate-gradient baselines use transported FR/DY/PRP/HS/HZ beta rules (HZ's mu
+is 2, as in Hager & Zhang 2005) and share the same transported step data.
 """
 
 from __future__ import annotations
@@ -50,10 +50,12 @@ class ZMode(Enum):
 
 
 class PhiMode(Enum):
-    """How the Broyden family parameter is chosen each iteration."""
+    """How phi is chosen; each value is the id code: ``bfgs`` (phi = 1), ``preconvex``
+    (the preconvex rule on mu = |s|^2 |z|^2 / <s, z>^2 >= 1) or ``preconvexrecip`` (on 1 / mu)."""
 
     BFGS = "bfgs"
     PRECONVEX = "preconvex"
+    PRECONVEX_RECIPROCAL = "preconvexrecip"
 
 
 class DirectionKind(Enum):
@@ -66,6 +68,7 @@ class DirectionKind(Enum):
 
 
 DEFAULT_NU_HAT = {ZMode.LI_FUKUSHIMA: 1e-6, ZMode.POWELL: 0.1}
+_HZ_MU = 2.0
 
 _PRECONVEX_THETA_FLOOR = 1e-5
 _DEGENERATE_EPS = 1e-12
@@ -131,10 +134,7 @@ def compute_z(mode: ZMode, s: Tangent, y: Tangent, nu_hat: float,
     raise ContractViolationError(f"unknown z mode: {mode!r}")
 
 
-def _preconvex_phi(ss: float, zz: float, sz: float, reciprocal: bool) -> float:
-    mu = (ss * zz) / (sz * sz)
-    if reciprocal:
-        mu = 1.0 / mu
+def _preconvex_phi(mu: float) -> float:
     if abs(1.0 - mu) < _DEGENERATE_EPS:
         return 1.0
     theta = max(1.0 / (1.0 - mu), _PRECONVEX_THETA_FLOOR)
@@ -151,16 +151,15 @@ def schedule_params(
     z: Tangent,
     phi_mode: PhiMode,
     xi: float,
-    preconvex_mu_reciprocal: bool = False,
     ss: float | None = None,
     sz: float | None = None,
 ) -> BroydenParams:
     """Per-iteration sizing/scaling: gamma = max{1, sz/zz}, tau = min{1, zz/sz}.
 
-    The one place sz and zz are checked (``DegenerateZError``).  ``ss`` and
-    ``sz``, when given, are <s, s> and <s, z> as ``inner`` takes them (the
-    caller's <s, y> when ``compute_z`` returned y itself); otherwise they are
-    taken here.
+    phi follows ``phi_mode`` (see ``PhiMode``).  The one place sz and zz are
+    checked (``DegenerateZError``).  ``ss`` and ``sz``, when given, are <s, s> and
+    <s, z> as ``inner`` takes them (the caller's <s, y> when ``compute_z``
+    returned y itself); otherwise they are taken here.
     """
     if not 0.0 <= xi <= 1.0:
         raise ContractViolationError("xi must lie in [0, 1]")
@@ -178,7 +177,9 @@ def schedule_params(
     if phi_mode is PhiMode.BFGS:
         phi = 1.0
     elif phi_mode is PhiMode.PRECONVEX:
-        phi = _preconvex_phi(ss, zz, sz, preconvex_mu_reciprocal)
+        phi = _preconvex_phi((ss * zz) / (sz * sz))
+    elif phi_mode is PhiMode.PRECONVEX_RECIPROCAL:
+        phi = _preconvex_phi(1.0 / ((ss * zz) / (sz * sz)))
     else:
         raise ContractViolationError(f"unknown phi mode: {phi_mode!r}")
     return BroydenParams(gamma=gamma, tau=tau, phi=phi, xi=xi, ss=ss, sz=sz, zz=zz)
@@ -215,7 +216,7 @@ def sufficient_descent_kappa(gamma_min: float, xi_bar: float, phi_bar: float) ->
 
 
 class CgScalars(NamedTuple):
-    """Inner products feeding the conjugate-gradient beta formulas."""
+    """Inner products feeding the conjugate-gradient beta formulas (HZ's mu is the constant 2)."""
 
     g_norm2: float
     g_prev_norm2: float
@@ -224,7 +225,6 @@ class CgScalars(NamedTuple):
     y_norm2: float
     g_prev_dot_eta: float
     sigma: float
-    hz_mu: float = 2.0
 
 
 def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
@@ -246,7 +246,7 @@ def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
         dd = den * den  # underflows to 0 below |den| ~ 1e-162, overflows above ~ 1e154
         if dd == 0.0 or dd == math.inf:
             return None
-        return num / den - s.hz_mu * s.y_norm2 * s.g_dot_t_eta / dd
+        return num / den - _HZ_MU * s.y_norm2 * s.g_dot_t_eta / dd
     raise ContractViolationError(f"{kind!r} is not a conjugate-gradient rule")
 
 

@@ -70,14 +70,19 @@ def check_fields(obj, checks: Mapping[str, Check]) -> None:
             object.__setattr__(obj, name, checked)
 
 
+def reject_unknown(names: Mapping, accepted: Mapping, what: str) -> None:
+    """Raise ``ConfigError`` listing the keys of ``names`` that ``accepted`` lacks, and its keys."""
+    unknown = names.keys() - accepted.keys()
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown, key=str)} "
+                          f"(accepted: {', '.join(sorted(accepted))})")
+
+
 def read_object(data, checks: Mapping[str, Check], what: str, required: bool = False) -> dict:
     """Apply ``checks`` (JSON key -> check) to each key of the JSON object ``data``."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"{what} must be an object, got {data!r}")
-    unknown = data.keys() - checks.keys()
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)} "
-                          f"(accepted: {', '.join(sorted(checks))})")
+    reject_unknown(data, checks, f"{what} keys")
     missing = checks.keys() - data.keys() if required else ()
     if missing:
         raise ConfigError(f"{what} missing keys: {sorted(missing)}")

@@ -55,7 +55,7 @@ from .manifolds import (
     scaling_sigma,
 )
 from .problems import ProblemInstance
-from .schema import check_fields, choice, flag, integer, read_object, real
+from .schema import check_fields, choice, flag, positive_integer, read_object, real, reject_unknown
 
 _DESCENT_GUARD = 1e-14
 
@@ -73,15 +73,8 @@ _ENUM_FIELDS = {"direction": DirectionKind, "transport": TransportKind, "phi_mod
 _TYPED_FIELDS = {**_ENUM_FIELDS, "line_search": LineSearchConfig}  # field -> its type
 
 # field -> check of the other scalar fields but record_trace, for built and JSON
-# configs alike.  Only nu_hat may be None (its default follows z_mode).
-_SCALAR_KEYS = {
-    "xi": real,
-    "nu_hat": lambda value, key: None if value is None else real(value, key),
-    "hz_mu": real,
-    "preconvex_mu_reciprocal": flag,
-    "tol": real,
-    "max_iters": integer,
-}
+# configs alike.  No key takes None.
+_SCALAR_KEYS = {"xi": real, "tol": real, "max_iters": positive_integer}
 
 # JSON key -> check; each key names a SolverConfig field and to_dict writes every one.
 # record_trace is not a key: it is for Python callers, and no bench output reads a trace.
@@ -94,20 +87,22 @@ _SOLVER_KEYS = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All algorithmic choices for one run."""
+    """All algorithmic choices for one run; the solver id spells each that defines the
+    direction (nu_hat follows z_mode, HZ's mu is 2).  An unknown keyword is a ConfigError."""
 
     direction: DirectionKind = DirectionKind.BROYDEN
     transport: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION
     phi_mode: PhiMode = PhiMode.BFGS
     z_mode: ZMode = ZMode.LI_FUKUSHIMA
     xi: float = 1.0
-    nu_hat: Optional[float] = None
-    hz_mu: float = 2.0
-    preconvex_mu_reciprocal: bool = False
     line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
     tol: float = 1e-6
     max_iters: int = 10000
     record_trace: bool = False
+
+    def __new__(cls, *args, **kwargs):
+        reject_unknown(kwargs, cls.__dataclass_fields__, "SolverConfig fields")
+        return super().__new__(cls)
 
     def __post_init__(self):
         for key, cls in _TYPED_FIELDS.items():
@@ -117,18 +112,12 @@ class SolverConfig:
         flag(self.record_trace, "record_trace")
         if not self.tol > 0.0:
             raise ConfigError("tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
         if not 0.0 <= self.xi <= 1.0:
             raise ConfigError("xi must lie in [0, 1]")
-        if not self.hz_mu > 0.25:
-            raise ConfigError("hz_mu must exceed 1/4")
-        nu_hat = self.resolved_nu_hat()
-        if not (0.0 < nu_hat < 1.0 if self.z_mode is ZMode.POWELL else nu_hat > 0.0):
-            raise ConfigError("nu_hat must be positive, and below 1 for Powell damping")
 
     def resolved_nu_hat(self) -> float:
-        return self.nu_hat if self.nu_hat is not None else DEFAULT_NU_HAT[self.z_mode]
+        """The curvature floor of ``z_mode``: ``DEFAULT_NU_HAT[z_mode]``."""
+        return DEFAULT_NU_HAT[self.z_mode]
 
     def to_dict(self) -> dict:
         """The JSON object ``from_dict`` reads back, with every key it accepts."""
@@ -166,7 +155,7 @@ def solver_id(cfg: SolverConfig) -> str:
 def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
     """Parse a solver id back into a config (other fields taken from ``base``).
 
-    Every id ends in its transport: ``dr``, ``proj`` or ``invret``.
+    Every id ends in its transport: ``dr``, ``proj`` or ``invret``.  Errors name the id.
     """
     parts = sid.split("_")
     if parts[0] == "broyden" and len(parts) == 5 and parts[3].startswith("xi"):
@@ -180,7 +169,10 @@ def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
         data = {"direction": parts[0], "transport": parts[1]}
     else:
         raise ConfigError(f"malformed solver id: {sid!r}")
-    return SolverConfig.from_dict(data, base)
+    try:
+        return SolverConfig.from_dict(data, base)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in solver id {sid!r}") from exc
 
 
 @dataclass
@@ -263,7 +255,7 @@ class RunResult:
     # neither to_dict nor runs.csv carries it
     failure_detail: str = ""
 
-    def to_dict(self, include_trace: bool = True) -> dict:
+    def to_dict(self) -> dict:  # with the trace rows when record_trace filled them
         out = {
             "converged": self.converged,
             "iters": self.iters,
@@ -272,12 +264,12 @@ class RunResult:
             "elapsed": self.elapsed,
             "failure_reason": self.failure_reason.value if self.failure_reason else None,
         }
-        if include_trace and self.trace:
+        if self.trace:
             out["trace"] = [row.scalars() for row in self.trace]
         return out
 
-    def to_json(self, include_trace: bool = True) -> str:
-        return json.dumps(self.to_dict(include_trace=include_trace))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 class StepMemory(NamedTuple):
@@ -299,13 +291,13 @@ class StepMemory(NamedTuple):
     g_prev_dot_eta: float
 
 
-def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
+def _direction(g: Tangent, memory: Optional[StepMemory], kind: DirectionKind,
                diag: RunDiagnostics) -> Optional[Tangent]:
     """The engine's direction, or None when it has none (no step yet, or no CG beta)."""
     if memory is None:
         return None
     step = memory.step
-    if cfg.direction is DirectionKind.BROYDEN:
+    if kind is DirectionKind.BROYDEN:
         params = memory.params
         diag.gamma.append(params.gamma)
         diag.tau.append(params.tau)
@@ -320,9 +312,8 @@ def _direction(g: Tangent, memory: Optional[StepMemory], cfg: SolverConfig,
         y_norm2=inner(x, memory.y, memory.y),
         g_prev_dot_eta=memory.g_prev_dot_eta,
         sigma=memory.sigma,
-        hz_mu=cfg.hz_mu,
     )
-    beta = cg_beta(cfg.direction, scalars)
+    beta = cg_beta(kind, scalars)
     return None if beta is None else cg_direction(g, beta, memory.sigma, step.t_eta)
 
 
@@ -333,8 +324,7 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
     ss = inner(s.point, s, s)
     sy = inner(s.point, s, y)
     z = compute_z(cfg.z_mode, s, y, nu_hat, ss=ss, sy=sy)
-    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, cfg.preconvex_mu_reciprocal, ss=ss,
-                             sz=sy if z is y else None)
+    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, ss=ss, sz=sy if z is y else None)
     diag.z_margin.append(params.sz - nu_hat * params.ss)
     diag.z_ratio.append(math.sqrt(params.zz / params.ss))
     sigma = None
@@ -400,7 +390,7 @@ def solve(
         if k >= cfg.max_iters:
             failure = FailureReason.MAX_ITERS
             break
-        eta = _direction(g, memory, cfg, diag)
+        eta = _direction(g, memory, cfg.direction, diag)
         if eta is None or (gde := inner(x, g, eta)) >= -_DESCENT_GUARD * gnorm * gnorm:
             # steepest descent; a restart when the last step gave no descent direction
             if memory is not None:

@@ -17,8 +17,9 @@ from riemqn.bench import (
     run_grid,
     write_runs_csv,
 )
-from riemqn.cli import main
+from riemqn.cli import _build_parser, main
 from riemqn.errors import ConfigError
+from riemqn.solver import SolverConfig
 
 
 def small_config(tmp_path: Path, instances=3, solvers=None) -> Path:
@@ -100,7 +101,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"problem": problem, "solvers": ["dy_dr"], **top})
 
-    @pytest.mark.parametrize("entry", ["hz_projection", "hz", {"direction": "hz", "hz_mu": "2"},
+    @pytest.mark.parametrize("entry", ["hz_projection", "hz", {"direction": "hz", "hz_mu": 2.0},
                                        {"transport": "projection"}, 3],
                              ids=repr)
     def test_malformed_solver_entry_rejected(self, entry):
@@ -148,6 +149,16 @@ class TestBenchmark:
         assert (tmp_path / "a" / "profile_iters.csv").read_text() == (
             tmp_path / "b" / "profile_iters.csv"
         ).read_text()
+
+    def test_both_preconvex_readings_in_one_grid(self, tmp_path):
+        # the two readings of mu are two solver ids, so one grid holds both
+        sids = ["broyden_preconvex_lf_xi0.1_dr", "broyden_preconvexrecip_lf_xi0.1_dr"]
+        out = tmp_path / "out"
+        run_benchmark(load_config(small_config(tmp_path, instances=1, solvers=sids)), out)
+        rows = read_csv_rows(out / "runs.csv")
+        assert [r["solver"] for r in rows] == sids
+        assert all(r["converged"] == "1" for r in rows)
+        assert rows[0]["iters"] != rows[1]["iters"]
 
     def test_single_solver_profile_is_constant_one(self, tmp_path):
         cfg = load_config(small_config(tmp_path, instances=1, solvers=["broyden_bfgs_lf_xi0.1_dr"]))
@@ -242,6 +253,33 @@ class TestCliCommands:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry,named",
+        [("broyden_bfx_lf_xi0.1_dr", "solvers[2]: phi_mode must be one of ['bfgs', 'preconvex', "
+                                     "'preconvexrecip'], got 'bfx' in solver id "
+                                     "'broyden_bfx_lf_xi0.1_dr'"),
+         ({"z_mode": "lff"}, "solvers[2] {'z_mode': 'lff'}: z_mode must be one of "
+                             "['lf', 'powell'], got 'lff'")],
+        ids=["id", "object"],
+    )
+    def test_bad_solver_entry_named_exits_2(self, tmp_path, capsys, entry, named):
+        path = small_config(tmp_path, solvers=["dy_dr", "hz_dr", entry])
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_bad_code_in_solve_id_exits_2(self, capsys):
+        code = main(["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1",
+                     "--solver", "broyden_bfgs_lf_xi0.1_warp"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: transport must be one of ['dr', 'invret', 'proj'], got 'warp' "
+            "in solver id 'broyden_bfgs_lf_xi0.1_warp'\n")
+
+    def test_solve_defaults_are_solver_config_defaults(self):
+        args = _build_parser().parse_args(["solve", "--problem", "rayleigh", "--n", "10",
+                                           "--seed", "1", "--solver", "dy_dr"])
+        assert (args.tol, args.max_iters) == (SolverConfig().tol, SolverConfig().max_iters)
 
     @pytest.mark.parametrize("sid", ["sgd", "hz"])
     def test_unknown_solver_exits_2(self, capsys, sid):

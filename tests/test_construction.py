@@ -162,8 +162,8 @@ class TestImmutable:
                                       "g_prev_dot_eta")
         assert BroydenParams._fields == ("gamma", "tau", "phi", "xi", "ss", "sz", "zz")
         assert CgScalars._fields == ("g_norm2", "g_prev_norm2", "g_dot_t_eta", "g_dot_t_g",
-                                     "y_norm2", "g_prev_dot_eta", "sigma", "hz_mu")
-        assert CgScalars._field_defaults == {"hz_mu": 2.0}
+                                     "y_norm2", "g_prev_dot_eta", "sigma")
+        assert CgScalars._field_defaults == {}
         scalars = _cg_scalars()
         assert CgScalars(*scalars) == scalars
         ev = _step_eval()

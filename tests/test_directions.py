@@ -193,10 +193,10 @@ class TestScheduleParams:
         assert p.phi == pytest.approx(want, rel=1e-14)
         assert 0.0 < p.phi < 1.0
 
-    def test_preconvex_reciprocal_flag(self):
+    def test_preconvex_reciprocal_mode(self):
         x, (s, z) = flat_tangents((1.0, 0.0), (1.0, 1.0))
         # reciprocal reading: mu = 1/2, theta* = 2, phi = (0.2-1)/(0.1-1) = 8/9
-        p = schedule_params(s, z, PhiMode.PRECONVEX, xi=0.0, preconvex_mu_reciprocal=True)
+        p = schedule_params(s, z, PhiMode.PRECONVEX_RECIPROCAL, xi=0.0)
         assert p.phi == pytest.approx((0.2 - 1.0) / (0.1 - 1.0), rel=1e-14)
 
     def test_nonpositive_curvature_rejected(self):
@@ -287,7 +287,6 @@ def make_scalars(**overrides):
         y_norm2=2.0,
         g_prev_dot_eta=-3.0,
         sigma=1.0,
-        hz_mu=2.0,
     )
     base.update(overrides)
     return CgScalars(**base)
@@ -341,7 +340,7 @@ class TestCgBeta:
     def test_hz_formula(self):
         s = make_scalars()
         den = s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta
-        want = (s.g_norm2 - s.g_dot_t_g) / den - s.hz_mu * s.y_norm2 * s.g_dot_t_eta / den**2
+        want = (s.g_norm2 - s.g_dot_t_g) / den - 2.0 * s.y_norm2 * s.g_dot_t_eta / den**2
         assert cg_beta(DirectionKind.HZ, s) == pytest.approx(want, rel=1e-14)
 
     def test_broyden_is_not_a_beta_rule(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from riemqn import (
     TransportKind,
     ZMode,
     config_from_id,
+    generate_instance,
     norm,
     offdiag_instance,
     random_point,
@@ -81,20 +83,16 @@ class TestSolverConfig:
             SolverConfig(max_iters=0)
         with pytest.raises(ConfigError):
             SolverConfig(xi=1.5)
-        with pytest.raises(ConfigError):
-            SolverConfig(hz_mu=0.25)
 
     def test_default_nu_hat_follows_z_mode(self):
         assert SolverConfig(z_mode=ZMode.LI_FUKUSHIMA).resolved_nu_hat() == 1e-6
         assert SolverConfig(z_mode=ZMode.POWELL).resolved_nu_hat() == 0.1
-        assert SolverConfig(nu_hat=0.05).resolved_nu_hat() == 0.05
 
     def test_dict_roundtrip(self):
         cfg = SolverConfig(
             direction=DirectionKind.HZ,
             transport=TransportKind.PROJECTION,
             xi=0.8,
-            hz_mu=3.0,
             tol=1e-7,
             max_iters=50,
             line_search=LineSearchConfig(c1=1e-3, c2=0.5, max_evals=40),
@@ -124,6 +122,8 @@ class TestSolverConfig:
         cfg = SolverConfig(xi=0.8, phi_mode=PhiMode.BFGS, z_mode=ZMode.LI_FUKUSHIMA)
         assert solver_id(cfg) == "broyden_bfgs_lf_xi0.8_dr"
         assert solver_id(SolverConfig(direction=DirectionKind.DY)) == "dy_dr"
+        cfg = SolverConfig(xi=0.1, phi_mode=PhiMode.PRECONVEX_RECIPROCAL)
+        assert solver_id(cfg) == "broyden_preconvexrecip_lf_xi0.1_dr"
 
     @settings(max_examples=200, deadline=None)
     @given(xi=st.floats(0.0, 1.0))
@@ -144,6 +144,46 @@ class TestSolverConfig:
         for sid in ("newton", "broyden_bfgs_lf_dr", "broyden_bfgs_lf_xi0.1_warp", "dy_dr_x"):
             with pytest.raises(ConfigError):
                 config_from_id(sid)
+
+    @pytest.mark.parametrize("sid,code", [("broyden_bfx_lf_xi0.1_dr", "bfx"),
+                                          ("broyden_bfgs_lff_xi0.1_dr", "lff"),
+                                          ("broyden_bfgs_lf_xi2_dr", "xi"),
+                                          ("hz_warp", "warp")])
+    def test_id_errors_name_the_id(self, sid, code):
+        with pytest.raises(ConfigError, match=rf"{code}.* in solver id '{sid}'$"):
+            config_from_id(sid)
+
+
+class TestReciprocalPreconvex:
+    """``preconvexrecip`` is the preconvex rule on 1 / mu, under an id of its own."""
+
+    # sha256 over 72 runs of iters, final f, final |g|, failure reason, the ten
+    # RunDiagnostics series and restarts: Rayleigh n=30 and offdiag 6x3x2, seeds 0-5,
+    # lf and powell, each transport, xi 0.1.  Recorded when this reading was a boolean
+    # setting beside phi_mode = preconvex, before it became a phi_mode of its own.
+    DIGEST = "2b3a50241be7aee7832b7b5bde552cd9a6515fc4ef2090cca3d588fd58e5ee2d"
+
+    def test_runs_pinned(self):
+        digest, iters = hashlib.sha256(), 0
+        for kind, dims in (("rayleigh", {"n": 30}), ("offdiag", {"n": 6, "p": 3, "N": 2})):
+            for seed in range(6):
+                inst = generate_instance(kind, dims, seed)
+                for z, t in itertools.product(("lf", "powell"), ("dr", "proj", "invret")):
+                    cfg = config_from_id(f"broyden_preconvexrecip_{z}_xi0.1_{t}")
+                    res = solve(inst, inst.initial_point(), cfg)
+                    d, iters = res.diagnostics, iters + res.iters
+                    reason = res.failure_reason.value if res.failure_reason else None
+                    digest.update(
+                        (f"{res.iters};{res.final_f!r};{res.final_gnorm!r};{reason};"
+                         + "".join(f"{n}={list(getattr(d, n))};" for n in RunDiagnostics.SERIES)
+                         + f"restarts={d.restarts};").encode())
+        assert iters == 2828
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_property_ids_cover_every_phi_mode(self):
+        assert len(PROPERTY_IDS) == 51
+        assert {sid.split("_")[1] for sid in PROPERTY_IDS if sid.startswith("broyden")} == {
+            phi.value for phi in PhiMode}
 
 
 # The 14 solver ids of the Rayleigh benchmark workloads and the 15 of the
@@ -200,14 +240,14 @@ class TestStrictConfig:
             lambda: SolverConfig(max_iters=2.5),
             lambda: SolverConfig(max_iters=10.0),
             lambda: SolverConfig(max_iters=True),
-            lambda: SolverConfig(preconvex_mu_reciprocal="no"),
-            lambda: SolverConfig(preconvex_mu_reciprocal=1),
+            lambda: SolverConfig(record_trace="no"),
+            lambda: SolverConfig(record_trace=1),
             lambda: SolverConfig(record_trace=None),
             lambda: SolverConfig(xi=True),
             lambda: SolverConfig(xi=float("nan")),
             lambda: SolverConfig(tol="1e-6"),
-            lambda: SolverConfig(hz_mu=None),
-            lambda: SolverConfig(nu_hat="0.1"),
+            lambda: SolverConfig(xi=None),
+            lambda: SolverConfig(xi="0.1"),
             lambda: SolverConfig(direction="hz"),
             lambda: SolverConfig(transport=ZMode.POWELL),
             lambda: SolverConfig(phi_mode="bfgs"),
@@ -219,9 +259,9 @@ class TestStrictConfig:
             lambda: LineSearchConfig(alpha_max=None),
         ],
         ids=[
-            "max_iters_2.5", "max_iters_10.0", "max_iters_true", "reciprocal_str",
-            "reciprocal_int", "record_trace_none", "xi_true", "xi_nan", "tol_str",
-            "hz_mu_none", "nu_hat_str", "direction_str", "transport_zmode", "phi_mode_str",
+            "max_iters_2.5", "max_iters_10.0", "max_iters_true", "record_trace_str",
+            "record_trace_int", "record_trace_none", "xi_true", "xi_nan", "tol_str",
+            "xi_none", "xi_str_0.1", "direction_str", "transport_zmode", "phi_mode_str",
             "z_mode_none", "line_search_dict", "max_evals_3.5", "max_evals_false", "c1_str",
             "alpha_max_none",
         ],
@@ -245,15 +285,15 @@ class TestStrictConfig:
             {"max_iters": 10.0},
             {"max_iters": True},
             {"max_iters": "10"},
-            {"preconvex_mu_reciprocal": "false"},
-            {"preconvex_mu_reciprocal": 0},
+            {"max_iters": None},
+            {"tol": True},
             {"record_trace": True},
             {"tol": None},
             {"xi": "0.5"},
             {"xi": False},
             {"xi": float("nan")},
-            {"hz_mu": None},
-            {"nu_hat": "0.1"},
+            {"xi": None},
+            {"tol": "1e-6"},
             {"transport": "warp"},
             {"transport": None},
             {"z_mode": 1},
@@ -294,6 +334,11 @@ class TestStrictConfig:
             {"z_mode": "li_fukushima"},
             {"line_search": {"max_ls_evals": 40}},
             {"record_trace": False},
+            {"nu_hat": 0.1},
+            {"nu_hat": None},
+            {"hz_mu": 2.0},
+            {"preconvex_mu_reciprocal": True},
+            {"preconvex_mu_reciprocal": False},
         ],
         ids=repr,
     )
@@ -311,11 +356,26 @@ class TestStrictConfig:
         with pytest.raises(ConfigError, match=rf"\['record_trace'\] \(accepted: {accepted}\)"):
             SolverConfig.from_dict({"record_trace": True})
 
+    @pytest.mark.parametrize("name", ["nu_hat", "hz_mu", "preconvex_mu_reciprocal"])
+    def test_removed_fields_rejected(self, name):
+        # built as from JSON (test_removed_spellings_rejected): nu_hat follows z_mode,
+        # HZ's mu is 2, and the reciprocal mu is the phi_mode preconvexrecip
+        value = {"nu_hat": 0.1, "hz_mu": 2.0, "preconvex_mu_reciprocal": True}[name]
+        fields = ", ".join(sorted(f.name for f in dataclasses.fields(SolverConfig)))
+        with pytest.raises(ConfigError, match=rf"\['{name}'\] \(accepted: {fields}\)"):
+            SolverConfig(**{name: value})
+        assert not hasattr(SolverConfig(), name)
+
+    @pytest.mark.parametrize("key", sorted(solver_mod._SOLVER_KEYS))
+    def test_no_key_accepts_null(self, key):
+        with pytest.raises(ConfigError, match=key):
+            SolverConfig.from_dict({key: None})
+
     @pytest.mark.parametrize(
         "cfg",
         [SolverConfig(), SolverConfig(record_trace=True),
          SolverConfig(direction=DirectionKind.HZ, transport=TransportKind.INVERSE_RETRACTION,
-                      z_mode=ZMode.POWELL, nu_hat=0.2, xi=0.1, preconvex_mu_reciprocal=True,
+                      z_mode=ZMode.POWELL, xi=0.1, phi_mode=PhiMode.PRECONVEX_RECIPROCAL,
                       line_search=LineSearchConfig(c2=0.5, max_evals=40))],
         ids=["default", "record_trace", "hz_invret"],
     )
@@ -328,29 +388,12 @@ class TestStrictConfig:
 
     def test_json_numbers_normalized(self):
         cfg = SolverConfig.from_dict(
-            {"xi": 1, "nu_hat": None, "max_iters": np.int64(50),
+            {"xi": 1, "max_iters": np.int64(50),
              "line_search": {"max_evals": np.int32(40), "alpha_max": 10}}
         )
         assert type(cfg.xi) is float and cfg.xi == 1.0
-        assert cfg.nu_hat is None
         assert type(cfg.max_iters) is int and cfg.max_iters == 50
         assert cfg.line_search == LineSearchConfig(max_evals=40, alpha_max=10.0)
-
-    @pytest.mark.parametrize(
-        "z_mode,nu_hat",
-        [(ZMode.LI_FUKUSHIMA, 0.0), (ZMode.LI_FUKUSHIMA, -1.0), (ZMode.POWELL, 1.0),
-         (ZMode.POWELL, 2.0), (ZMode.POWELL, 0.0)],
-    )
-    def test_nu_hat_out_of_range_rejected(self, z_mode, nu_hat):
-        # caught with the config, not as a ContractViolationError inside solve
-        with pytest.raises(ConfigError, match="nu_hat"):
-            SolverConfig(z_mode=z_mode, nu_hat=nu_hat)
-        with pytest.raises(ConfigError, match="nu_hat"):
-            SolverConfig.from_dict({"z_mode": z_mode.value, "nu_hat": nu_hat})
-
-    def test_null_nu_hat_clears_the_base_value(self):
-        cfg = SolverConfig.from_dict({"nu_hat": None}, base=SolverConfig(nu_hat=0.3))
-        assert cfg.nu_hat is None
 
     def test_line_search_merges_with_base(self):
         base = SolverConfig(line_search=LineSearchConfig(c1=1e-3, max_evals=40))
@@ -364,9 +407,6 @@ class TestStrictConfig:
             "phi_mode": "bfgs",
             "z_mode": "lf",
             "xi": 1.0,
-            "nu_hat": None,
-            "hz_mu": 2.0,
-            "preconvex_mu_reciprocal": False,
             "tol": 1e-6,
             "max_iters": 10000,
             "line_search": {
@@ -753,12 +793,12 @@ class TestAllEngines:
         assert np.all(np.isfinite(maxima))
 
 
-# 13 engines, each with the three transports: Broyden with either phi mode, either
+# 17 engines, each with the three transports: Broyden with each phi mode, either
 # z mode and xi 0.1 or 1, and the five CG rules
 PROPERTY_IDS = [
     f"{engine}_{t}"
-    for engine in [f"broyden_{phi}_{z}_xi{xi}" for phi in ("bfgs", "preconvex")
-                   for z in ("lf", "powell") for xi in ("0.1", "1")]
+    for engine in [f"broyden_{phi.value}_{z.value}_xi{xi}" for phi in PhiMode
+                   for z in ZMode for xi in ("0.1", "1")]
     + ["fr", "dy", "prp", "hs", "hz"]
     for t in ("dr", "proj", "invret")
 ]
