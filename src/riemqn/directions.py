@@ -182,7 +182,7 @@ def schedule_params(
         phi = _preconvex_phi(1.0 / ((ss * zz) / (sz * sz)))
     else:
         raise ContractViolationError(f"unknown phi mode: {phi_mode!r}")
-    return BroydenParams(gamma=gamma, tau=tau, phi=phi, xi=xi, ss=ss, sz=sz, zz=zz)
+    return BroydenParams(gamma, tau, phi, xi, ss, sz, zz)
 
 
 def broyden_direction(g: Tangent, s: Tangent, z: Tangent, params: BroydenParams) -> Tangent:

@@ -123,8 +123,7 @@ def _complete(
     g_new = problem.grad(x_new)
     t_eta, s, t_g = transport_direction(kind, x, eta, alpha, g0, x_new)
     dphi = inner(x_new, g_new, t_eta)
-    return StepEval(alpha=alpha, x_new=x_new, f_new=f_new, g_new=g_new,
-                    t_eta=t_eta, s=s, t_g=t_g, dphi=dphi)
+    return StepEval(alpha, x_new, f_new, g_new, t_eta, s, t_g, dphi)
 
 
 def wolfe_check(

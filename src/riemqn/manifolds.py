@@ -49,8 +49,11 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def _vector_norm(arr: np.ndarray) -> float:
-    """Euclidean/Frobenius norm, computed as ``np.linalg.norm(arr)`` computes it."""
-    v = arr.ravel(order="K")
+    """Euclidean/Frobenius norm, computed as ``np.linalg.norm(arr)`` computes it.
+
+    A 1-D array that is no view is contiguous, and so its own ``ravel``.
+    """
+    v = arr if arr.ndim == 1 and arr.base is None else arr.ravel(order="K")
     return math.sqrt(v.dot(v))
 
 
@@ -111,7 +114,7 @@ class Sphere:
         return arr / self._scale(arr)
 
     def _project(self, x_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
-        return v_arr - np.dot(x_arr, v_arr) * x_arr
+        return v_arr - x_arr.dot(v_arr) * x_arr
 
     def _overlap(self, w_arr, v_arr) -> float:
         """<w, v>, which the inverse retraction of v at w divides by; it must be positive."""
@@ -174,9 +177,11 @@ Manifold = Union[Sphere, Oblique]
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """``arr`` made read-only, so checked data cannot change; a view is copied first.
 
-    A writable view of ``arr`` made before this call still writes through.
+    A view is an array with a ``base``, which is cheaper to read than
+    ``flags.owndata``.  A writable view of ``arr`` made before this call still
+    writes through.  ``Point`` and ``Tangent`` make these steps inline.
     """
-    if not arr.flags.owndata:
+    if arr.base is not None:
         arr = arr.copy()
     arr.setflags(False)
     return arr
@@ -185,9 +190,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # Point and Tangent store their fields into __dict__ (the generated __init__ of a
 # frozen dataclass calls object.__setattr__ per field) and then call
 # __post_init__ through the class, so a wrapper set there sees every construction.
+# Every check runs inline in that one frame (a call costs about what a check
+# does); _ambient_array is called only for an array it must coerce or reject.
 @dataclass(frozen=True, eq=False, init=False)
 class Point:
-    """A point on a manifold, checked against the constraint; its array is frozen."""
+    """A point on a manifold, checked against the constraint; its array is frozen.
+
+    The array is coerced to float64 and checked for the manifold's shape, then
+    for the constraint, before it is frozen (a copy when it is a view), so a
+    rejected array stays writable.
+    """
 
     manifold: Manifold
     ambient: np.ndarray
@@ -198,21 +210,30 @@ class Point:
         self.__post_init__()
 
     def __post_init__(self):
-        arr = _ambient_array(self.ambient, self.manifold.ambient_shape)
-        defect = self.manifold.point_defect(arr)
+        manifold, arr = self.manifold, self.ambient
+        shape = manifold.ambient_shape
+        if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64 or arr.shape != shape:
+            arr = _ambient_array(arr, shape)
+        defect = manifold.point_defect(arr)
         if not defect <= POINT_TOL:
             raise InvalidPointError(
                 f"point violates the manifold constraint by {defect:.3e}"
             )
-        self.__dict__["ambient"] = _freeze(arr)
+        if arr.base is not None:
+            arr = arr.copy()
+        arr.setflags(False)
+        self.__dict__["ambient"] = arr
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Tangent:
     """A tangent vector at a specific point.
 
-    Tangency is guaranteed by the producing operations (projection, transport,
-    gradients) and is not re-verified here; ``tangency_defect`` measures it.
+    The array is coerced to float64, checked for the shape of the point's
+    array (which the point's own check fixed) and frozen, a copy when it is a
+    view.  Tangency is guaranteed by the producing operations (projection,
+    transport, gradients) and is not re-verified here; ``tangency_defect``
+    measures it.
     """
 
     point: Point
@@ -224,8 +245,14 @@ class Tangent:
         self.__post_init__()
 
     def __post_init__(self):
-        arr = _ambient_array(self.ambient, self.point.manifold.ambient_shape)
-        self.__dict__["ambient"] = _freeze(arr)
+        arr = self.ambient
+        shape = self.point.ambient.shape
+        if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64 or arr.shape != shape:
+            arr = _ambient_array(arr, shape)
+        if arr.base is not None:
+            arr = arr.copy()
+        arr.setflags(False)
+        self.__dict__["ambient"] = arr
 
     def __add__(self, other: "Tangent") -> "Tangent":
         if not isinstance(other, Tangent):
@@ -268,10 +295,17 @@ def _require_base(x: Point, t: Tangent, name: str) -> None:
 
 
 def inner(x: Point, u: Tangent, v: Tangent) -> float:
-    """Riemannian inner product (ambient Euclidean/Frobenius)."""
-    _require_base(x, u, "u")
-    _require_base(x, v, "v")
-    return float(np.vdot(u.ambient, v.ambient))
+    """Riemannian inner product (ambient Euclidean/Frobenius).
+
+    The base checks run only for a vector whose point is not x itself.  The
+    product is the arrays' own ``dot`` of their C-order ravels, the BLAS call
+    ``np.vdot`` makes, without its dispatch: the same value, bit for bit.
+    """
+    if u.point is not x:
+        _require_base(x, u, "u")
+    if v.point is not x:
+        _require_base(x, v, "v")
+    return float(u.ambient.ravel().dot(v.ambient.ravel()))
 
 
 def norm(t: Tangent) -> float:
@@ -308,7 +342,8 @@ def retract(x: Point, eta: Tangent, alpha: float = 1.0) -> Point:
     oblique manifold), so the differentiated retraction's weights need no
     second norm.
     """
-    _require_base(x, eta, "eta")
+    if eta.point is not x:
+        _require_base(x, eta, "eta")
     step = float(alpha) * eta.ambient
     if not np.count_nonzero(step):
         return x
@@ -344,12 +379,16 @@ def transport_direction(
     1 for projection, and ``w_eta = 1 / <u, x>``, ``w_g = 1`` for the inverse
     retraction, whose step image is ``s = -R_u^{-1}(x)``.  Two projections in all.
     """
-    _require_base(x, eta, "eta")
-    _require_base(x, g, "g")
+    if eta.point is not x:
+        _require_base(x, eta, "eta")
+    if g.point is not x:
+        _require_base(x, g, "g")
     if not alpha > 0.0:
         raise ContractViolationError("step size must be positive")
     alpha = float(alpha)
-    manifold, u = x_new.manifold, _ambient_array(x_new.ambient, x.ambient.shape)
+    manifold, u = x_new.manifold, x_new.ambient
+    if manifold is not x.manifold:  # a point on x's manifold has x's shape already
+        u = _ambient_array(u, x.ambient.shape)
     t_eta, t_g = manifold._project(u, eta.ambient), manifold._project(u, g.ambient)
     if kind is TransportKind.DIFFERENTIATED_RETRACTION:
         scale = _retraction_scale(x, eta, alpha, x_new)

@@ -140,7 +140,9 @@ def _set_start(instance: ProblemInstance, x0: np.ndarray) -> None:
 
 
 def _check_point(instance: ProblemInstance, x: Point) -> None:
-    if x.manifold is not instance.manifold and x.manifold != instance.manifold:
+    """Reject a point on another manifold; cost and grad call this only when x's
+    manifold is not the instance's own object."""
+    if x.manifold != instance.manifold:
         raise ContractViolationError(
             f"dimension mismatch: point on {x.manifold}, instance on {instance.manifold}"
         )
@@ -215,12 +217,14 @@ class RayleighInstance:
         ray.trial, ray.alpha = x_new, alpha
 
     def cost(self, x: Point) -> float:
-        _check_point(self, x)
-        return float(x.ambient @ self._product(x))
+        if x.manifold is not self.manifold:
+            _check_point(self, x)
+        return float(x.ambient.dot(self._product(x)))  # the BLAS ddot that @ makes
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 2 A x."""
-        _check_point(self, x)
+        if x.manifold is not self.manifold:
+            _check_point(self, x)
         return project_tangent(x, 2.0 * self._product(x))
 
     def cost_change(self, x: Point, eta: Tangent, alpha: float, f0: float, d0: float) -> float:
@@ -297,13 +301,15 @@ class OffDiagonalInstance:
         return cx, e
 
     def cost(self, x: Point) -> float:
-        _check_point(self, x)
+        if x.manifold is not self.manifold:
+            _check_point(self, x)
         _, e = self._products(x)
         return float(np.add.reduce(e * e, axis=None))
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 4 sum_i C_i X E_i."""
-        _check_point(self, x)
+        if x.manifold is not self.manifold:
+            _check_point(self, x)
         cx, e = self._products(x)
         return project_tangent(x, 4.0 * np.add.reduce(cx @ e, axis=0))
 

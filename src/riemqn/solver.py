@@ -330,8 +330,7 @@ def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
     sigma = None
     if cfg.direction is not DirectionKind.BROYDEN:
         sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
-    return StepMemory(step=ev, y=y, z=z, params=params, sigma=sigma, g_prev_norm=gnorm,
-                      g_prev_dot_eta=gde)
+    return StepMemory(ev, y, z, params, sigma, gnorm, gde)
 
 
 _NON_FINITE_SLOPE = "<g, eta> is not negative: nan, or -|g|^2 underflowed to zero"
@@ -349,7 +348,19 @@ def solve(
     cfg: SolverConfig,
     callback: Optional[Callable[[IterationTrace], None]] = None,
 ) -> RunResult:
-    """Run the iteration loop from x0 until the stopping rule or a failure."""
+    """Run the iteration loop from x0 until the stopping rule or a failure.
+
+    The arguments are checked here, once: a problem that is no riemqn instance, an
+    x0 that is no ``Point`` or a cfg that is no ``SolverConfig`` raises
+    ``ContractViolationError`` naming the argument and its type.
+    """
+    for name, value, kind in (("problem", problem, ProblemInstance), ("x0", x0, Point),
+                              ("cfg", cfg, SolverConfig)):
+        if not isinstance(value, kind):
+            expected = " or ".join(cls.__name__ for cls in getattr(kind, "__args__", (kind,)))
+            raise ContractViolationError(
+                f"{name} must be a {expected}, got {type(value).__name__}"
+            )
     if x0.manifold != problem.manifold:
         raise ContractViolationError(
             f"x0 on {x0.manifold} but the problem lives on {problem.manifold}"
@@ -368,12 +379,12 @@ def solve(
         sinks.append(callback)
 
     def emit(gnorm, alpha, g_dot_eta, direction) -> None:
-        # one row at the current (k, f, x) to every sink; the terminal row has no direction
-        if sinks:
-            row = IterationTrace(iteration=k, f=f, gnorm=gnorm, alpha=alpha, g_dot_eta=g_dot_eta,
-                                 time_ms=now_ms(), point=x, direction=direction)
-            for sink in sinks:
-                sink(row)
+        # one row at the current (k, f, x) to every sink; the terminal row has no direction.
+        # Called only when there are sinks.
+        row = IterationTrace(iteration=k, f=f, gnorm=gnorm, alpha=alpha, g_dot_eta=g_dot_eta,
+                             time_ms=now_ms(), point=x, direction=direction)
+        for sink in sinks:
+            sink(row)
 
     x = x0
     f = problem.cost(x)
@@ -423,7 +434,8 @@ def solve(
             failure, detail = FailureReason.NON_FINITE, _detail(exc)
             break
         diag.alpha.append(ev.alpha)
-        emit(gnorm, ev.alpha, gde, eta)
+        if sinks:
+            emit(gnorm, ev.alpha, gde, eta)
         f_prev = f
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
@@ -434,7 +446,8 @@ def solve(
             break
 
     final_gnorm = norm(g)
-    emit(final_gnorm, math.nan, math.nan, None)
+    if sinks:
+        emit(final_gnorm, math.nan, math.nan, None)
     for name in RunDiagnostics.SERIES:  # the finished series, 8 bytes a value
         setattr(diag, name, array("d", getattr(diag, name)))
     return RunResult(

@@ -5,7 +5,10 @@ the class: the benchmark counts constructions by replacing that attribute in
 the class ``__dict__``, so every construction must go through it.  The step
 records (``StepEval``, ``StepMemory``, ``BroydenParams``, ``CgScalars``) are
 immutable.
-Frozen arrays and copied views are tested in ``test_manifolds.py``.
+``TestChecksKept`` holds every check of that one frame: coercion, shape,
+the constraint (before freezing), copy-if-view and freezing, and the base
+checks that ``inner``, ``retract`` and ``transport_direction`` make only
+when a vector's point is not the given point itself.
 """
 
 import dataclasses
@@ -16,6 +19,7 @@ import pytest
 from riemqn import (
     BroydenParams,
     CgScalars,
+    ContractViolationError,
     InvalidPointError,
     LineSearchConfig,
     Oblique,
@@ -30,6 +34,8 @@ from riemqn import (
     ZMode,
     broyden_direction,
     compute_z,
+    inner,
+    offdiag_instance,
     project_tangent,
     random_point,
     random_tangent,
@@ -170,6 +176,36 @@ class TestImmutable:
         assert StepEval(**ev._asdict()) == ev
 
 
+class _Sub(np.ndarray):
+    """An ndarray subclass, which the checks coerce to a plain ndarray."""
+
+
+def _basis(manifold):
+    """An integer-valued point of ``manifold``: exact in every input dtype."""
+    if isinstance(manifold, Sphere):
+        return np.eye(manifold.n)[0]
+    return np.eye(manifold.n, manifold.p)
+
+
+FORMS = ("list", "int", "float32", "subclass", "view", "fortran")
+
+
+def _inputs(values):
+    """``values`` in each of the ``FORMS`` a caller may pass: name -> (input, the writable
+    array it is a view of, or None)."""
+    base = np.zeros(tuple(d + 1 for d in values.shape))
+    view = base[tuple(slice(0, d) for d in values.shape)]
+    view[...] = values
+    return {
+        "list": (values.tolist(), None),
+        "int": (values.astype(np.int64), None),
+        "float32": (values.astype(np.float32), None),
+        "subclass": (np.array(values).view(_Sub), None),
+        "view": (view, base),
+        "fortran": (np.array(values, order="F"), None),
+    }
+
+
 class TestChecksKept:
     def test_wrong_shape(self):
         x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
@@ -201,3 +237,98 @@ class TestChecksKept:
         assert moved.ambient.dtype == np.float64 and not moved.ambient.flags.writeable
         with pytest.raises(InvalidPointError):
             dataclasses.replace(x, ambient=np.array([2.0, 0.0]))
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_stored_as_frozen_float64(self, manifold, form, built):
+        x = Point(manifold, _basis(manifold))
+        shape = manifold.ambient_shape
+        tangent_values = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        for cls, base, values in ((Point, manifold, _basis(manifold)),
+                                  (Tangent, x, tangent_values)):
+            given, owner = _inputs(values)[form]
+            before = built()
+            obj = cls(base, given)
+            assert built(before) == ((1, 0) if cls is Point else (0, 1))
+            arr = obj.ambient
+            assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == shape
+            assert not arr.flags.writeable and arr.base is None
+            assert np.array_equal(arr, values)
+            if form == "fortran":  # an owned float64 array is frozen in place
+                assert arr is given
+            if owner is not None:  # a view is copied: its base stays writable and apart
+                owner[(0,) * owner.ndim] += 5.0
+                assert np.array_equal(arr, values)
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    def test_rejected_point_leaves_the_array_writable(self, manifold, built):
+        off = 2.0 * _basis(manifold)
+        wrong_shape = np.zeros(tuple(d + 1 for d in manifold.ambient_shape))
+        for arr, message in ((off, "violates the manifold constraint"),
+                             (wrong_shape, "expected ambient shape")):
+            before = built()
+            with pytest.raises(InvalidPointError, match=message):
+                Point(manifold, arr)
+            assert built(before) == (1, 0)
+            assert arr.flags.writeable
+
+    # the base checks test identity first; an equal but distinct point still passes
+    # the equality check and a different point still raises
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    def test_inner_base(self, manifold):
+        x, u, v = _data(manifold)
+        twin = Point(manifold, x.ambient.copy())
+        other, *_ = _data(manifold, seed=2)
+        assert inner(twin, u, v) == inner(x, u, v)
+        for args, name in (((other, u, v), "u"), ((x, u, Tangent(other, v.ambient)), "v")):
+            with pytest.raises(ContractViolationError, match=f"{name} is not based"):
+                inner(*args)
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    def test_retract_base(self, manifold):
+        x, eta, _ = _data(manifold)
+        twin = Point(type(manifold)(*manifold.ambient_shape), x.ambient.copy())
+        other, *_ = _data(manifold, seed=2)
+        assert retract(twin, eta, 0.5).ambient.tobytes() == retract(x, eta, 0.5).ambient.tobytes()
+        with pytest.raises(ContractViolationError, match="eta is not based"):
+            retract(other, eta, 0.5)
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
+    def test_transport_direction_base(self, manifold, kind):
+        x, eta, g = _data(manifold)
+        twin = Point(manifold, x.ambient.copy())
+        other, *_ = _data(manifold, seed=2)
+        x_new = retract(x, eta, 0.25)
+        # x_new on an equal manifold object, not x's own: its array is checked again
+        new_twin = Point(type(manifold)(*manifold.ambient_shape), x_new.ambient)
+        want = [t.ambient.tobytes() for t in transport_direction(kind, x, eta, 0.25, g, x_new)]
+        for base, target in ((twin, x_new), (x, new_twin)):
+            got = transport_direction(kind, base, eta, 0.25, g, target)
+            assert [t.ambient.tobytes() for t in got] == want
+        for args, name in (((other, eta, 0.25, g), "eta"),
+                           ((x, eta, 0.25, Tangent(other, g.ambient)), "g")):
+            with pytest.raises(ContractViolationError, match=f"{name} is not based"):
+                transport_direction(kind, *args, x_new)
+        bigger = random_point(type(manifold)(*(d + 1 for d in manifold.ambient_shape)),
+                              SplitMix64(5))
+        with pytest.raises(InvalidPointError, match="expected ambient shape"):
+            transport_direction(kind, x, eta, 0.25, g, bigger)
+
+    @pytest.mark.parametrize("make", [lambda: rayleigh_instance(6, seed=4),
+                                      lambda: offdiag_instance(5, 3, 2, seed=4)],
+                             ids=["rayleigh", "offdiag"])
+    def test_problem_point_check(self, make):
+        # cost and grad skip the manifold check for the instance's own manifold object only
+        inst = make()
+        m = inst.manifold
+        x = inst.initial_point()
+        twin = Point(type(m)(*m.ambient_shape), x.ambient)
+        assert twin.manifold is not m
+        assert inst.cost(twin) == make().cost(x)
+        assert inst.grad(twin).ambient.tobytes() == make().grad(x).ambient.tobytes()
+        other = random_point(type(m)(*(d + 1 for d in m.ambient_shape)), SplitMix64(1))
+        for method in (inst.cost, inst.grad):
+            with pytest.raises(ContractViolationError, match="dimension mismatch"):
+                method(other)

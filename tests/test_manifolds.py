@@ -312,6 +312,21 @@ class TestRetractAlpha:
             retract(x, eta, 0.5)
 
 
+# layouts of the method-call tests: those of ``layout``, plus a strided ("S") and a
+# reversed ("R") view, which a 1-D array can have too
+LAYOUTS = "CFTSR"
+
+
+def _layout(a, order):
+    if order == "S":  # every other element of a larger array
+        wide = np.zeros(2 * a.size)
+        wide[::2] = a.ravel()
+        return wide[::2].reshape(a.shape)
+    if order == "R":
+        return np.ascontiguousarray(a[::-1])[::-1]
+    return layout(a, order)
+
+
 class TestFastNorms:
     """The norm helpers compute exactly what ``np.linalg.norm`` computes."""
 
@@ -333,6 +348,31 @@ class TestFastNorms:
                 t = a.T  # a non-contiguous layout
                 assert _vector_norm(t).hex() == float(np.linalg.norm(t)).hex()
                 assert _column_norms(t).tobytes() == np.linalg.norm(t, axis=0).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        manifold=manifolds_st,
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0),
+        order=st.sampled_from(LAYOUTS),
+    )
+    def test_method_call_forms_bitwise(self, manifold, seed, log_scale, order):
+        # inner and norm call the arrays' own dot; each gives bitwise what the
+        # dispatcher form gives on the arrays a Tangent keeps (a view is kept as its
+        # C-ordered copy, an owned Fortran-ordered array as it is)
+        rng = SplitMix64(seed)
+        x = random_point(manifold, rng)
+        scale = 10.0**log_scale
+        a = _layout(rng.normal(manifold.ambient_shape) * scale, order)
+        b = _layout(rng.normal(manifold.ambient_shape) * scale, order)
+        u, v = Tangent(x, a), Tangent(x, b)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert inner(x, u, v).hex() == float(np.vdot(u.ambient, v.ambient)).hex()
+            for given, t in ((a, u), (b, v)):
+                assert _vector_norm(given).hex() == float(np.linalg.norm(given)).hex()
+                ref = float(np.linalg.norm(t.ambient))
+                if ref != 0.0:  # else norm rescales a tiny nonzero vector
+                    assert norm(t).hex() == ref.hex()
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=repr)
     def test_norm_of_a_tiny_tangent_is_positive(self, manifold):
@@ -538,6 +578,32 @@ class TestUfuncReductions:
             want = _outcome(_ref_transport, kind, x.ambient, eta.ambient, alpha, g.ambient,
                             x_new.ambient)
             assert got == want, kind
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0),
+        order=st.sampled_from(LAYOUTS),
+    )
+    def test_sphere_projection_and_rayleigh_cost_match_the_dispatchers(
+            self, n, seed, log_scale, order):
+        # Sphere._project and RayleighInstance.cost call the arrays' own dot, bitwise
+        # what np.dot and @ give
+        rng = SplitMix64(seed)
+        scale = 10.0**log_scale
+        m = Sphere(n)
+        x = _layout(random_point(m, rng).ambient, order)
+        v = _layout(rng.normal(n) * scale, order)
+        a = rng.normal((n, n))
+        a = _layout((a + a.T) * scale, order)
+        inst = RayleighInstance(matrix=a, x0=x, seed=seed)
+        p = random_point(m, rng)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert m._project(x, v).tobytes() == (v - np.dot(x, v) * x).tobytes()
+            for point in (inst.initial_point(), p):
+                want = float(point.ambient @ (inst.matrix @ point.ambient))
+                assert inst.cost(point).hex() == want.hex()
 
     @pytest.mark.parametrize("column", [[0.0, 0.0], [np.nan, 1.0], [np.nan, np.nan]])
     def test_degenerate_columns(self, column):

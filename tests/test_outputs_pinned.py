@@ -8,7 +8,10 @@ digests only) when Rayleigh trials came to take their products with A from
 the two in hand on the search's ray; the iterates moved each time.  The
 summary digests were re-recorded once more, with no iterate moving, when the
 constant ``"measure": "iters"`` line left ``summary.json``.  A change
-to a header, a column order or a number format shows up here.  Timing
+to a header, a column order or a number format shows up here.  The
+shipped-config slices pin ``runs.csv`` of the first five instances of each
+shipped config, so a hot-path change that moves one iterate bit of the
+behaviour oracle fails here.  Timing
 columns (``time_ms``, ``elapsed_s``) are dropped before hashing, so the pins
 hold on any machine.
 """
@@ -16,6 +19,7 @@ hold on any machine.
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,16 @@ PINNED_BENCH = {
         "bc956e90eda02c91567729504299af3d819b45e38624c9b344ce3b252fb790cc",
         "9360b99aef074d815286ba46b2bc23f6536101ebeff62e7684c61fc3c9a29fff",
     ),
+}
+
+# shipped config -> sha256 of runs.csv without time_ms for its first SLICE_INSTANCES
+# instances (70 runs, none failing): a slice of the behaviour oracle, the full
+# runs.csv of both shipped configs, so that one moved iterate bit fails here
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SLICE_INSTANCES = 5
+PINNED_SLICES = {
+    "rayleigh_profile.json": "e590f9da89fc18774c99caf4ad34be3929893d687eea52f60419c966f2380fcd",
+    "offdiag_profile.json": "f8d39c7c99974cccb906384215c7b3b2f918a3c4453312c4250c900a8eb8e7e8",
 }
 
 # solve arguments -> sha256 of the streamed trace without time_ms
@@ -94,6 +108,18 @@ def test_benchmark_files_pinned(kind, tmp_path):
     assert sha256(without_column(text["runs.csv"], "time_ms")) == runs
     assert sha256(text["profile_iters.csv"]) == iters
     assert sha256(re.sub(r'\n *"elapsed_s": [^\n]*', "", text["summary.json"])) == summary
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SLICES))
+def test_shipped_config_slice_pinned(name, tmp_path):
+    data = json.loads((CONFIGS / name).read_text())
+    data["problem"]["instances"] = SLICE_INSTANCES
+    run_benchmark(parse_config(data), tmp_path)
+    text = (tmp_path / "runs.csv").read_bytes().decode()
+    rows = text.splitlines()[1:]
+    assert len(rows) == SLICE_INSTANCES * len(data["solvers"]) == 70
+    assert all(row.split(",")[2] == "1" for row in rows)  # converged, the third column
+    assert sha256(without_column(text, "time_ms")) == PINNED_SLICES[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))

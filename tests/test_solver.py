@@ -530,6 +530,22 @@ class TestSolve:
         assert res.converged is False
         assert res.failure_reason is FailureReason.LINE_SEARCH_FAILED
 
+    @pytest.mark.parametrize("case", ["x0_array", "cfg_none", "cfg_dict", "problem_dict",
+                                      "problem_point"])
+    def test_argument_types_checked(self, case):
+        # each argument is checked once, at the boundary, and the error names it
+        inst = rayleigh_instance(5, seed=1)
+        x0, cfg = inst.initial_point(), SolverConfig()
+        args, name, type_name = {
+            "x0_array": ((inst, inst.x0, cfg), "x0", "ndarray"),
+            "cfg_none": ((inst, x0, None), "cfg", "NoneType"),
+            "cfg_dict": ((inst, x0, {"xi": 0.5}), "cfg", "dict"),
+            "problem_dict": (({"kind": "rayleigh"}, x0, cfg), "problem", "dict"),
+            "problem_point": ((x0, x0, cfg), "problem", "Point"),
+        }[case]
+        with pytest.raises(ContractViolationError, match=rf"^{name} must be a .*, got {type_name}$"):
+            solve(*args)
+
     def test_manifold_mismatch_rejected(self):
         inst = rayleigh_instance(5, seed=1)
         x = random_point(Sphere(6), SplitMix64(1))
