@@ -66,7 +66,6 @@ from .solver import (
     RunDiagnostics,
     RunResult,
     SolverConfig,
-    StepMemory,
     config_from_id,
     solve,
     solver_id,

@@ -35,7 +35,7 @@ from .errors import (
     DegenerateZError,
     OutOfHypothesisError,
 )
-from .manifolds import Tangent, _require_base, inner
+from .manifolds import Tangent, _dot, _require_base, inner
 
 
 class ZMode(Enum):
@@ -159,15 +159,18 @@ def schedule_params(
     phi follows ``phi_mode`` (see ``PhiMode``).  The one place sz and zz are
     checked (``DegenerateZError``).  ``ss`` and ``sz``, when given, are <s, s> and
     <s, z> as ``inner`` takes them (the caller's <s, y> when ``compute_z``
-    returned y itself); otherwise they are taken here.
+    returned y itself); otherwise they are taken, and z checked, as ``inner`` does.
     """
     if not 0.0 <= xi <= 1.0:
         raise ContractViolationError("xi must lie in [0, 1]")
+    sa, za = s.ambient, z.ambient
     if ss is None:
-        ss = inner(s.point, s, s)
+        ss = _dot(sa, sa)
     if sz is None:
-        sz = inner(s.point, s, z)
-    zz = inner(z.point, z, z)
+        if z.point is not s.point:
+            _require_base(s.point, z, "v")
+        sz = _dot(sa, za)
+    zz = _dot(za, za)
     if zz == 0.0:
         raise DegenerateZError("z has zero norm")
     if sz <= 0.0:
@@ -186,10 +189,17 @@ def schedule_params(
 
 
 def broyden_direction(g: Tangent, s: Tangent, z: Tangent, params: BroydenParams) -> Tangent:
-    """Closed-form Broyden direction; ``params`` must come from ``schedule_params`` on s and z."""
+    """Closed-form Broyden direction; ``params`` must come from ``schedule_params`` on s and z.
+
+    <s, g> and <z, g> are taken, and s and z checked, as ``inner(g.point, ., g)`` does."""
     x = g.point
-    sg = inner(x, s, g)
-    zg = inner(x, z, g)
+    if s.point is not x:
+        _require_base(x, s, "u")
+    if z.point is not x:
+        _require_base(x, z, "u")
+    ga = g.ambient
+    sg = _dot(s.ambient, ga)
+    zg = _dot(z.ambient, ga)
     gamma, tau, phi, xi = params.gamma, params.tau, params.phi, params.xi
     sz, zz = params.sz, params.zz
     coef_s = gamma * (phi * zg / sz - (1.0 / (gamma * tau) + phi * zz / sz) * (sg / sz))

@@ -162,10 +162,14 @@ def search_step(
 ) -> StepEval:
     """Bracket-and-zoom search returning the full evaluation of a Wolfe step.
 
-    The first trial is ``alpha0`` (default ``cfg.alpha_init``), capped at ``cfg.alpha_max``.
-    ``f0``, ``g0`` and ``d0``, when given, are f(x), grad f(x) and <g0, eta> as
-    ``inner`` takes it; otherwise they are evaluated here.
+    The first trial is ``alpha0`` (default ``cfg.alpha_init``), capped at ``cfg.alpha_max``;
+    one that is not positive and finite raises ``ContractViolationError`` before any
+    evaluation.  ``f0``, ``g0`` and ``d0``, when given, are f(x), grad f(x) and
+    <g0, eta> as ``inner`` takes it; otherwise they are evaluated here.
     """
+    alpha = min(cfg.alpha_init if alpha0 is None else alpha0, cfg.alpha_max)
+    if not 0.0 < alpha < math.inf:
+        raise ContractViolationError(f"first trial step {alpha!r} is not positive and finite")
     if f0 is None:
         f0 = problem.cost(x)
     if g0 is None:
@@ -187,7 +191,6 @@ def search_step(
     a_lo, f_lo, ch_lo = 0.0, f0, 0.0
     a_hi = f_hi = None
     use_fit = True
-    alpha = min(cfg.alpha_init if alpha0 is None else alpha0, cfg.alpha_max)
     while True:
         if evals >= cfg.max_evals:
             raise LineSearchFailedError(f"no Wolfe step within {cfg.max_evals} evaluations")

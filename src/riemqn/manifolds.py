@@ -28,7 +28,7 @@ Three transport-like maps are available:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -46,6 +46,15 @@ from .rng import SplitMix64
 POINT_TOL = 1e-12
 
 _FLOAT64 = np.dtype(np.float64)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``float(np.vdot(a, b))`` of two ``Tangent`` arrays, bit for bit: the arrays' own ``dot``
+    of their C-order ravels.  A ``Tangent``'s array is never a view, so a 1-D one is its
+    own ``ravel``."""
+    if a.ndim == 1:
+        return float(a.dot(b))
+    return float(a.ravel().dot(b.ravel()))
 
 
 def _vector_norm(arr: np.ndarray) -> float:
@@ -89,13 +98,13 @@ class TransportKind(Enum):
 
 @dataclass(frozen=True)
 class Sphere:
-    """Unit vectors in R^n."""
+    """Unit vectors in R^n; ``ambient_shape``, ``(n,)``, is stored once."""
 
     n: int
+    ambient_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def ambient_shape(self) -> tuple[int, ...]:
-        return (self.n,)
+    def __post_init__(self):
+        object.__setattr__(self, "ambient_shape", (self.n,))
 
     def point_defect(self, arr: np.ndarray) -> float:
         return abs(_vector_norm(arr) - 1.0)
@@ -128,14 +137,14 @@ class Sphere:
 
 @dataclass(frozen=True)
 class Oblique:
-    """n x p matrices whose columns are unit vectors (a product of spheres)."""
+    """n x p matrices of unit columns (a product of spheres); ``ambient_shape`` is stored once."""
 
     n: int
     p: int
+    ambient_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def ambient_shape(self) -> tuple[int, ...]:
-        return (self.n, self.p)
+    def __post_init__(self):
+        object.__setattr__(self, "ambient_shape", (self.n, self.p))
 
     # The column maps call the ufunc reductions that np.sum, np.max and np.any
     # wrap (same results, without the wrappers' Python dispatch), and test for
@@ -298,14 +307,13 @@ def inner(x: Point, u: Tangent, v: Tangent) -> float:
     """Riemannian inner product (ambient Euclidean/Frobenius).
 
     The base checks run only for a vector whose point is not x itself.  The
-    product is the arrays' own ``dot`` of their C-order ravels, the BLAS call
-    ``np.vdot`` makes, without its dispatch: the same value, bit for bit.
+    product is ``_dot``: ``np.vdot`` of the two arrays, bit for bit.
     """
     if u.point is not x:
         _require_base(x, u, "u")
     if v.point is not x:
         _require_base(x, v, "v")
-    return float(u.ambient.ravel().dot(v.ambient.ravel()))
+    return _dot(u.ambient, v.ambient)
 
 
 def norm(t: Tangent) -> float:
@@ -402,7 +410,8 @@ def transport_direction(
 
 def scaling_sigma(x_next: Point, eta_prev_norm: float, t_eta: Tangent) -> float:
     """Scaling factor clamping a transported direction to its original length."""
-    _require_base(x_next, t_eta, "t_eta")
+    if t_eta.point is not x_next:
+        _require_base(x_next, t_eta, "t_eta")
     if not eta_prev_norm > 0.0:
         raise ContractViolationError("previous direction norm must be positive")
     tn = norm(t_eta)

@@ -16,13 +16,12 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .directions import (
     DEFAULT_NU_HAT,
-    BroydenParams,
     CgScalars,
     DirectionKind,
     PhiMode,
@@ -44,11 +43,12 @@ from .errors import (
     LineSearchFailedError,
     SingularRetractionError,
 )
-from .linesearch import LineSearchConfig, StepEval, search_step
+from .linesearch import LineSearchConfig, search_step
 from .manifolds import (
     Point,
     Tangent,
     TransportKind,
+    _dot,
     _require_base,
     inner,
     norm,
@@ -272,67 +272,6 @@ class RunResult:
         return json.dumps(self.to_dict())
 
 
-class StepMemory(NamedTuple):
-    """The latest accepted step and what the directions take from it, based at the new iterate.
-
-    step is the accepted ``StepEval`` (its s, t_eta, t_g, and dphi = <g_new, T(eta)>), y the
-    transported gradient difference, z its regularization, params what ``schedule_params``
-    measured on s and z, sigma the scaling of T(eta) (None for Broyden directions, which do
-    not read it), and g_prev_norm / g_prev_dot_eta the norm and slope of the gradient the
-    step left.
-    """
-
-    step: StepEval
-    y: Tangent
-    z: Tangent
-    params: BroydenParams
-    sigma: Optional[float]
-    g_prev_norm: float
-    g_prev_dot_eta: float
-
-
-def _direction(g: Tangent, memory: Optional[StepMemory], kind: DirectionKind,
-               diag: RunDiagnostics) -> Optional[Tangent]:
-    """The engine's direction, or None when it has none (no step yet, or no CG beta)."""
-    if memory is None:
-        return None
-    step = memory.step
-    if kind is DirectionKind.BROYDEN:
-        params = memory.params
-        diag.gamma.append(params.gamma)
-        diag.tau.append(params.tau)
-        diag.phi.append(params.phi)
-        return broyden_direction(g, step.s, memory.z, params)
-    x = g.point
-    scalars = CgScalars(
-        g_norm2=inner(x, g, g),
-        g_prev_norm2=memory.g_prev_norm * memory.g_prev_norm,
-        g_dot_t_eta=step.dphi,
-        g_dot_t_g=inner(x, g, step.t_g),
-        y_norm2=inner(x, memory.y, memory.y),
-        g_prev_dot_eta=memory.g_prev_dot_eta,
-        sigma=memory.sigma,
-    )
-    beta = cg_beta(kind, scalars)
-    return None if beta is None else cg_direction(g, beta, memory.sigma, step.t_eta)
-
-
-def _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag) -> StepMemory:
-    s, g_new = ev.s, ev.g_new
-    _require_base(g_new.point, ev.t_g, "t_g")
-    y = Tangent(g_new.point, g_new.ambient - ev.t_g.ambient)
-    ss = inner(s.point, s, s)
-    sy = inner(s.point, s, y)
-    z = compute_z(cfg.z_mode, s, y, nu_hat, ss=ss, sy=sy)
-    params = schedule_params(s, z, cfg.phi_mode, cfg.xi, ss=ss, sz=sy if z is y else None)
-    diag.z_margin.append(params.sz - nu_hat * params.ss)
-    diag.z_ratio.append(math.sqrt(params.zz / params.ss))
-    sigma = None
-    if cfg.direction is not DirectionKind.BROYDEN:
-        sigma = scaling_sigma(ev.x_new, eta_norm, ev.t_eta)
-    return StepMemory(ev, y, z, params, sigma, gnorm, gde)
-
-
 _NON_FINITE_SLOPE = "<g, eta> is not negative: nan, or -|g|^2 underflowed to zero"
 
 
@@ -353,6 +292,8 @@ def solve(
     The arguments are checked here, once: a problem that is no riemqn instance, an
     x0 that is no ``Point`` or a cfg that is no ``SolverConfig`` raises
     ``ContractViolationError`` naming the argument and its type.
+    The latest accepted step's memory is kept in locals, and the products the
+    directions read are taken here with ``_dot``, bit for bit as ``inner`` takes them.
     """
     for name, value, kind in (("problem", problem, ProblemInstance), ("x0", x0, Point),
                               ("cfg", cfg, SolverConfig)):
@@ -367,6 +308,8 @@ def solve(
         )
     nu_hat = cfg.resolved_nu_hat()
     ls = cfg.line_search
+    kind, z_mode, phi_mode, xi = cfg.direction, cfg.z_mode, cfg.phi_mode, cfg.xi
+    broyden = kind is DirectionKind.BROYDEN
     t_start = time.perf_counter()
 
     def now_ms() -> float:
@@ -389,7 +332,9 @@ def solve(
     x = x0
     f = problem.cost(x)
     g = problem.grad(x)
-    memory: Optional[StepMemory] = None
+    # the latest accepted step (None before the first), based at x, with y = g - T(g_prev),
+    # z, params and, for CG, sigma and the norm and slope of the gradient the step left
+    ev = None
     k = 0
     failure: Optional[FailureReason] = None
     detail = ""
@@ -401,10 +346,23 @@ def solve(
         if k >= cfg.max_iters:
             failure = FailureReason.MAX_ITERS
             break
-        eta = _direction(g, memory, cfg.direction, diag)
+        if ev is None:
+            eta = None
+        elif broyden:
+            diag.gamma.append(params.gamma)
+            diag.tau.append(params.tau)
+            diag.phi.append(params.phi)
+            eta = broyden_direction(g, ev.s, z, params)
+        else:
+            ga, ya = g.ambient, y.ambient
+            beta = cg_beta(kind, CgScalars(
+                _dot(ga, ga), g_prev_norm * g_prev_norm, ev.dphi, _dot(ga, ev.t_g.ambient),
+                _dot(ya, ya), g_prev_dot_eta, sigma,
+            ))
+            eta = None if beta is None else cg_direction(g, beta, sigma, ev.t_eta)
         if eta is None or (gde := inner(x, g, eta)) >= -_DESCENT_GUARD * gnorm * gnorm:
             # steepest descent; a restart when the last step gave no descent direction
-            if memory is not None:
+            if ev is not None:
                 diag.restarts += 1
             eta = -g
             gde = inner(x, g, eta)
@@ -439,8 +397,23 @@ def solve(
         f_prev = f
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
+        s, t_g = ev.s, ev.t_g
+        if t_g.point is not g.point:  # the step's images are based where g is
+            _require_base(g.point, t_g, "t_g")
+        y = Tangent(g.point, g.ambient - t_g.ambient)
+        if y.point is not s.point:  # the check inner(s.point, s, y) makes
+            _require_base(s.point, y, "v")
+        sa = s.ambient
+        ss = _dot(sa, sa)
+        sy = _dot(sa, y.ambient)
         try:
-            memory = _build_memory(gnorm, gde, eta_norm, ev, cfg, nu_hat, diag)
+            z = compute_z(z_mode, s, y, nu_hat, ss, sy)
+            params = schedule_params(s, z, phi_mode, xi, ss, sy if z is y else None)
+            diag.z_margin.append(params.sz - nu_hat * params.ss)
+            diag.z_ratio.append(math.sqrt(params.zz / params.ss))
+            if not broyden:
+                sigma = scaling_sigma(x, eta_norm, ev.t_eta)
+                g_prev_norm, g_prev_dot_eta = gnorm, gde
         except (DegenerateStepError, DegenerateTransportError, DegenerateZError) as exc:
             failure, detail = FailureReason.DEGENERATE_STEP, _detail(exc)
             break

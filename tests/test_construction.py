@@ -3,7 +3,7 @@
 ``Point`` and ``Tangent`` run their checks in ``__post_init__``, looked up on
 the class: the benchmark counts constructions by replacing that attribute in
 the class ``__dict__``, so every construction must go through it.  The step
-records (``StepEval``, ``StepMemory``, ``BroydenParams``, ``CgScalars``) are
+records (``StepEval``, ``BroydenParams``, ``CgScalars``) are
 immutable.
 ``TestChecksKept`` holds every check of that one frame: coercion, shape,
 the constraint (before freezing), copy-if-view and freezing, and the base
@@ -28,7 +28,6 @@ from riemqn import (
     Sphere,
     SplitMix64,
     StepEval,
-    StepMemory,
     Tangent,
     TransportKind,
     ZMode,
@@ -134,10 +133,8 @@ def _step_eval():
     return search_step(inst, x, -inst.grad(x), LineSearchConfig())
 
 
-def _step_memory(ev):
-    params = BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0, ss=1.0, sz=2.0, zz=4.0)
-    return StepMemory(step=ev, y=ev.t_g, z=ev.t_g, params=params, sigma=1.0, g_prev_norm=1.0,
-                      g_prev_dot_eta=-1.0)
+def _broyden_params():
+    return BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0, ss=1.0, sz=2.0, zz=4.0)
 
 
 def _cg_scalars():
@@ -154,9 +151,7 @@ class TestImmutable:
                     setattr(obj, name, getattr(obj, name))
 
     def test_step_records(self):
-        ev = _step_eval()
-        memory = _step_memory(ev)
-        for record in (ev, memory, memory.params, _cg_scalars()):
+        for record in (_step_eval(), _broyden_params(), _cg_scalars()):
             for name in record._fields:
                 with pytest.raises(AttributeError):
                     setattr(record, name, getattr(record, name))
@@ -164,8 +159,6 @@ class TestImmutable:
     def test_field_names_and_order(self):
         assert StepEval._fields == ("alpha", "x_new", "f_new", "g_new", "t_eta", "s", "t_g",
                                     "dphi")
-        assert StepMemory._fields == ("step", "y", "z", "params", "sigma", "g_prev_norm",
-                                      "g_prev_dot_eta")
         assert BroydenParams._fields == ("gamma", "tau", "phi", "xi", "ss", "sz", "zz")
         assert CgScalars._fields == ("g_norm2", "g_prev_norm2", "g_dot_t_eta", "g_dot_t_g",
                                      "y_norm2", "g_prev_dot_eta", "sigma")
@@ -315,6 +308,41 @@ class TestChecksKept:
                               SplitMix64(5))
         with pytest.raises(InvalidPointError, match="expected ambient shape"):
             transport_direction(kind, x, eta, 0.25, g, bigger)
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    def test_broyden_direction_base(self, manifold):
+        # <s, g> and <z, g> are taken in broyden_direction's frame, with the base
+        # checks and the error that inner(g.point, ., g) makes
+        x, s, g = _data(manifold)
+        z = Tangent(x, g.ambient + 2.0 * s.ambient)
+        params = schedule_params(s, z, PhiMode.BFGS, 0.5)
+        want = broyden_direction(g, s, z, params).ambient.tobytes()
+        twin = Point(manifold, x.ambient.copy())
+        assert broyden_direction(Tangent(twin, g.ambient), s, z, params).ambient.tobytes() == want
+        other, *_ = _data(manifold, seed=2)
+        s_off, z_off = Tangent(other, s.ambient), Tangent(other, z.ambient)
+        with pytest.raises(ContractViolationError) as ref:
+            inner(x, s_off, g)
+        for args in ((s_off, z), (s, z_off)):
+            with pytest.raises(ContractViolationError) as got:
+                broyden_direction(g, *args, params)
+            assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    def test_schedule_params_base(self, manifold):
+        # <s, z> taken in schedule_params' frame checks z's base as inner(s.point, s, z)
+        x, s, g = _data(manifold)
+        z = Tangent(x, g.ambient + 2.0 * s.ambient)
+        want = schedule_params(s, z, PhiMode.BFGS, 0.5)
+        twin = Point(manifold, x.ambient.copy())
+        assert schedule_params(s, Tangent(twin, z.ambient), PhiMode.BFGS, 0.5) == want
+        other, *_ = _data(manifold, seed=2)
+        moved = Tangent(other, z.ambient)
+        with pytest.raises(ContractViolationError) as ref:
+            inner(x, s, moved)
+        with pytest.raises(ContractViolationError) as got:
+            schedule_params(s, moved, PhiMode.BFGS, 0.5)
+        assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("make", [lambda: rayleigh_instance(6, seed=4),
                                       lambda: offdiag_instance(5, 3, 2, seed=4)],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemqn import (
     BroydenParams,
@@ -31,10 +33,13 @@ from riemqn import (
     sufficient_descent_kappa,
 )
 
+from riemqn.directions import _preconvex_phi
+
 from _support import (
     curvature_healthy_pair,
     dense_memoryless_matrix,
     from_coords,
+    layout,
     tangent_basis,
     to_coords,
 )
@@ -359,3 +364,53 @@ class TestCgDirection:
         x, (g, t) = flat_tangents((1.0, 0.0), (0.0, 1.0))
         eta = cg_direction(g, 2.0, 0.5, t)
         assert np.allclose(eta.ambient, [0.0, -1.0, 1.0], atol=1e-15)
+
+
+def _ref_schedule_params(s, z, phi_mode, xi):
+    """``schedule_params`` written with ``inner``."""
+    ss, sz, zz = inner(s.point, s, s), inner(s.point, s, z), inner(z.point, z, z)
+    phi = 1.0
+    if phi_mode is not PhiMode.BFGS:
+        mu = (ss * zz) / (sz * sz)
+        phi = _preconvex_phi(mu if phi_mode is PhiMode.PRECONVEX else 1.0 / mu)
+    return BroydenParams(max(1.0, sz / zz), min(1.0, zz / sz), phi, xi, ss, sz, zz)
+
+
+def _ref_broyden_direction(g, s, z, p):
+    """The ambient array of ``broyden_direction`` written with ``inner``."""
+    x = g.point
+    sg, zg = inner(x, s, g), inner(x, z, g)
+    coef_s = p.gamma * (p.phi * zg / p.sz - (1.0 / (p.gamma * p.tau) + p.phi * p.zz / p.sz)
+                        * (sg / p.sz))
+    coef_z = p.gamma * p.xi * (p.phi * sg / p.sz + (1.0 - p.phi) * zg / p.zz)
+    return (-p.gamma) * g.ambient + coef_s * s.ambient + coef_z * z.ambient
+
+
+class TestProductsAsInnerTakesThem:
+    """schedule_params and broyden_direction take their products in their own frame,
+    bit for bit as ``inner`` takes them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        manifold=st.sampled_from([Sphere(6), Oblique(5, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+        # sz * sz, which the preconvex rule divides by, stays normal
+        log_scale=st.sampled_from([-50.0, 50.0]) | st.floats(-50.0, 50.0),
+        order=st.sampled_from("CFT"),
+        phi_mode=st.sampled_from(list(PhiMode)),
+        given_sums=st.booleans(),
+    )
+    def test_bitwise_equal_to_the_inner_reference(self, manifold, seed, log_scale, order,
+                                                   phi_mode, given_sums):
+        rng = SplitMix64(seed)
+        x = random_point(manifold, rng)
+        scale = 10.0**log_scale
+        g, s, y = (Tangent(x, layout(random_tangent(x, rng).ambient * scale, order))
+                   for _ in range(3))
+        z = compute_z(ZMode.LI_FUKUSHIMA, s, y, 1e-6)
+        want = _ref_schedule_params(s, z, phi_mode, 0.8)
+        sums = (want.ss, want.sz) if given_sums else ()
+        params = schedule_params(s, z, phi_mode, 0.8, *sums)
+        assert [v.hex() for v in params] == [v.hex() for v in want]
+        eta = broyden_direction(g, s, z, params)
+        assert eta.ambient.tobytes() == _ref_broyden_direction(g, s, z, want).tobytes()

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -241,6 +244,38 @@ class TestStartStep:
         problem = _Scripted(x, g, 0.0, -1.0)
         cfg = LineSearchConfig(alpha_init=0.25, alpha_max=0.5)
         assert search_step(problem, x, eta, cfg, alpha0=4.0).alpha == 0.5
+
+    @pytest.mark.parametrize("make", [lambda: rayleigh_instance(12, seed=3),
+                                      lambda: offdiag_instance(4, 2, 2, seed=1)],
+                             ids=["rayleigh", "offdiag"])
+    @pytest.mark.parametrize("alpha0,alpha_max", [
+        (-1.0, 1e10), (0.0, 1e10), (-0.0, 1e10), (math.nan, 1e10), (-math.inf, 1e10),
+        (math.inf, math.inf),
+    ], ids=["negative", "zero", "negative-zero", "nan", "minus-inf", "inf-uncapped"])
+    def test_first_trial_checked_before_any_evaluation(self, monkeypatch, make, alpha0,
+                                                       alpha_max):
+        inst = make()
+        x = inst.initial_point()
+        eta = -inst.grad(x)
+        evaluations = []
+        for name in ("cost", "grad"):
+            real = getattr(type(inst), name)
+            monkeypatch.setattr(type(inst), name,
+                                lambda self, p, _real=real: evaluations.append(p) or _real(self, p))
+        cfg = LineSearchConfig(alpha_max=alpha_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no trial arithmetic, so no numpy warning
+            with pytest.raises(ContractViolationError, match="first trial step"):
+                search_step(inst, x, eta, cfg, alpha0=alpha0)
+        assert evaluations == []
+
+    def test_an_infinite_start_capped_at_alpha_max_is_a_trial(self):
+        # min(alpha0, alpha_max) is the first trial: inf capped at a finite alpha_max is valid
+        inst = rayleigh_instance(12, seed=3)
+        x = inst.initial_point()
+        eta = -inst.grad(x)
+        cfg = LineSearchConfig()
+        assert search_step(inst, x, eta, cfg, alpha0=math.inf).alpha > 0.0
 
 
 class _WithChange(_Scripted):

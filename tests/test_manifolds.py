@@ -30,7 +30,7 @@ from riemqn import (
     transport_direction,
 )
 from riemqn import manifolds
-from riemqn.manifolds import _column_norms, _vector_norm
+from riemqn.manifolds import _column_norms, _dot, _vector_norm
 
 from _support import layout
 
@@ -357,7 +357,7 @@ class TestFastNorms:
         order=st.sampled_from(LAYOUTS),
     )
     def test_method_call_forms_bitwise(self, manifold, seed, log_scale, order):
-        # inner and norm call the arrays' own dot; each gives bitwise what the
+        # _dot, inner and norm call the arrays' own dot; each gives bitwise what the
         # dispatcher form gives on the arrays a Tangent keeps (a view is kept as its
         # C-ordered copy, an owned Fortran-ordered array as it is)
         rng = SplitMix64(seed)
@@ -367,7 +367,10 @@ class TestFastNorms:
         b = _layout(rng.normal(manifold.ambient_shape) * scale, order)
         u, v = Tangent(x, a), Tangent(x, b)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            assert inner(x, u, v).hex() == float(np.vdot(u.ambient, v.ambient)).hex()
+            ref = float(np.vdot(u.ambient, v.ambient)).hex()
+            assert _dot(u.ambient, v.ambient).hex() == ref
+            assert inner(x, u, v).hex() == ref
+            assert _dot(u.ambient, u.ambient).hex() == float(np.vdot(u.ambient, u.ambient)).hex()
             for given, t in ((a, u), (b, v)):
                 assert _vector_norm(given).hex() == float(np.linalg.norm(given)).hex()
                 ref = float(np.linalg.norm(t.ambient))

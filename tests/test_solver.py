@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import sys
 import tracemalloc
 import warnings
 from array import array
@@ -33,15 +35,18 @@ from riemqn import (
     ZMode,
     config_from_id,
     generate_instance,
+    inner,
     norm,
     offdiag_instance,
     random_point,
     rayleigh_instance,
+    scaling_sigma,
     solve,
     solver_id,
     wolfe_check,
 )
 
+import riemqn
 from riemqn import linesearch as linesearch_mod
 from riemqn import solver as solver_mod
 
@@ -807,6 +812,104 @@ class TestAllEngines:
             assert np.all(np.isfinite(ratios))
             maxima.append(ratios.max())
         assert np.all(np.isfinite(maxima))
+
+
+def _capture(monkeypatch, name, calls):
+    """Replace ``solver.<name>`` with a wrapper appending ``(args, result)`` to ``calls``."""
+    real = getattr(solver_mod, name)
+
+    def captured(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(solver_mod, name, captured)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestInFrameProducts:
+    """``solve`` takes the products the directions read from the arrays it holds, bit
+    for bit as ``inner`` takes them."""
+
+    @pytest.mark.parametrize("sid,make", [
+        ("broyden_bfgs_lf_xi0.1_dr", lambda: rayleigh_instance(30, seed=7)),
+        ("broyden_preconvex_powell_xi0.8_invret", lambda: offdiag_instance(6, 3, 2, seed=5)),
+    ])
+    def test_broyden_memory(self, monkeypatch, sid, make):
+        z_calls, p_calls = [], []
+        _capture(monkeypatch, "compute_z", z_calls)
+        _capture(monkeypatch, "schedule_params", p_calls)
+        inst = make()
+        res = solve(inst, inst.initial_point(), config_from_id(sid))
+        assert res.converged and len(z_calls) == len(p_calls) == res.iters
+        for ((_, s, y, _, ss, sy), z), ((s2, z2, _, _, ss2, sz), _) in zip(z_calls, p_calls):
+            assert s2 is s and z2 is z and ss2 == ss
+            assert _hexes((ss, sy)) == _hexes((inner(s.point, s, s), inner(s.point, s, y)))
+            assert sz is None if z is not y else sz.hex() == inner(s.point, s, z).hex()
+
+    @pytest.mark.parametrize("sid,make", [
+        ("hz_dr", lambda: rayleigh_instance(30, seed=7)),
+        ("dy_proj", lambda: rayleigh_instance(30, seed=7)),
+        ("fr_invret", lambda: offdiag_instance(6, 3, 2, seed=5)),
+    ])
+    def test_cg_scalars(self, monkeypatch, sid, make):
+        steps, betas = [], []
+        _capture(monkeypatch, "search_step", steps)
+        _capture(monkeypatch, "cg_beta", betas)
+        inst = make()
+        res = solve(inst, inst.initial_point(), config_from_id(sid, SolverConfig(max_iters=300)))
+        d = res.diagnostics
+        assert len(betas) == res.iters - 1 > 10
+        for k, ((_, ev), ((_, scalars), _)) in enumerate(zip(steps, betas)):
+            x, g = ev.x_new, ev.g_new
+            y = Tangent(x, g.ambient - ev.t_g.ambient)
+            want = (inner(x, g, g), d.gnorm[k] * d.gnorm[k], ev.dphi, inner(x, g, ev.t_g),
+                    inner(x, y, y), d.g_dot_eta[k], scaling_sigma(x, d.eta_norm[k], ev.t_eta))
+            assert _hexes(scalars) == _hexes(want)
+
+
+def _riemqn_frames(run):
+    """Python frames of the riemqn package entered while ``run()`` runs, and its result."""
+    package = os.path.dirname(riemqn.__file__) + os.sep
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return count[0], result
+
+
+# solver id, instance -> (riemqn Python frames in one solve, its iterations), with the
+# shipped configs' tol and max_iters: a frame added to the loop fails here
+FRAMES_PER_RUN = {
+    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (8462, 146),
+    ("hz_dr", "rayleigh 100, seed 20250"): (13973, 220),
+    ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (24299, 464),
+}
+_FRAME_INSTANCES = {
+    "rayleigh 100, seed 20250": lambda: rayleigh_instance(100, 20250),
+    "offdiag 10x5x5, seed 30500": lambda: offdiag_instance(10, 5, 5, 30500),
+}
+
+
+@pytest.mark.parametrize("sid,instance", list(FRAMES_PER_RUN), ids=lambda v: v.split(",")[0])
+def test_python_frames_per_run_pinned(sid, instance):
+    inst = _FRAME_INSTANCES[instance]()
+    cfg = config_from_id(sid, SolverConfig(tol=1e-6, max_iters=10000))
+    x0 = inst.initial_point()
+    frames, res = _riemqn_frames(lambda: solve(inst, x0, cfg))
+    assert res.converged
+    assert (frames, res.iters) == FRAMES_PER_RUN[sid, instance]
 
 
 # 17 engines, each with the three transports: Broyden with each phi mode, either
