@@ -91,12 +91,12 @@ def _lift_to_floor(s: Tangent, z: np.ndarray, ss: float, target: float) -> Tange
     # computed curvature a few ulps under the floor it equals in exact
     # arithmetic; nudge along s until the recomputed inner product clears it.
     # A no-op on cleanly computed data.
-    m = float(np.vdot(s.ambient, z))
+    m = _dot(s.ambient, z)
     if m < target:
         bump = (target - m) / ss
         for _ in range(60):
             z = z + bump * s.ambient
-            m = float(np.vdot(s.ambient, z))
+            m = _dot(s.ambient, z)
             if m >= target:
                 break
             bump *= 2.0
@@ -262,5 +262,6 @@ def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
 
 def cg_direction(g: Tangent, beta: float, sigma: float, t_eta_prev: Tangent) -> Tangent:
     """eta = -g + beta * sigma * T(eta_prev)."""
-    _require_base(g.point, t_eta_prev, "t_eta_prev")
+    if t_eta_prev.point is not g.point:
+        _require_base(g.point, t_eta_prev, "t_eta_prev")
     return Tangent(g.point, -g.ambient + float(beta * sigma) * t_eta_prev.ambient)

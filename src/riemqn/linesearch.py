@@ -134,9 +134,12 @@ def wolfe_check(
     cfg: LineSearchConfig,
     kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION,
 ) -> tuple[bool, bool]:
-    """Evaluate the (Armijo, curvature) predicates for a given step size."""
-    if not alpha > 0.0:
-        raise ContractViolationError("step size must be positive")
+    """Evaluate the (Armijo, curvature) predicates for a given step size.
+
+    A step that is not positive and finite raises ``ContractViolationError`` before any
+    evaluation, as ``search_step``'s first trial does."""
+    if not 0.0 < alpha < math.inf:
+        raise ContractViolationError(f"step size {alpha!r} is not positive and finite")
     f0 = problem.cost(x)
     g0 = problem.grad(x)
     d0 = inner(x, g0, eta)

@@ -210,8 +210,9 @@ class RunDiagnostics:
     gnorm/g_dot_eta/eta_norm/alpha0 have one entry per line search started, so a
     run ending line_search_failed has one more of them than of alpha, which has
     one entry per accepted step; alpha0 is the search's first trial step, as the
-    line search's start rule chose it; z_margin/z_ratio one entry per memory build;
-    gamma/tau/phi one entry per Broyden direction actually computed from memory;
+    line search's start rule chose it; z_margin/z_ratio one entry per Broyden memory
+    build, and none on a CG run, which builds no z; gamma/tau/phi one entry per Broyden
+    direction actually computed from memory;
     restarts counts the steepest-descent steps taken after a step was accepted.
 
     While a run is in progress each series is a list; the run that ``solve``
@@ -306,10 +307,10 @@ def solve(
         raise ContractViolationError(
             f"x0 on {x0.manifold} but the problem lives on {problem.manifold}"
         )
-    nu_hat = cfg.resolved_nu_hat()
-    ls = cfg.line_search
-    kind, z_mode, phi_mode, xi = cfg.direction, cfg.z_mode, cfg.phi_mode, cfg.xi
+    ls, kind = cfg.line_search, cfg.direction
     broyden = kind is DirectionKind.BROYDEN
+    if broyden:  # the fields only the Broyden memory reads
+        nu_hat, z_mode, phi_mode, xi = cfg.resolved_nu_hat(), cfg.z_mode, cfg.phi_mode, cfg.xi
     t_start = time.perf_counter()
 
     def now_ms() -> float:
@@ -332,8 +333,9 @@ def solve(
     x = x0
     f = problem.cost(x)
     g = problem.grad(x)
-    # the latest accepted step (None before the first), based at x, with y = g - T(g_prev),
-    # z, params and, for CG, sigma and the norm and slope of the gradient the step left
+    # the latest accepted step (None before the first), based at x; a Broyden run keeps its
+    # y = g - T(g_prev), z and params, a CG run y's array, sigma and the norm and slope of
+    # the gradient the step left
     ev = None
     k = 0
     failure: Optional[FailureReason] = None
@@ -354,7 +356,7 @@ def solve(
             diag.phi.append(params.phi)
             eta = broyden_direction(g, ev.s, z, params)
         else:
-            ga, ya = g.ambient, y.ambient
+            ga = g.ambient
             beta = cg_beta(kind, CgScalars(
                 _dot(ga, ga), g_prev_norm * g_prev_norm, ev.dphi, _dot(ga, ev.t_g.ambient),
                 _dot(ya, ya), g_prev_dot_eta, sigma,
@@ -400,18 +402,20 @@ def solve(
         s, t_g = ev.s, ev.t_g
         if t_g.point is not g.point:  # the step's images are based where g is
             _require_base(g.point, t_g, "t_g")
-        y = Tangent(g.point, g.ambient - t_g.ambient)
-        if y.point is not s.point:  # the check inner(s.point, s, y) makes
-            _require_base(s.point, y, "v")
-        sa = s.ambient
-        ss = _dot(sa, sa)
-        sy = _dot(sa, y.ambient)
         try:
-            z = compute_z(z_mode, s, y, nu_hat, ss, sy)
-            params = schedule_params(s, z, phi_mode, xi, ss, sy if z is y else None)
-            diag.z_margin.append(params.sz - nu_hat * params.ss)
-            diag.z_ratio.append(math.sqrt(params.zz / params.ss))
-            if not broyden:
+            if broyden:
+                y = Tangent(g.point, g.ambient - t_g.ambient)
+                if y.point is not s.point:  # the check inner(s.point, s, y) makes
+                    _require_base(s.point, y, "v")
+                sa = s.ambient
+                ss = _dot(sa, sa)
+                sy = _dot(sa, y.ambient)
+                z = compute_z(z_mode, s, y, nu_hat, ss, sy)
+                params = schedule_params(s, z, phi_mode, xi, ss, sy if z is y else None)
+                diag.z_margin.append(params.sz - nu_hat * params.ss)
+                diag.z_ratio.append(math.sqrt(params.zz / params.ss))
+            else:  # CG reads y only as HZ's |y|^2, from the array
+                ya = g.ambient - t_g.ambient
                 sigma = scaling_sigma(x, eta_norm, ev.t_eta)
                 g_prev_norm, g_prev_dot_eta = gnorm, gde
         except (DegenerateStepError, DegenerateTransportError, DegenerateZError) as exc:

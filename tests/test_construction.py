@@ -329,6 +329,17 @@ class TestChecksKept:
             assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    def test_cg_direction_base(self, manifold):
+        # T(eta_prev) is checked against g's point, identity first
+        x, t_eta, g = _data(manifold)
+        want = cg_direction(g, 0.5, 0.75, t_eta).ambient.tobytes()
+        twin = Point(manifold, x.ambient.copy())
+        assert cg_direction(g, 0.5, 0.75, Tangent(twin, t_eta.ambient)).ambient.tobytes() == want
+        other, *_ = _data(manifold, seed=2)
+        with pytest.raises(ContractViolationError, match="t_eta_prev is not based at the given"):
+            cg_direction(g, 0.5, 0.75, Tangent(other, t_eta.ambient))
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
     def test_schedule_params_base(self, manifold):
         # <s, z> taken in schedule_params' frame checks z's base as inner(s.point, s, z)
         x, s, g = _data(manifold)

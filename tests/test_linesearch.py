@@ -92,6 +92,25 @@ class TestWolfeCheck:
         with pytest.raises(ContractViolationError):
             wolfe_check(self.inst, self.x, -self.g, 0.0, self.cfg, DR)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, 0.0, -0.5],
+                             ids=["inf", "minus-inf", "nan", "zero", "negative"])
+    def test_step_checked_before_any_evaluation(self, monkeypatch, alpha):
+        # as search_step's first trial: an infinite step once evaluated at x, then
+        # raised InvalidPointError from retract with a numpy RuntimeWarning
+        inst = rayleigh_instance(12, seed=3)
+        x = inst.initial_point()
+        eta = -inst.grad(x)
+        evaluations = []
+        for name in ("cost", "grad"):
+            real = getattr(type(inst), name)
+            monkeypatch.setattr(type(inst), name,
+                                lambda self, p, _real=real: evaluations.append(p) or _real(self, p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="is not positive and finite"):
+                wolfe_check(inst, x, eta, alpha, self.cfg, DR)
+        assert evaluations == []
+
 
 class TestLineSearch:
     def setup_method(self):

@@ -871,6 +871,42 @@ class TestInFrameProducts:
             assert _hexes(scalars) == _hexes(want)
 
 
+def _run_bits(res: RunResult) -> dict:
+    """Everything a run records but its timings, each double as its hex and each iterate
+    and direction as its bytes."""
+    d = res.diagnostics
+    return {
+        "result": (res.converged, res.iters, res.final_f.hex(), res.final_gnorm.hex(),
+                   res.failure_reason, res.failure_detail, d.restarts),
+        "series": {name: _hexes(getattr(d, name)) for name in RunDiagnostics.SERIES},
+        "trace": [(row.iteration, _hexes((row.f, row.gnorm, row.alpha, row.g_dot_eta)),
+                   row.point.ambient.tobytes(),
+                   None if row.direction is None else row.direction.ambient.tobytes())
+                  for row in res.trace],
+    }
+
+
+class TestCgReadsNoBroydenField:
+    """A CG run builds no Broyden memory: z_mode, phi_mode and xi cannot move it."""
+
+    @pytest.mark.parametrize("make", [lambda: rayleigh_instance(30, seed=7),
+                                      lambda: offdiag_instance(6, 3, 2, seed=5)],
+                             ids=["rayleigh", "offdiag"])
+    @pytest.mark.parametrize("direction", [k for k in DirectionKind
+                                           if k is not DirectionKind.BROYDEN],
+                             ids=lambda k: k.value)
+    @pytest.mark.parametrize("transport", list(TransportKind), ids=lambda t: t.value)
+    def test_broyden_fields_leave_the_run_unchanged(self, make, direction, transport):
+        inst = make()
+        cfg = SolverConfig(direction=direction, transport=transport, max_iters=500,
+                           record_trace=True)
+        other = dataclasses.replace(cfg, z_mode=ZMode.POWELL, phi_mode=PhiMode.PRECONVEX, xi=0.1)
+        assert solver_id(other) == solver_id(cfg)
+        runs = [_run_bits(solve(inst, inst.initial_point(), c)) for c in (cfg, other)]
+        assert runs[0] == runs[1]
+        assert runs[0]["series"]["z_margin"] == runs[0]["series"]["z_ratio"] == []
+
+
 def _riemqn_frames(run):
     """Python frames of the riemqn package entered while ``run()`` runs, and its result."""
     package = os.path.dirname(riemqn.__file__) + os.sep
@@ -893,7 +929,7 @@ def _riemqn_frames(run):
 # shipped configs' tol and max_iters: a frame added to the loop fails here
 FRAMES_PER_RUN = {
     ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (8462, 146),
-    ("hz_dr", "rayleigh 100, seed 20250"): (13973, 220),
+    ("hz_dr", "rayleigh 100, seed 20250"): (12213, 220),
     ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (24299, 464),
 }
 _FRAME_INSTANCES = {
@@ -987,13 +1023,14 @@ class TestNumericalBreakdown:
             reason is FailureReason.NON_FINITE
             and res.failure_detail != solver_mod._NON_FINITE_SLOPE)
         assert searches == res.iters + failed_search
-        # every accepted step builds the memory, unless that build is what failed
-        builds = res.iters - (reason is FailureReason.DEGENERATE_STEP)
+        # every accepted Broyden step builds the memory, unless that build is what
+        # failed; a CG run builds none
+        broyden = sid.startswith("broyden")
+        builds = res.iters - (reason is FailureReason.DEGENERATE_STEP) if broyden else 0
         assert len(d.z_margin) == len(d.z_ratio) == builds
         # a Broyden direction is computed from memory before every search but the
         # first, and before a slope that ends the run non_finite
         directions = searches + (res.failure_detail == solver_mod._NON_FINITE_SLOPE)
-        broyden = sid.startswith("broyden")
         assert len(d.gamma) == len(d.tau) == len(d.phi) == (
             max(directions - 1, 0) if broyden else 0)
 
@@ -1015,10 +1052,14 @@ class TestNumericalBreakdown:
         assert list(res.diagnostics.alpha0) == [1.0]
         assert res.final_f == inst.cost(inst.initial_point())
 
-    @pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.1_dr", "dy_dr"])
-    def test_vanishing_transported_direction_is_a_degenerate_step(self, monkeypatch, sid):
-        # T(eta) = 0 passes the curvature test and makes s = alpha * T(eta) = 0, so
-        # compute_z finds <s, s> = 0; Broyden takes no sigma, CG none before that
+    @pytest.mark.parametrize("sid,detail", [
+        ("broyden_bfgs_lf_xi0.1_dr", "DegenerateStepError: previous step has zero norm"),
+        ("dy_dr", "DegenerateTransportError: transported direction has zero norm"),
+    ])
+    def test_vanishing_transported_direction_is_a_degenerate_step(self, monkeypatch, sid,
+                                                                   detail):
+        # T(eta) = 0 passes the curvature test and makes s = alpha * T(eta) = 0: a
+        # Broyden run's compute_z finds <s, s> = 0, a CG run's scaling_sigma |T(eta)| = 0
         real = linesearch_mod.transport_direction
 
         def vanishing(*args):
@@ -1030,7 +1071,7 @@ class TestNumericalBreakdown:
         inst = rayleigh_instance(12, seed=3)
         res = solve(inst, inst.initial_point(), config_from_id(sid))
         assert (res.iters, res.failure_reason) == (1, FailureReason.DEGENERATE_STEP)
-        assert res.failure_detail == "DegenerateStepError: previous step has zero norm"
+        assert res.failure_detail == detail
 
     def test_hz_overflowing_denominator_square_restarts(self):
         # Rayleigh n=30 seed 7 scaled by 1e100: den * den overflows on every step
