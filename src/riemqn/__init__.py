@@ -8,7 +8,6 @@ baselines, seeded benchmark problems, and Dolan-Moré performance profiling.
 from .directions import (
     DEFAULT_NU_HAT,
     BroydenParams,
-    CgScalars,
     DirectionKind,
     PhiMode,
     ZMode,

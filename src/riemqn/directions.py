@@ -225,38 +225,37 @@ def sufficient_descent_kappa(gamma_min: float, xi_bar: float, phi_bar: float) ->
     )
 
 
-class CgScalars(NamedTuple):
-    """Inner products feeding the conjugate-gradient beta formulas (HZ's mu is the constant 2)."""
-
-    g_norm2: float
-    g_prev_norm2: float
-    g_dot_t_eta: float
-    g_dot_t_g: float
-    y_norm2: float
-    g_prev_dot_eta: float
-    sigma: float
-
-
-def cg_beta(kind: DirectionKind, s: CgScalars) -> float | None:
+def cg_beta(kind: DirectionKind, g: Tangent, t_g: Tangent, g_dot_t_eta: float,
+            g_prev_norm2: float, g_prev_dot_eta: float, sigma: float) -> float | None:
     """Transported beta value, or None (restart) when a denominator vanishes or HZ's squared
-    denominator leaves the float range."""
+    denominator leaves the float range.
+
+    g is the new gradient and t_g = T(g_prev), checked against g's point, identity
+    first; g_dot_t_eta = <g, T(eta_prev)>, and the previous gradient's |g_prev|^2 and
+    <g_prev, eta_prev>.  The rule takes with ``_dot`` only the products it reads: FR
+    |g|^2, DY also den = sigma <g, T(eta_prev)> - <g_prev, eta_prev>, PRP and HS also
+    <g, T(g_prev)>, and HZ (mu = 2) also |g - T(g_prev)|^2.
+    """
+    if t_g.point is not g.point:
+        _require_base(g.point, t_g, "t_g")
+    ga = g.ambient
+    g_norm2 = _dot(ga, ga)
     if kind is DirectionKind.FR:
-        if s.g_prev_norm2 == 0.0:
-            return None
-        return s.g_norm2 / s.g_prev_norm2
-    den = s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta
+        return None if g_prev_norm2 == 0.0 else g_norm2 / g_prev_norm2
+    den = sigma * g_dot_t_eta - g_prev_dot_eta
     if kind is DirectionKind.DY:
-        return None if den == 0.0 else s.g_norm2 / den
-    num = s.g_norm2 - s.g_dot_t_g
+        return None if den == 0.0 else g_norm2 / den
+    num = g_norm2 - _dot(ga, t_g.ambient)
     if kind is DirectionKind.PRP:
-        return None if s.g_prev_norm2 == 0.0 else num / s.g_prev_norm2
+        return None if g_prev_norm2 == 0.0 else num / g_prev_norm2
     if kind is DirectionKind.HS:
         return None if den == 0.0 else num / den
     if kind is DirectionKind.HZ:
         dd = den * den  # underflows to 0 below |den| ~ 1e-162, overflows above ~ 1e154
         if dd == 0.0 or dd == math.inf:
             return None
-        return num / den - _HZ_MU * s.y_norm2 * s.g_dot_t_eta / dd
+        ya = ga - t_g.ambient
+        return num / den - _HZ_MU * _dot(ya, ya) * g_dot_t_eta / dd
     raise ContractViolationError(f"{kind!r} is not a conjugate-gradient rule")
 
 

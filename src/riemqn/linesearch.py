@@ -7,8 +7,8 @@ a trial step alpha along eta is accepted when
     <grad f(R_x(alpha * eta)), T(eta)>  >=  c2 * <g, eta>        (curvature)
 
 where T carries eta across the displacement alpha * eta.  The same transport
-call also returns the images of the step and of the gradient at x, which the
-solver's memory uses, so an accepted step needs no further transport.  The
+call also returns the image of the gradient at x, which the solver's memory
+uses with T(eta), so an accepted step needs no further transport.  The
 search brackets by doubling and then zooms; zoom progress is guaranteed by
 bisection, with a safeguarded quadratic fit for its first trial to cut
 evaluations on stiff objectives.  Gradients are only evaluated for trials
@@ -86,14 +86,15 @@ class LineSearchConfig:
 
 
 class StepEval(NamedTuple):
-    """Everything the solver needs about one evaluated trial step."""
+    """Everything the solver needs about one evaluated trial step: the step alpha, the
+    point x_new it reaches, f and grad f there, the transported direction t_eta and
+    gradient t_g, and dphi = <g_new, t_eta>.  The step image is ``alpha * t_eta``."""
 
     alpha: float
     x_new: Point
     f_new: float
     g_new: Tangent
     t_eta: Tangent
-    s: Tangent
     t_g: Tangent
     dphi: float
 
@@ -121,9 +122,9 @@ def _complete(
 ) -> StepEval:
     """The full evaluation of the trial step alpha, which reached x_new at cost f_new."""
     g_new = problem.grad(x_new)
-    t_eta, s, t_g = transport_direction(kind, x, eta, alpha, g0, x_new)
+    t_eta, t_g = transport_direction(kind, x, eta, alpha, g0, x_new)
     dphi = inner(x_new, g_new, t_eta)
-    return StepEval(alpha, x_new, f_new, g_new, t_eta, s, t_g, dphi)
+    return StepEval(alpha, x_new, f_new, g_new, t_eta, t_g, dphi)
 
 
 def wolfe_check(

@@ -6,10 +6,10 @@ in ambient coordinates and renormalize (column-wise on the oblique manifold).
 
 After a step alpha * eta from x to x_new = R_x(alpha * eta), one call,
 ``transport_direction``, carries the step data across: it returns the images
-``(T(eta), s, T(g))`` of the direction, of the step and of the gradient at x.
-Each image is one scaled projection onto the tangent space at x_new,
-``T(v) = P_{x_new}(v) * w``, and the step image is ``s = alpha * T(eta)``.
-Three transport-like maps are available:
+``(T(eta), T(g))`` of the direction and of the gradient at x.  Each image is
+one scaled projection onto the tangent space at x_new,
+``T(v) = P_{x_new}(v) * w``; the step's own image is ``s = alpha * T(eta)``,
+which the caller that reads it forms.  Three transport-like maps are available:
 
 * ``DIFFERENTIATED_RETRACTION`` -- the derivative of the retraction, the
   default and a genuine (linear) vector transport.  For this retraction both
@@ -377,15 +377,16 @@ def _retraction_scale(x: Point, eta: Tangent, alpha: float, x_new: Point):
 
 def transport_direction(
     kind: TransportKind, x: Point, eta: Tangent, alpha: float, g: Tangent, x_new: Point
-) -> tuple[Tangent, Tangent, Tangent]:
+) -> tuple[Tangent, Tangent]:
     """Carry the step data at x to x_new = retract(x, eta, alpha).
 
-    Returns ``(t_eta, s, t_g)``: the images of the direction eta, of the step
-    alpha * eta and of the gradient g, all tangent at x_new.  With u = x_new,
-    ``t_eta = P_u(eta) * w_eta``, ``t_g = P_u(g) * w_g`` and ``s = alpha * t_eta``:
-    the weights are ``1 / |x + alpha * eta|`` for the differentiated retraction,
-    1 for projection, and ``w_eta = 1 / <u, x>``, ``w_g = 1`` for the inverse
-    retraction, whose step image is ``s = -R_u^{-1}(x)``.  Two projections in all.
+    Returns ``(t_eta, t_g)``: the images of the direction eta and of the gradient g,
+    both tangent at x_new.  With u = x_new, ``t_eta = P_u(eta) * w_eta`` and
+    ``t_g = P_u(g) * w_g``: the weights are ``1 / |x + alpha * eta|`` for the
+    differentiated retraction, 1 for projection, and ``w_eta = 1 / <u, x>``,
+    ``w_g = 1`` for the inverse retraction.  The step image is ``s = alpha * t_eta``,
+    formed by its reader (``-R_u^{-1}(x)`` for the inverse retraction).  Two
+    projections in all.
     """
     if eta.point is not x:
         _require_base(x, eta, "eta")
@@ -393,7 +394,6 @@ def transport_direction(
         _require_base(x, g, "g")
     if not alpha > 0.0:
         raise ContractViolationError("step size must be positive")
-    alpha = float(alpha)
     manifold, u = x_new.manifold, x_new.ambient
     if manifold is not x.manifold:  # a point on x's manifold has x's shape already
         u = _ambient_array(u, x.ambient.shape)
@@ -405,7 +405,7 @@ def transport_direction(
         t_eta = t_eta / manifold._overlap(u, x.ambient)
     elif kind is not TransportKind.PROJECTION:
         raise ContractViolationError(f"unknown transport kind: {kind!r}")
-    return Tangent(x_new, t_eta), Tangent(x_new, alpha * t_eta), Tangent(x_new, t_g)
+    return Tangent(x_new, t_eta), Tangent(x_new, t_g)
 
 
 def scaling_sigma(x_next: Point, eta_prev_norm: float, t_eta: Tangent) -> float:

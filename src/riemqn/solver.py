@@ -22,7 +22,6 @@ import numpy as np
 
 from .directions import (
     DEFAULT_NU_HAT,
-    CgScalars,
     DirectionKind,
     PhiMode,
     ZMode,
@@ -49,7 +48,6 @@ from .manifolds import (
     Tangent,
     TransportKind,
     _dot,
-    _require_base,
     inner,
     norm,
     scaling_sigma,
@@ -293,8 +291,10 @@ def solve(
     The arguments are checked here, once: a problem that is no riemqn instance, an
     x0 that is no ``Point`` or a cfg that is no ``SolverConfig`` raises
     ``ContractViolationError`` naming the argument and its type.
-    The latest accepted step's memory is kept in locals, and the products the
-    directions read are taken here with ``_dot``, bit for bit as ``inner`` takes them.
+    The latest accepted step's memory is kept in locals.  A Broyden step forms its step
+    image s = alpha * T(eta) and takes the products its memory reads here with ``_dot``,
+    bit for bit as ``inner`` takes them; a CG step keeps sigma and the previous
+    gradient's norm and slope, and ``cg_beta`` takes the products its rule reads.
     """
     for name, value, kind in (("problem", problem, ProblemInstance), ("x0", x0, Point),
                               ("cfg", cfg, SolverConfig)):
@@ -334,8 +334,8 @@ def solve(
     f = problem.cost(x)
     g = problem.grad(x)
     # the latest accepted step (None before the first), based at x; a Broyden run keeps its
-    # y = g - T(g_prev), z and params, a CG run y's array, sigma and the norm and slope of
-    # the gradient the step left
+    # s = alpha * T(eta), z and params, a CG run sigma and the norm and slope of the
+    # gradient the step left
     ev = None
     k = 0
     failure: Optional[FailureReason] = None
@@ -354,13 +354,9 @@ def solve(
             diag.gamma.append(params.gamma)
             diag.tau.append(params.tau)
             diag.phi.append(params.phi)
-            eta = broyden_direction(g, ev.s, z, params)
+            eta = broyden_direction(g, s, z, params)
         else:
-            ga = g.ambient
-            beta = cg_beta(kind, CgScalars(
-                _dot(ga, ga), g_prev_norm * g_prev_norm, ev.dphi, _dot(ga, ev.t_g.ambient),
-                _dot(ya, ya), g_prev_dot_eta, sigma,
-            ))
+            beta = cg_beta(kind, g, ev.t_g, ev.dphi, g_prev_norm2, g_prev_dot_eta, sigma)
             eta = None if beta is None else cg_direction(g, beta, sigma, ev.t_eta)
         if eta is None or (gde := inner(x, g, eta)) >= -_DESCENT_GUARD * gnorm * gnorm:
             # steepest descent; a restart when the last step gave no descent direction
@@ -399,14 +395,10 @@ def solve(
         f_prev = f
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
-        s, t_g = ev.s, ev.t_g
-        if t_g.point is not g.point:  # the step's images are based where g is
-            _require_base(g.point, t_g, "t_g")
         try:
-            if broyden:
-                y = Tangent(g.point, g.ambient - t_g.ambient)
-                if y.point is not s.point:  # the check inner(s.point, s, y) makes
-                    _require_base(s.point, y, "v")
+            if broyden:  # s, y = g - T(g_prev) and g are all based at x
+                s = Tangent(x, ev.alpha * ev.t_eta.ambient)
+                y = Tangent(x, g.ambient - ev.t_g.ambient)
                 sa = s.ambient
                 ss = _dot(sa, sa)
                 sy = _dot(sa, y.ambient)
@@ -414,10 +406,9 @@ def solve(
                 params = schedule_params(s, z, phi_mode, xi, ss, sy if z is y else None)
                 diag.z_margin.append(params.sz - nu_hat * params.ss)
                 diag.z_ratio.append(math.sqrt(params.zz / params.ss))
-            else:  # CG reads y only as HZ's |y|^2, from the array
-                ya = g.ambient - t_g.ambient
+            else:
                 sigma = scaling_sigma(x, eta_norm, ev.t_eta)
-                g_prev_norm, g_prev_dot_eta = gnorm, gde
+                g_prev_norm2, g_prev_dot_eta = gnorm * gnorm, gde
         except (DegenerateStepError, DegenerateTransportError, DegenerateZError) as exc:
             failure, detail = FailureReason.DEGENERATE_STEP, _detail(exc)
             break

@@ -15,12 +15,14 @@ import numpy as np
 
 from riemqn import (
     ConfigError,
+    DirectionKind,
     EmptyTableError,
     Oblique,
     Point,
     ProfileTable,
     Sphere,
     Tangent,
+    inner,
     random_tangent,
     retract,
 )
@@ -153,9 +155,46 @@ def dense_memoryless_matrix(
     return h
 
 
+def reference_cg_beta(kind: DirectionKind, g: Tangent, t_g: Tangent, g_dot_t_eta: float,
+                      g_prev_norm2: float, g_prev_dot_eta: float, sigma: float):
+    """The transported beta from all of its products, each taken with ``inner`` whether the
+    rule reads it or not: |g|^2, <g, T(g_prev)> and |y|^2 with y = g - T(g_prev)."""
+    x = g.point
+    y = Tangent(x, g.ambient - t_g.ambient)
+    g_norm2, g_dot_t_g, y_norm2 = inner(x, g, g), inner(x, g, t_g), inner(x, y, y)
+    if kind is DirectionKind.FR:
+        if g_prev_norm2 == 0.0:
+            return None
+        return g_norm2 / g_prev_norm2
+    den = sigma * g_dot_t_eta - g_prev_dot_eta
+    if kind is DirectionKind.DY:
+        return None if den == 0.0 else g_norm2 / den
+    num = g_norm2 - g_dot_t_g
+    if kind is DirectionKind.PRP:
+        return None if g_prev_norm2 == 0.0 else num / g_prev_norm2
+    if kind is DirectionKind.HS:
+        return None if den == 0.0 else num / den
+    assert kind is DirectionKind.HZ
+    dd = den * den
+    if dd == 0.0 or dd == math.inf:
+        return None
+    return num / den - 2.0 * y_norm2 * g_dot_t_eta / dd
+
+
+# every layout ``layout`` makes; a 1-D array can have each of them
+LAYOUTS = "CFTSR"
+
+
 def layout(a: np.ndarray, order: str) -> np.ndarray:
-    """The values of ``a`` laid out C-ordered ("C"), Fortran-ordered ("F") or as a transposed
-    view of a C-ordered array ("T")."""
+    """The values of ``a`` laid out C-ordered ("C"), Fortran-ordered ("F"), as a transposed
+    view of a C-ordered array ("T"), as every other element of a larger array ("S") or as
+    a reversed view ("R")."""
+    if order == "S":
+        wide = np.zeros(2 * a.size)
+        wide[::2] = a.ravel()
+        return wide[::2].reshape(a.shape)
+    if order == "R":
+        return np.ascontiguousarray(a[::-1])[::-1]
     if order == "F":
         return np.asfortranarray(a)
     if order == "T":

@@ -60,7 +60,7 @@ def test_result_line(workload, trace):
 # that skips the class's __post_init__, changes one of them.
 HOT_PATH_COUNTS = {
     "manifolds.point_checks_per_iter": 1.2067961165048544,
-    "manifolds.tangents_per_iter": 5.929126213592233,
+    "manifolds.tangents_per_iter": 5.710679611650486,
     "problems.cost.calls_per_iter": 1.213106796116505,
     "linesearch.probes_per_step": 1.2063106796116505,
 }

@@ -3,8 +3,7 @@
 ``Point`` and ``Tangent`` run their checks in ``__post_init__``, looked up on
 the class: the benchmark counts constructions by replacing that attribute in
 the class ``__dict__``, so every construction must go through it.  The step
-records (``StepEval``, ``BroydenParams``, ``CgScalars``) are
-immutable.
+records (``StepEval``, ``BroydenParams``) are immutable.
 ``TestChecksKept`` holds every check of that one frame: coercion, shape,
 the constraint (before freezing), copy-if-view and freezing, and the base
 checks that ``inner``, ``retract`` and ``transport_direction`` make only
@@ -18,8 +17,8 @@ import pytest
 
 from riemqn import (
     BroydenParams,
-    CgScalars,
     ContractViolationError,
+    DirectionKind,
     InvalidPointError,
     LineSearchConfig,
     Oblique,
@@ -44,7 +43,7 @@ from riemqn import (
     search_step,
     transport_direction,
 )
-from riemqn.directions import cg_direction
+from riemqn.directions import cg_beta, cg_direction
 
 MANIFOLDS = [Sphere(6), Oblique(5, 3)]
 
@@ -105,8 +104,8 @@ class TestOneCheckPerObject:
         x_new = retract(x, eta, 0.25)
         before = built()
         outs = transport_direction(kind, x, eta, 0.25, g, x_new)
-        assert built(before) == (0, 3)
-        assert len({id(t) for t in outs}) == 3
+        assert built(before) == (0, 2)
+        assert len({id(t) for t in outs}) == 2
         assert all(t.point is x_new for t in outs)
 
     def test_directions(self, manifold, built):
@@ -137,11 +136,6 @@ def _broyden_params():
     return BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0, ss=1.0, sz=2.0, zz=4.0)
 
 
-def _cg_scalars():
-    return CgScalars(g_norm2=1.0, g_prev_norm2=2.0, g_dot_t_eta=0.5, g_dot_t_g=0.25,
-                     y_norm2=3.0, g_prev_dot_eta=-1.0, sigma=1.0)
-
-
 class TestImmutable:
     def test_point_and_tangent_fields(self):
         x, eta, _ = _data(Sphere(4))
@@ -151,20 +145,14 @@ class TestImmutable:
                     setattr(obj, name, getattr(obj, name))
 
     def test_step_records(self):
-        for record in (_step_eval(), _broyden_params(), _cg_scalars()):
+        for record in (_step_eval(), _broyden_params()):
             for name in record._fields:
                 with pytest.raises(AttributeError):
                     setattr(record, name, getattr(record, name))
 
     def test_field_names_and_order(self):
-        assert StepEval._fields == ("alpha", "x_new", "f_new", "g_new", "t_eta", "s", "t_g",
-                                    "dphi")
+        assert StepEval._fields == ("alpha", "x_new", "f_new", "g_new", "t_eta", "t_g", "dphi")
         assert BroydenParams._fields == ("gamma", "tau", "phi", "xi", "ss", "sz", "zz")
-        assert CgScalars._fields == ("g_norm2", "g_prev_norm2", "g_dot_t_eta", "g_dot_t_g",
-                                     "y_norm2", "g_prev_dot_eta", "sigma")
-        assert CgScalars._field_defaults == {}
-        scalars = _cg_scalars()
-        assert CgScalars(*scalars) == scalars
         ev = _step_eval()
         assert StepEval(**ev._asdict()) == ev
 
@@ -338,6 +326,20 @@ class TestChecksKept:
         other, *_ = _data(manifold, seed=2)
         with pytest.raises(ContractViolationError, match="t_eta_prev is not based at the given"):
             cg_direction(g, 0.5, 0.75, Tangent(other, t_eta.ambient))
+
+    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+    @pytest.mark.parametrize("kind", [k for k in DirectionKind if k is not DirectionKind.BROYDEN],
+                             ids=lambda k: k.value)
+    def test_cg_beta_base(self, manifold, kind):
+        # T(g_prev) is checked against g's point, identity first
+        x, t_g, g = _data(manifold)
+        args = (0.5, 2.0, -1.5, 0.75)
+        want = cg_beta(kind, g, t_g, *args)
+        twin = Point(manifold, x.ambient.copy())
+        assert cg_beta(kind, g, Tangent(twin, t_g.ambient), *args).hex() == want.hex()
+        other, *_ = _data(manifold, seed=2)
+        with pytest.raises(ContractViolationError, match="t_g is not based at the given"):
+            cg_beta(kind, g, Tangent(other, t_g.ambient), *args)
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
     def test_schedule_params_base(self, manifold):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from riemqn import (
     BroydenParams,
-    CgScalars,
     ContractViolationError,
     DegenerateStepError,
     DegenerateZError,
@@ -33,13 +32,16 @@ from riemqn import (
     sufficient_descent_kappa,
 )
 
+from riemqn import directions
 from riemqn.directions import _preconvex_phi
 
 from _support import (
+    LAYOUTS,
     curvature_healthy_pair,
     dense_memoryless_matrix,
     from_coords,
     layout,
+    reference_cg_beta,
     tangent_basis,
     to_coords,
 )
@@ -283,74 +285,110 @@ class TestKappa:
             sufficient_descent_kappa(0.0, 0.1, 1.5)
 
 
-def make_scalars(**overrides):
-    base = dict(
-        g_norm2=4.0,
-        g_prev_norm2=4.0,
-        g_dot_t_eta=1.0,
-        g_dot_t_g=0.5,
-        y_norm2=2.0,
-        g_prev_dot_eta=-3.0,
-        sigma=1.0,
-    )
-    base.update(overrides)
-    return CgScalars(**base)
+def cg_args(g=(2.0, 0.0), t_g=(0.25, 0.5), g_dot_t_eta=1.0, g_prev_norm2=4.0,
+            g_prev_dot_eta=-3.0, sigma=1.0):
+    """cg_beta's arguments after the rule: g and T(g_prev) in the flat plane, then the
+    scalars.  By default |g|^2 = 4, <g, T(g_prev)> = 0.5 and den = 4."""
+    _, vecs = flat_tangents(g, t_g)
+    return (*vecs, g_dot_t_eta, g_prev_norm2, g_prev_dot_eta, sigma)
+
+
+CG_RULES = [k for k in DirectionKind if k is not DirectionKind.BROYDEN]
 
 
 class TestCgBeta:
     def test_fr_equal_norms(self):
-        assert cg_beta(DirectionKind.FR, make_scalars()) == 1.0
+        assert cg_beta(DirectionKind.FR, *cg_args()) == 1.0
 
     def test_hz_reduces_to_hs_when_overlap_vanishes(self):
-        s = make_scalars(g_dot_t_eta=0.0)
-        assert cg_beta(DirectionKind.HZ, s) == cg_beta(DirectionKind.HS, s)
+        args = cg_args(g_dot_t_eta=0.0)
+        assert cg_beta(DirectionKind.HZ, *args) == cg_beta(DirectionKind.HS, *args)
 
     def test_dy_hand_evaluation_with_sigma(self):
         # flat data: g = (1, 2), T(eta_prev) = (3, 0), |T| = 3 > |eta_prev| = 1
         x, (g, t_eta) = flat_tangents((1.0, 2.0), (3.0, 0.0))
         sigma = scaling_sigma(x, 1.0, t_eta)
         assert sigma == pytest.approx(1.0 / 3.0, rel=1e-14)
-        s = make_scalars(
-            g_norm2=inner(x, g, g),
-            g_dot_t_eta=inner(x, g, t_eta),
-            g_prev_dot_eta=-2.0,
-            sigma=sigma,
-        )
+        beta = cg_beta(DirectionKind.DY, g, t_eta, inner(x, g, t_eta), 4.0, -2.0, sigma)
         want = 5.0 / (sigma * 3.0 - (-2.0))
-        assert cg_beta(DirectionKind.DY, s) == pytest.approx(want, rel=1e-14)
+        assert beta == pytest.approx(want, rel=1e-14)
 
     def test_zero_denominator_signals_restart(self):
-        s = make_scalars(g_dot_t_eta=3.0, g_prev_dot_eta=3.0, sigma=1.0)
-        assert cg_beta(DirectionKind.DY, s) is None
-        assert cg_beta(DirectionKind.HS, s) is None
-        assert cg_beta(DirectionKind.HZ, s) is None
-        assert cg_beta(DirectionKind.FR, make_scalars(g_prev_norm2=0.0)) is None
+        args = cg_args(g_dot_t_eta=3.0, g_prev_dot_eta=3.0, sigma=1.0)
+        for kind in (DirectionKind.DY, DirectionKind.HS, DirectionKind.HZ):
+            assert cg_beta(kind, *args) is None
+        for kind in (DirectionKind.FR, DirectionKind.PRP):
+            assert cg_beta(kind, *cg_args(g_prev_norm2=0.0)) is None
 
     def test_hz_underflowing_denominator_square_signals_restart(self):
         # den ~ 1e-170 is nonzero, but den * den underflows to 0
-        s = make_scalars(g_dot_t_eta=5e-171, g_prev_dot_eta=-5e-171, sigma=1.0)
-        assert s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta != 0.0
-        assert cg_beta(DirectionKind.HZ, s) is None
-        assert math.isfinite(cg_beta(DirectionKind.HS, s))
+        args = cg_args(g_dot_t_eta=5e-171, g_prev_dot_eta=-5e-171, sigma=1.0)
+        assert 1.0 * 5e-171 - (-5e-171) != 0.0
+        assert cg_beta(DirectionKind.HZ, *args) is None
+        assert math.isfinite(cg_beta(DirectionKind.HS, *args))
 
     def test_hz_overflowing_denominator_square_signals_restart(self):
         # den ~ 1e200 is finite, but den * den overflows to inf, and with it
-        # y_norm2 * g_dot_t_eta: inf / inf would make beta nan
-        s = make_scalars(g_dot_t_eta=5e199, g_prev_dot_eta=-5e199, y_norm2=1e250,
-                         g_norm2=1e200, g_dot_t_g=0.0, sigma=1.0)
-        assert math.isfinite(s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta)
-        assert cg_beta(DirectionKind.HZ, s) is None
-        assert math.isfinite(cg_beta(DirectionKind.HS, s))
+        # |y|^2 * <g, T(eta_prev)> (|y|^2 ~ 1e250): inf / inf would make beta nan
+        args = cg_args(g=(1e100, 0.0), t_g=(0.0, 1e125), g_dot_t_eta=5e199,
+                       g_prev_dot_eta=-5e199, sigma=1.0)
+        assert math.isfinite(1.0 * 5e199 - (-5e199))
+        assert cg_beta(DirectionKind.HZ, *args) is None
+        assert math.isfinite(cg_beta(DirectionKind.HS, *args))
 
     def test_hz_formula(self):
-        s = make_scalars()
-        den = s.sigma * s.g_dot_t_eta - s.g_prev_dot_eta
-        want = (s.g_norm2 - s.g_dot_t_g) / den - 2.0 * s.y_norm2 * s.g_dot_t_eta / den**2
-        assert cg_beta(DirectionKind.HZ, s) == pytest.approx(want, rel=1e-14)
+        # y = g - T(g_prev) = (1.75, -0.5), |y|^2 = 3.3125
+        den = 1.0 * 1.0 - (-3.0)
+        want = (4.0 - 0.5) / den - 2.0 * 3.3125 * 1.0 / den**2
+        assert cg_beta(DirectionKind.HZ, *cg_args()) == pytest.approx(want, rel=1e-14)
 
     def test_broyden_is_not_a_beta_rule(self):
         with pytest.raises(ContractViolationError):
-            cg_beta(DirectionKind.BROYDEN, make_scalars())
+            cg_beta(DirectionKind.BROYDEN, *cg_args())
+
+    @pytest.mark.parametrize("kind,products", [
+        (DirectionKind.FR, 1), (DirectionKind.DY, 1), (DirectionKind.PRP, 2),
+        (DirectionKind.HS, 2), (DirectionKind.HZ, 3),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_takes_only_the_products_its_rule_reads(self, kind, products, monkeypatch):
+        calls = []
+
+        def counted(a, b, real=directions._dot):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(directions, "_dot", counted)
+        cg_beta(kind, *cg_args())
+        assert len(calls) == products
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        manifold=st.sampled_from([Sphere(6), Oblique(5, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.sampled_from([-50.0, 50.0]) | st.floats(-50.0, 50.0),
+        order=st.sampled_from(LAYOUTS),
+        kind=st.sampled_from(CG_RULES),
+        sigma=st.floats(0.0, 1.0),
+        near=st.booleans(),
+    )
+    def test_bitwise_equal_to_the_inner_reference(self, manifold, seed, log_scale, order, kind,
+                                                   sigma, near):
+        # the products a rule reads are the bits inner gives; T(g_prev) near g makes
+        # |g - T(g_prev)|^2 and the PRP/HS numerator cancel
+        rng = SplitMix64(seed)
+        x = random_point(manifold, rng)
+        scale = 10.0**log_scale
+        ga = random_tangent(x, rng).ambient * scale
+        t_ga = random_tangent(x, rng).ambient * scale
+        if near:
+            t_ga = ga + 1e-9 * t_ga
+        g, t_g, t_eta, eta_prev = (Tangent(x, layout(a, order)) for a in (
+            ga, t_ga, random_tangent(x, rng).ambient * scale,
+            random_tangent(x, rng).ambient * scale))
+        args = (inner(x, g, t_eta), inner(x, t_g, t_g), inner(x, t_g, eta_prev), sigma)
+        got = cg_beta(kind, g, t_g, *args)
+        want = reference_cg_beta(kind, g, t_g, *args)
+        assert (None if got is None else got.hex()) == (None if want is None else want.hex())
 
 
 class TestCgDirection:
