@@ -33,6 +33,9 @@ by a strong reference and matched by identity, with the products that cost
 and gradient share (``A x``; ``C_i X`` and ``E_i``).  So ``grad(x)`` right
 after ``cost(x)`` computes them once, and every evaluation is still one
 ``cost`` or ``grad`` call.  The entry is one tuple, replaced as a whole.
+A memo miss is the one path by which a point enters: it runs the manifold
+check (``_check_point``) before computing, so a point is checked once however
+many calls read it.
 
 ``RayleighInstance`` also keeps one ray entry, for the line search in hand
 along eta from x.  The search names each trial ``x_t = R_x(alpha eta)``
@@ -54,8 +57,9 @@ product is within ``4 n eps |A|_F`` of ``A @ x_t``.
 without the cancellation of that difference (see ``linesearch.armijo``).  On
 the ray in hand it reads ``A eta = (c_1 A x_1 - A x) / alpha_1`` from the
 entry, whose error of order ``eps |A| / alpha_1`` reaches the change only
-multiplied by ``alpha^2 <= alpha alpha_1``; off it, it computes ``A eta``
-once per direction.  It is not an evaluation of the objective.  The
+multiplied by ``alpha^2 <= alpha alpha_1``; off it, it computes ``A eta``,
+one product with A per call.  It is a pure query: it neither opens nor
+changes the ray entry, and it is not an evaluation of the objective.  The
 off-diagonal problem has neither hook: its products cost a few microseconds.
 """
 
@@ -140,8 +144,8 @@ def _set_start(instance: ProblemInstance, x0: np.ndarray) -> None:
 
 
 def _check_point(instance: ProblemInstance, x: Point) -> None:
-    """Reject a point on another manifold; cost and grad call this only when x's
-    manifold is not the instance's own object."""
+    """Reject a point on another manifold.  A memo miss and ``cost_change`` call this
+    only when x's manifold is not the instance's own object."""
     if x.manifold != instance.manifold:
         raise ContractViolationError(
             f"dimension mismatch: point on {x.manifold}, instance on {instance.manifold}"
@@ -149,20 +153,19 @@ def _check_point(instance: ProblemInstance, x: Point) -> None:
 
 
 class _Ray:
-    """The search in hand along eta from x (see the module docstring).
+    """The search in hand along eta from x (see the module docstring), opened only
+    by ``on_ray``.
 
-    ``a1`` is 0 and ``c1``, ``ax1`` None until a trial's product is computed
-    directly; ``ax`` is None for an entry that ``cost_change`` opened off any
-    search; ``scalars`` caches the floor form's ``(m, quad, sq, cross)`` for
-    the current ``a1``.
+    ``ax`` is ``A x``; ``a1`` is 0 and ``c1``, ``ax1`` None until a trial's
+    product is computed directly.
     """
 
-    __slots__ = ("x", "eta", "ax", "a1", "c1", "ax1", "trial", "alpha", "scalars")
+    __slots__ = ("x", "eta", "ax", "a1", "c1", "ax1", "trial", "alpha")
 
     def __init__(self, x, eta, ax):
         self.x, self.eta, self.ax = x, eta, ax
         self.a1, self.c1, self.ax1 = 0.0, None, None
-        self.trial, self.alpha, self.scalars = None, 0.0, None
+        self.trial, self.alpha = None, 0.0
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,11 @@ class RayleighInstance:
         object.__setattr__(self, "_ray", _Ray(None, None, None))
 
     def _product(self, x: Point) -> np.ndarray:
-        """A x, computed once for the last point evaluated; derived on the ray in hand."""
+        """A x for the last point evaluated, checked and computed once; derived on the ray."""
         point, ax = self._memo
         if point is not x:
+            if x.manifold is not self.manifold:
+                _check_point(self, x)
             ray = self._ray
             if ray.trial is not x:
                 ax = self.matrix @ x.ambient
@@ -201,7 +206,7 @@ class RayleighInstance:
                     ax = ((1.0 - t) / scale) * ray.ax + (t * ray.c1 / scale) * ray.ax1
                 else:
                     ax = self.matrix @ x.ambient
-                    ray.a1, ray.c1, ray.ax1, ray.scalars = alpha, scale, ax, None
+                    ray.a1, ray.c1, ray.ax1 = alpha, scale, ax
             # write=False, passed positionally (the keyword parse costs more than the
             # flag), and the frozen instance's dict set as object.__setattr__ would
             ax.setflags(False)
@@ -211,20 +216,16 @@ class RayleighInstance:
     def on_ray(self, x: Point, eta: Tangent, alpha: float, x_new: Point) -> None:
         """Note that the next point evaluated, x_new, is ``retract(x, eta, alpha)``."""
         ray = self._ray
-        if ray.x is not x or ray.eta is not eta or ray.ax is None:
+        if ray.x is not x or ray.eta is not eta:
             ray = _Ray(x, eta, self._product(x))
             self.__dict__["_ray"] = ray
         ray.trial, ray.alpha = x_new, alpha
 
     def cost(self, x: Point) -> float:
-        if x.manifold is not self.manifold:
-            _check_point(self, x)
         return float(x.ambient.dot(self._product(x)))  # the BLAS ddot that @ makes
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 2 A x."""
-        if x.manifold is not self.manifold:
-            _check_point(self, x)
         return project_tangent(x, 2.0 * self._product(x))
 
     def cost_change(self, x: Point, eta: Tangent, alpha: float, f0: float, d0: float) -> float:
@@ -236,22 +237,20 @@ class RayleighInstance:
         cancels to rounding noise as the step shrinks.  The quadratic terms are
         taken of ``u = eta / m``, ``m = max |eta_i|``, with the step ``b = alpha m``,
         so that ``eta'A eta`` cannot overflow while the step itself is finite.
-        ``A u`` comes from the ray entry when eta is the search in hand.
+        ``A u = (c_1 A x_1 - A x) / (alpha_1 m)`` when eta is the search in hand and it
+        has a trial product, else one product with A; the ray entry is only read.
         """
+        if x.manifold is not self.manifold:
+            _check_point(self, x)
+        e = eta.ambient
+        m = float(np.maximum.reduce(np.abs(e)))
+        u = e / m
         ray = self._ray
-        if ray.x is not x or ray.eta is not eta:
-            ray = _Ray(x, eta, None)
-            self.__dict__["_ray"] = ray
-        if ray.scalars is None:
-            e = eta.ambient
-            m = float(np.maximum.reduce(np.abs(e)))
-            u = e / m
-            if ray.a1 > 0.0:  # A u = (c_1 A x_1 - A x) / (alpha_1 m)
-                au = (ray.c1 * ray.ax1 - ray.ax) / (ray.a1 * m)
-            else:
-                au = self.matrix @ u
-            ray.scalars = (m, float(u @ au), float(u @ u), float(x.ambient @ u))
-        m, quad, sq, cross = ray.scalars
+        if ray.x is x and ray.eta is eta and ray.a1 > 0.0:
+            au = (ray.c1 * ray.ax1 - ray.ax) / (ray.a1 * m)
+        else:
+            au = self.matrix @ u
+        quad, sq, cross = float(u @ au), float(u @ u), float(x.ambient @ u)
         b = alpha * m
         b2 = b * b
         return (alpha * d0 + b2 * (quad - f0 * sq)) / (1.0 + 2.0 * b * cross + b2 * sq)
@@ -286,9 +285,12 @@ class OffDiagonalInstance:
         object.__setattr__(self, "_memo", (None, None, None))
 
     def _products(self, x: Point) -> tuple[np.ndarray, np.ndarray]:
-        """C_i X and E_i = offdiag(X' C_i X), computed once for the last point evaluated."""
+        """C_i X and E_i = offdiag(X' C_i X) for the last point evaluated, checked and
+        computed once."""
         point, cx, e = self._memo
         if point is not x:
+            if x.manifold is not self.manifold:
+                _check_point(self, x)
             xa = x.ambient
             cx = self._stacked @ xa
             e = xa.T @ cx
@@ -301,15 +303,11 @@ class OffDiagonalInstance:
         return cx, e
 
     def cost(self, x: Point) -> float:
-        if x.manifold is not self.manifold:
-            _check_point(self, x)
         _, e = self._products(x)
         return float(np.add.reduce(e * e, axis=None))
 
     def grad(self, x: Point) -> Tangent:
         """Tangent projection of the ambient gradient 4 sum_i C_i X E_i."""
-        if x.manifold is not self.manifold:
-            _check_point(self, x)
         cx, e = self._products(x)
         return project_tangent(x, 4.0 * np.add.reduce(cx @ e, axis=0))
 

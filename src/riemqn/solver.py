@@ -290,7 +290,8 @@ def solve(
 
     The arguments are checked here, once: a problem that is no riemqn instance, an
     x0 that is no ``Point`` or a cfg that is no ``SolverConfig`` raises
-    ``ContractViolationError`` naming the argument and its type.
+    ``ContractViolationError`` naming the argument and its type; an x0 on another
+    manifold raises it ("dimension mismatch") from the problem's first ``cost``.
     The latest accepted step's memory is kept in locals.  A Broyden step forms its step
     image s = alpha * T(eta) and takes the products its memory reads here with ``_dot``,
     bit for bit as ``inner`` takes them; a CG step keeps sigma and the previous
@@ -303,10 +304,6 @@ def solve(
             raise ContractViolationError(
                 f"{name} must be a {expected}, got {type(value).__name__}"
             )
-    if x0.manifold != problem.manifold:
-        raise ContractViolationError(
-            f"x0 on {x0.manifold} but the problem lives on {problem.manifold}"
-        )
     ls, kind = cfg.line_search, cfg.direction
     broyden = kind is DirectionKind.BROYDEN
     if broyden:  # the fields only the Broyden memory reads

@@ -30,6 +30,7 @@ from riemqn import (
     retract,
     solve,
 )
+from riemqn import problems as problems_mod
 from riemqn.problems import _BLOCK, SYMMETRY_TOL
 
 from _support import central_diff_directional, jacobi_eigenvalues, layout
@@ -199,6 +200,40 @@ def _exact_change(a, x, eta, alpha):
     return q(v) - q(x)
 
 
+class TestPointCheck:
+    """A point enters a problem through its product memo, which checks its manifold once."""
+
+    @pytest.mark.parametrize("call", ["cost", "grad", "on_ray", "cost_change"])
+    def test_every_entry_rejects_another_dimension(self, call):
+        inst = rayleigh_instance(5, 1)
+        x = random_point(Sphere(6), SplitMix64(1))
+        eta = random_tangent(x, SplitMix64(2))
+        args = {"cost": (x,), "grad": (x,), "on_ray": (x, eta, 0.5, retract(x, eta, 0.5)),
+                "cost_change": (x, eta, 0.5, 1.0, -1.0)}[call]
+        with pytest.raises(ContractViolationError, match="dimension mismatch"):
+            getattr(inst, call)(*args)
+
+    @pytest.mark.parametrize("make", [lambda: rayleigh_instance(6, seed=4),
+                                      lambda: offdiag_instance(5, 3, 2, seed=4)],
+                             ids=["rayleigh", "offdiag"])
+    def test_equal_manifold_compared_once_per_point(self, monkeypatch, make):
+        # a point on an equal but distinct manifold object is compared on the memo
+        # miss only, so cost then grad at it make one comparison
+        inst = make()
+        m = inst.manifold
+        twin = Point(type(m)(*m.ambient_shape), inst.x0)
+        check, calls = problems_mod._check_point, []
+
+        def counted(instance, x):
+            calls.append(x)
+            return check(instance, x)
+
+        monkeypatch.setattr(problems_mod, "_check_point", counted)
+        inst.cost(twin)
+        inst.grad(twin)
+        assert len(calls) == 1 and calls[0] is twin
+
+
 class TestCostChange:
     """``RayleighInstance.cost_change`` is f(R_x(alpha eta)) - f(x) without the cancellation."""
 
@@ -239,7 +274,12 @@ class TestCostChange:
         assert abs(change - diff) <= 4 * 30 * EPS * np.linalg.norm(inst.matrix)
 
     def test_a_eta_once_per_direction(self):
+        # on the search's ray A eta is read from its entry, with no product with A;
+        # off it every call makes one, and no call opens, replaces or changes the entry
         inst, x, f0, eta, d0 = _scaled_setup(20, 4, 1.0)
+        TestRay._trial(inst, x, eta, 0.5)
+        ray = inst._ray
+        held = (ray.x, ray.eta, ray.a1, ray.c1, ray.ax, ray.ax1)
 
         class CountingMatrix:
             calls = 0
@@ -250,13 +290,17 @@ class TestCostChange:
 
         matrix = inst.matrix
         object.__setattr__(inst, "matrix", CountingMatrix())
-        first = inst.cost_change(x, eta, 0.5, f0, d0)
-        for alpha in (0.25, 1e-3, 0.5):
+        first = inst.cost_change(x, eta, 0.25, f0, d0)
+        for alpha in (0.5, 1e-3, 0.25):
             inst.cost_change(x, eta, alpha, f0, d0)
-        assert CountingMatrix.calls == 1
-        assert inst.cost_change(x, eta, 0.5, f0, d0) == first
-        inst.cost_change(x, Tangent(x, eta.ambient.copy()), 0.5, f0, d0)  # a new direction
-        assert CountingMatrix.calls == 2
+        assert CountingMatrix.calls == 0
+        assert inst.cost_change(x, eta, 0.25, f0, d0) == first
+        other = Tangent(x, eta.ambient.copy())  # a new direction
+        for calls, alpha in enumerate((0.5, 0.25, 0.5), start=1):
+            inst.cost_change(x, other, alpha, f0, d0)
+            assert CountingMatrix.calls == calls
+        assert inst._ray is ray
+        assert all(a is b for a, b in zip((ray.x, ray.eta, ray.a1, ray.c1, ray.ax, ray.ax1), held))
 
 
 class TestRay:
@@ -313,7 +357,7 @@ class TestRay:
         self._trial(inst, x, eta, alpha_1)
         self._trial(inst, x, eta, alpha)
         change = inst.cost_change(x, eta, alpha, f0, d0)
-        assert inst._ray.scalars is not None and inst._ray.a1 == alpha_1
+        assert inst._ray.a1 == alpha_1
         exact = _exact_change(inst.matrix, x.ambient, eta.ambient, alpha)
         bound = 4 * n * EPS * np.linalg.norm(inst.matrix) * alpha * (1.0 + alpha)
         assert abs(Fraction(change) - exact) <= Fraction(bound)

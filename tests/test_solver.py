@@ -1187,12 +1187,18 @@ class TestExactInvariance:
 
     @staticmethod
     def _assert_covariant(inst, sid, k):
-        # A -> c A with c = 2^k scales f, g and eta by c and the step by 1 / c, each
-        # exactly, so tol, alpha_init and alpha_max scale with them and the run repeats
-        c = 2.0**k
+        # A -> 2^k A scales f, g and eta by c = 2^k and the step by 1 / c, each exactly,
+        # so tol, alpha_init and alpha_max scale with them and the run repeats.  The
+        # off-diagonal cost is quadratic in each C_i, so there C_i -> 2^k C_i gives c = 2^(2k)
+        rayleigh = isinstance(inst, RayleighInstance)
+        c = 2.0**k if rayleigh else 2.0**(2 * k)
         runs = []
-        for scale in (1.0, c):
-            scaled = RayleighInstance(matrix=inst.matrix * scale, x0=inst.x0, seed=inst.seed)
+        for m, scale in ((1.0, 1.0), (2.0**k, c)):
+            if rayleigh:
+                scaled = RayleighInstance(matrix=inst.matrix * m, x0=inst.x0, seed=inst.seed)
+            else:
+                scaled = OffDiagonalInstance(matrices=tuple(a * m for a in inst.matrices),
+                                             x0=inst.x0, seed=inst.seed)
             ls = LineSearchConfig(alpha_init=1.0 / scale, alpha_max=1e10 / scale)
             cfg = config_from_id(sid, SolverConfig(tol=1e-6 * scale, max_iters=3000,
                                                    line_search=ls))
@@ -1223,3 +1229,85 @@ class TestExactInvariance:
     )
     def test_cg_covariance_over_seeds_dims_and_scales(self, n, seed, sid, k):
         self._assert_covariant(rayleigh_instance(n, seed), sid, k)
+
+    @pytest.mark.parametrize("k", [-20, -10, 10, 20])
+    @pytest.mark.parametrize("sid", CG_IDS)
+    def test_offdiag_cg_run_is_covariant_under_power_of_two_scaling(self, sid, k):
+        for seed in range(4):
+            self._assert_covariant(offdiag_instance(6, 3, 3, seed), sid, k)
+
+    # every CG id on offdiag up to 6 x 3 x 3, seeds 0-3, kept the relation bitwise
+    # for |k| <= 100
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        sid=st.sampled_from(CG_IDS),
+        k=st.integers(-75, 75),
+    )
+    def test_offdiag_cg_covariance_over_seeds_dims_and_scales(self, dims, seed, sid, k):
+        n, p, num = dims
+        self._assert_covariant(offdiag_instance(n, min(p, n), num, seed), sid, k)
+
+
+class TestRoundingInvariance:
+    """Relations the problems have by construction, which runs keep to rounding: a
+    prefix of iterates and, when both runs converge, ``final_f``.  Iteration counts
+    are not compared; a line-search decision flips once the runs drift apart."""
+
+    # The bounds are measured over every PROPERTY_IDS id at max_iters 300, on Rayleigh
+    # n = 2-30, seeds 0-5 and 10^6 + (0-3) (14,790 pairs), and offdiag n <= 6,
+    # p, N <= 3, seeds 0-3 and 10^6 + (0-5) (21,420 pairs), at tol 1e-8 and 1e-10:
+    # * rotated Rayleigh iterates x_0..x_7 within 1.2e-11 for n >= 5 and x_0..x_2 within
+    #   2.0e-14 for n < 5, where HS and PRP steps amplify rounding faster (8.8e-10 at
+    #   x_3); over 20 iterates a flipped decision leaves some runs 1e-3 apart;
+    # * Rayleigh final_f within 1.92 n eps |A|_F;
+    # * permuted offdiag iterates x_0..x_4 within 2.4e-12, and final_f within
+    #   0.1 eps sum |C_i|_F^2 at tol 1e-10 (12,852 pairs).  At tol 1e-8 an instance
+    #   whose minimum is 0 differed by 1.3 eps sum |C_i|_F^2: there the stopping
+    #   residual, of order tol^2 over the curvature, exceeds the rounding.
+    # Each bound below keeps a margin of 4x or more on its measurement.
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        q_seed=st.integers(0, 2**32 - 1),
+        sid=st.sampled_from(PROPERTY_IDS),
+    )
+    def test_rotated_rayleigh_follows_the_rotated_run(self, n, seed, q_seed, sid):
+        # f(Q x) on Q A Q' is f(x) on A, so the run from Q x0 is Q times the run from x0
+        inst = rayleigh_instance(n, seed)
+        q, _ = np.linalg.qr(SplitMix64(q_seed).normal((n, n)))
+        b = q @ inst.matrix @ q.T
+        rotated = RayleighInstance(matrix=0.5 * (b + b.T), x0=q @ inst.x0, seed=seed)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-10, max_iters=300, record_trace=True))
+        base, res = (solve(prob, prob.initial_point(), cfg) for prob in (inst, rotated))
+        for row, rot in zip(base.trace[:8 if n >= 5 else 3], res.trace):
+            assert np.max(np.abs(rot.point.ambient - q @ row.point.ambient)) <= 1e-9
+        if base.converged and res.converged:
+            eps = np.finfo(float).eps
+            assert abs(res.final_f - base.final_f) <= 8 * n * eps * np.linalg.norm(inst.matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        sid=st.sampled_from(PROPERTY_IDS),
+        data=st.data(),
+    )
+    def test_permuted_offdiag_follows_the_permuted_run(self, dims, seed, sid, data):
+        # permuting the columns of X permutes each X' C_i X alike, and the cost sums the
+        # same squares whatever the order of the C_i
+        n, p, num = dims
+        inst = offdiag_instance(n, min(p, n), num, seed)
+        perm = np.array(data.draw(st.permutations(range(min(p, n)))), dtype=np.intp)
+        other = OffDiagonalInstance(matrices=inst.matrices[::-1], x0=inst.x0[:, perm],
+                                    seed=seed)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-10, max_iters=300, record_trace=True))
+        base, res = (solve(prob, prob.initial_point(), cfg) for prob in (inst, other))
+        for row, moved in zip(base.trace[:5], res.trace):
+            assert np.max(np.abs(moved.point.ambient - row.point.ambient[:, perm])) <= 1e-10
+        if base.converged and res.converged:
+            scale = sum(float(np.sum(c * c)) for c in inst.matrices)
+            assert abs(res.final_f - base.final_f) <= np.finfo(float).eps * scale
