@@ -12,11 +12,14 @@ uses with T(eta), so an accepted step needs no further transport.  The
 search brackets by doubling and then zooms; zoom progress is guaranteed by
 bisection, with a safeguarded quadratic fit for its first trial to cut
 evaluations on stiff objectives.  Gradients are only evaluated for trials
-that pass Armijo.  Both ``search_step`` and ``wolfe_check`` call the one
-Armijo test, ``armijo``.  ``wolfe_check`` evaluates with direct products,
-where the search may derive them along its ray (below), so a returned step
-passes both predicates as ``wolfe_check`` re-evaluates them to within that
-derivation's rounding (``4 n eps |A|_F`` on the Rayleigh problem).
+that pass Armijo.  ``search_step`` evaluates nothing at x: its caller hands
+it f(x), grad f(x), <g, eta> and the first trial (the solver's start rule is
+the one place a search's start is chosen), so ``wolfe_check`` is the one
+function that evaluates a step from scratch.  Both call the one Armijo test,
+``armijo``.  ``wolfe_check`` evaluates with direct products, where the search
+may derive them along its ray (below), so a returned step passes both
+predicates as ``wolfe_check`` re-evaluates them to within that derivation's
+rounding (``4 n eps |A|_F`` on the Rayleigh problem).
 
 Before it evaluates a trial, the search names it to the problem through the
 optional hook ``on_ray(x, eta, alpha, x_new)``: x_new is
@@ -159,27 +162,22 @@ def search_step(
     eta: Tangent,
     cfg: LineSearchConfig,
     kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION,
-    f0: float | None = None,
-    g0: Tangent | None = None,
-    alpha0: float | None = None,
-    d0: float | None = None,
+    *,
+    f0: float,
+    g0: Tangent,
+    d0: float,
+    alpha0: float,
 ) -> StepEval:
     """Bracket-and-zoom search returning the full evaluation of a Wolfe step.
 
-    The first trial is ``alpha0`` (default ``cfg.alpha_init``), capped at ``cfg.alpha_max``;
-    one that is not positive and finite raises ``ContractViolationError`` before any
-    evaluation.  ``f0``, ``g0`` and ``d0``, when given, are f(x), grad f(x) and
-    <g0, eta> as ``inner`` takes it; otherwise they are evaluated here.
+    The caller hands in the anchor and the start: ``f0``, ``g0`` and ``d0`` are f(x),
+    grad f(x) and <g0, eta> as ``inner`` takes it, and the first trial is ``alpha0``
+    capped at ``cfg.alpha_max``.  A first trial that is not positive and finite, or a
+    ``d0`` that is not negative, raises ``ContractViolationError`` before any evaluation.
     """
-    alpha = min(cfg.alpha_init if alpha0 is None else alpha0, cfg.alpha_max)
+    alpha = min(alpha0, cfg.alpha_max)
     if not 0.0 < alpha < math.inf:
         raise ContractViolationError(f"first trial step {alpha!r} is not positive and finite")
-    if f0 is None:
-        f0 = problem.cost(x)
-    if g0 is None:
-        g0 = problem.grad(x)
-    if d0 is None:
-        d0 = inner(x, g0, eta)
     if not d0 < 0.0:
         raise ContractViolationError("eta is not a descent direction")
 

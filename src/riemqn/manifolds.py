@@ -386,14 +386,15 @@ def transport_direction(
     differentiated retraction, 1 for projection, and ``w_eta = 1 / <u, x>``,
     ``w_g = 1`` for the inverse retraction.  The step image is ``s = alpha * t_eta``,
     formed by its reader (``-R_u^{-1}(x)`` for the inverse retraction).  Two
-    projections in all.
+    projections in all; a step that is not positive and finite raises
+    ``ContractViolationError`` before either.
     """
     if eta.point is not x:
         _require_base(x, eta, "eta")
     if g.point is not x:
         _require_base(x, g, "g")
-    if not alpha > 0.0:
-        raise ContractViolationError("step size must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ContractViolationError(f"step size {alpha!r} is not positive and finite")
     manifold, u = x_new.manifold, x_new.ambient
     if manifold is not x.manifold:  # a point on x's manifold has x's shape already
         u = _ambient_array(u, x.ambient.shape)

@@ -4,7 +4,9 @@ These are deliberately independent routes: a cyclic Jacobi eigenvalue solver,
 central finite differences through the retraction, a dense assembly of
 the memoryless operator in explicit tangent coordinates, an
 element-by-element performance profile, and Box-Muller draws made as one
-block of whole-array numpy expressions.
+block of whole-array numpy expressions.  Beside them sit helpers that several
+test modules share, such as array layouts and a line search whose anchor the
+helper evaluates.
 """
 
 from __future__ import annotations
@@ -18,15 +20,30 @@ from riemqn import (
     DirectionKind,
     EmptyTableError,
     Oblique,
+    PhiMode,
     Point,
     ProfileTable,
     Sphere,
     Tangent,
+    TransportKind,
+    ZMode,
     inner,
     random_tangent,
     retract,
+    search_step,
 )
 from riemqn.rng import SplitMix64
+
+
+# 17 engines, each with the three transports: Broyden with each phi mode, either
+# z mode and xi 0.1 or 1, and the five CG rules
+PROPERTY_IDS = [
+    f"{engine}_{t}"
+    for engine in [f"broyden_{phi.value}_{z.value}_xi{xi}" for phi in PhiMode
+                   for z in ZMode for xi in ("0.1", "1")]
+    + ["fr", "dy", "prp", "hs", "hz"]
+    for t in ("dr", "proj", "invret")
+]
 
 
 def single_block_normal(seed: int, count: int, skip: int = 0) -> np.ndarray:
@@ -91,6 +108,16 @@ def central_diff_directional(problem, x: Point, eta: Tangent, t: float = 1e-6) -
     fp = problem.cost(retract(x, t * eta))
     fm = problem.cost(retract(x, (-t) * eta))
     return (fp - fm) / (2.0 * t)
+
+
+def search(problem, x: Point, eta: Tangent, cfg,
+           kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION, alpha0=None):
+    """``search_step`` from an anchor evaluated here: f(x), grad f(x) and <g, eta> as
+    ``inner`` takes it, and the first trial ``alpha0`` (``cfg.alpha_init`` when None)."""
+    f0 = problem.cost(x)
+    g0 = problem.grad(x)
+    return search_step(problem, x, eta, cfg, kind, f0=f0, g0=g0, d0=inner(x, g0, eta),
+                       alpha0=cfg.alpha_init if alpha0 is None else alpha0)
 
 
 def tangent_basis(x: Point) -> list[np.ndarray]:

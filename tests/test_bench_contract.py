@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riemqn import Point, SolverConfig, StepEval, rayleigh_instance, search_step
+from riemqn import Point, SolverConfig, StepEval, inner, rayleigh_instance, search_step
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,7 +109,9 @@ def test_search_step_returns_a_point_on_the_problem_manifold():
     inst = rayleigh_instance(12, seed=3)
     x = inst.initial_point()
     g = inst.grad(x)
-    ev = search_step(inst, x, -g, SolverConfig().line_search)
+    cfg = SolverConfig().line_search
+    ev = search_step(inst, x, -g, cfg, f0=inst.cost(x), g0=g, d0=inner(x, g, -g),
+                     alpha0=cfg.alpha_init)
     assert isinstance(ev, StepEval)
     assert isinstance(ev.x_new, Point)
     assert ev.x_new.manifold == inst.manifold

@@ -40,10 +40,11 @@ from riemqn import (
     rayleigh_instance,
     retract,
     schedule_params,
-    search_step,
     transport_direction,
 )
 from riemqn.directions import cg_beta, cg_direction
+
+from _support import search
 
 MANIFOLDS = [Sphere(6), Oblique(5, 3)]
 
@@ -129,7 +130,7 @@ class TestOneCheckPerObject:
 def _step_eval():
     inst = rayleigh_instance(8, seed=2)
     x = inst.initial_point()
-    return search_step(inst, x, -inst.grad(x), LineSearchConfig())
+    return search(inst, x, -inst.grad(x), LineSearchConfig())
 
 
 def _broyden_params():

@@ -799,6 +799,30 @@ class TestTransport:
         with pytest.raises(ContractViolationError):
             transport_direction(DR, x, eta, 0.0, g, x_new)
 
+    @pytest.mark.parametrize("make", [lambda: rayleigh_instance(12, seed=3),
+                                      lambda: offdiag_instance(4, 2, 2, seed=1)],
+                             ids=["rayleigh", "offdiag"])
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan, 0.0, -1.0],
+                             ids=["inf", "minus-inf", "nan", "zero", "negative"])
+    @pytest.mark.parametrize("kind", [DR, PROJ, INVRET], ids=lambda k: k.name)
+    def test_step_checked_before_any_projection(self, kind, alpha, make, monkeypatch):
+        # an x_new that retract did not make: with alpha = inf the differentiated
+        # retraction's scale |x + inf * eta| would be inf, and both images 0
+        inst = make()
+        x = inst.initial_point()
+        g = inst.grad(x)
+        x_new = Point(inst.manifold, retract(x, -g, 0.5).ambient.copy())
+        calls = []
+        for cls in (Sphere, Oblique):
+            def counted(self, x_arr, v_arr, real=cls._project):
+                calls.append(type(self))
+                return real(self, x_arr, v_arr)
+
+            monkeypatch.setattr(cls, "_project", counted)
+        with pytest.raises(ContractViolationError, match="is not positive and finite"):
+            transport_direction(kind, x, -g, alpha, g, x_new)
+        assert calls == []
+
     def test_inverse_retraction_roundtrip(self):
         # the step image s = alpha * T(eta) is -R_{x_new}^{-1}(x), so retracting -s from
         # x_new recovers x
