@@ -35,7 +35,7 @@ from .errors import (
     DegenerateZError,
     OutOfHypothesisError,
 )
-from .manifolds import Tangent, _dot, _require_base, inner
+from .manifolds import Tangent, _dot
 
 
 class ZMode(Enum):
@@ -86,51 +86,47 @@ class BroydenParams(NamedTuple):
     zz: float
 
 
-def _lift_to_floor(s: Tangent, z: np.ndarray, ss: float, target: float) -> Tangent:
-    # z is the blend's ambient array.  Cancellation in the blend can leave the
-    # computed curvature a few ulps under the floor it equals in exact
-    # arithmetic; nudge along s until the recomputed inner product clears it.
-    # A no-op on cleanly computed data.
-    m = _dot(s.ambient, z)
+def _lift_to_floor(s: np.ndarray, z: np.ndarray, ss: float, target: float) -> np.ndarray:
+    # z is the blend.  Cancellation in the blend can leave the computed
+    # curvature a few ulps under the floor it equals in exact arithmetic;
+    # nudge along s until the recomputed inner product clears it.  A no-op on
+    # cleanly computed data.
+    m = _dot(s, z)
     if m < target:
         bump = (target - m) / ss
         for _ in range(60):
-            z = z + bump * s.ambient
-            m = _dot(s.ambient, z)
+            z = z + bump * s
+            m = _dot(s, z)
             if m >= target:
                 break
             bump *= 2.0
-    return Tangent(s.point, z)
+    return z
 
 
-def compute_z(mode: ZMode, s: Tangent, y: Tangent, nu_hat: float,
-              ss: float | None = None, sy: float | None = None) -> Tangent:
+def compute_z(mode: ZMode, s: np.ndarray, y: np.ndarray, nu_hat: float,
+              ss: float | None = None, sy: float | None = None) -> np.ndarray:
     """Regularize y so that <s, z> >= nu_hat * |s|^2.
 
-    Li-Fukushima shifts y along s; Powell blends y with s.  Both leave y
-    itself untouched when the raw curvature <s, y> already clears the floor.
-    ``ss`` and ``sy``, when given, are <s, s> and <s, y> as ``inner`` takes them.
+    Li-Fukushima shifts y along s; Powell blends y with s.  Both return y
+    itself when the raw curvature <s, y> already clears the floor.  s and y are
+    ambient arrays at one point and ``nu_hat`` is the mode's floor
+    (``DEFAULT_NU_HAT``).  ``ss`` and ``sy`` are <s, s> and <s, y> as ``inner``
+    takes them; the solver passes both, and either is taken here when omitted.
     """
     if ss is None:
-        ss = inner(s.point, s, s)
+        ss = _dot(s, s)
     if ss == 0.0:
         raise DegenerateStepError("previous step has zero norm")
     if sy is None:
-        sy = inner(s.point, s, y)
+        sy = _dot(s, y)
+    if sy >= nu_hat * ss:
+        return y
     if mode is ZMode.LI_FUKUSHIMA:
-        if not nu_hat > 0.0:
-            raise ContractViolationError("Li-Fukushima requires nu_hat > 0")
-        if sy >= nu_hat * ss:
-            return y
         nu = max(0.0, -sy / ss) + nu_hat
-        return _lift_to_floor(s, y.ambient + nu * s.ambient, ss, nu_hat * ss)
+        return _lift_to_floor(s, y + nu * s, ss, nu_hat * ss)
     if mode is ZMode.POWELL:
-        if not 0.0 < nu_hat < 1.0:
-            raise ContractViolationError("Powell damping requires nu_hat in (0, 1)")
-        if sy >= nu_hat * ss:
-            return y
         nu = (1.0 - nu_hat) * ss / (ss - sy)
-        return _lift_to_floor(s, nu * y.ambient + (1.0 - nu) * s.ambient, ss, nu_hat * ss)
+        return _lift_to_floor(s, nu * y + (1.0 - nu) * s, ss, nu_hat * ss)
     raise ContractViolationError(f"unknown z mode: {mode!r}")
 
 
@@ -147,8 +143,8 @@ def _preconvex_phi(mu: float) -> float:
 
 
 def schedule_params(
-    s: Tangent,
-    z: Tangent,
+    s: np.ndarray,
+    z: np.ndarray,
     phi_mode: PhiMode,
     xi: float,
     ss: float | None = None,
@@ -157,20 +153,16 @@ def schedule_params(
     """Per-iteration sizing/scaling: gamma = max{1, sz/zz}, tau = min{1, zz/sz}.
 
     phi follows ``phi_mode`` (see ``PhiMode``).  The one place sz and zz are
-    checked (``DegenerateZError``).  ``ss`` and ``sz``, when given, are <s, s> and
-    <s, z> as ``inner`` takes them (the caller's <s, y> when ``compute_z``
-    returned y itself); otherwise they are taken, and z checked, as ``inner`` does.
+    checked (``DegenerateZError``).  s and z are ambient arrays at one point and
+    ``xi`` is the config's.  ``ss`` and ``sz`` are <s, s> and <s, z> as ``inner``
+    takes them (the caller's <s, y> when ``compute_z`` returned y itself); the solver
+    passes both, and either is taken here when omitted.
     """
-    if not 0.0 <= xi <= 1.0:
-        raise ContractViolationError("xi must lie in [0, 1]")
-    sa, za = s.ambient, z.ambient
     if ss is None:
-        ss = _dot(sa, sa)
+        ss = _dot(s, s)
     if sz is None:
-        if z.point is not s.point:
-            _require_base(s.point, z, "v")
-        sz = _dot(sa, za)
-    zz = _dot(za, za)
+        sz = _dot(s, z)
+    zz = _dot(z, z)
     if zz == 0.0:
         raise DegenerateZError("z has zero norm")
     if sz <= 0.0:
@@ -188,23 +180,21 @@ def schedule_params(
     return BroydenParams(gamma, tau, phi, xi, ss, sz, zz)
 
 
-def broyden_direction(g: Tangent, s: Tangent, z: Tangent, params: BroydenParams) -> Tangent:
-    """Closed-form Broyden direction; ``params`` must come from ``schedule_params`` on s and z.
-
-    <s, g> and <z, g> are taken, and s and z checked, as ``inner(g.point, ., g)`` does."""
-    x = g.point
-    if s.point is not x:
-        _require_base(x, s, "u")
-    if z.point is not x:
-        _require_base(x, z, "u")
-    ga = g.ambient
-    sg = _dot(s.ambient, ga)
-    zg = _dot(z.ambient, ga)
+def broyden_direction(g, s: np.ndarray, z: np.ndarray,
+                      params: BroydenParams) -> np.ndarray:
+    """Closed-form Broyden direction, as an ambient array; ``params`` must come from
+    ``schedule_params`` on s and z.  s and z are ambient arrays at g's point; g is the
+    gradient's array, or its ``Tangent``, which is read as its array.  <s, g> and
+    <z, g> are taken as ``inner`` takes them."""
+    if isinstance(g, Tangent):
+        g = g.ambient
+    sg = _dot(s, g)
+    zg = _dot(z, g)
     gamma, tau, phi, xi = params.gamma, params.tau, params.phi, params.xi
     sz, zz = params.sz, params.zz
     coef_s = gamma * (phi * zg / sz - (1.0 / (gamma * tau) + phi * zz / sz) * (sg / sz))
     coef_z = gamma * xi * (phi * sg / sz + (1.0 - phi) * zg / zz)
-    return Tangent(x, (-gamma) * g.ambient + coef_s * s.ambient + coef_z * z.ambient)
+    return (-gamma) * g + coef_s * s + coef_z * z
 
 
 def sufficient_descent_kappa(gamma_min: float, xi_bar: float, phi_bar: float) -> float:
@@ -225,27 +215,24 @@ def sufficient_descent_kappa(gamma_min: float, xi_bar: float, phi_bar: float) ->
     )
 
 
-def cg_beta(kind: DirectionKind, g: Tangent, t_g: Tangent, g_dot_t_eta: float,
+def cg_beta(kind: DirectionKind, g: np.ndarray, t_g: np.ndarray, g_dot_t_eta: float,
             g_prev_norm2: float, g_prev_dot_eta: float, sigma: float) -> float | None:
     """Transported beta value, or None (restart) when a denominator vanishes or HZ's squared
     denominator leaves the float range.
 
-    g is the new gradient and t_g = T(g_prev), checked against g's point, identity
-    first; g_dot_t_eta = <g, T(eta_prev)>, and the previous gradient's |g_prev|^2 and
+    g is the new gradient's ambient array and t_g that of T(g_prev), at the same point;
+    g_dot_t_eta = <g, T(eta_prev)>, and the previous gradient's |g_prev|^2 and
     <g_prev, eta_prev>.  The rule takes with ``_dot`` only the products it reads: FR
     |g|^2, DY also den = sigma <g, T(eta_prev)> - <g_prev, eta_prev>, PRP and HS also
     <g, T(g_prev)>, and HZ (mu = 2) also |g - T(g_prev)|^2.
     """
-    if t_g.point is not g.point:
-        _require_base(g.point, t_g, "t_g")
-    ga = g.ambient
-    g_norm2 = _dot(ga, ga)
+    g_norm2 = _dot(g, g)
     if kind is DirectionKind.FR:
         return None if g_prev_norm2 == 0.0 else g_norm2 / g_prev_norm2
     den = sigma * g_dot_t_eta - g_prev_dot_eta
     if kind is DirectionKind.DY:
         return None if den == 0.0 else g_norm2 / den
-    num = g_norm2 - _dot(ga, t_g.ambient)
+    num = g_norm2 - _dot(g, t_g)
     if kind is DirectionKind.PRP:
         return None if g_prev_norm2 == 0.0 else num / g_prev_norm2
     if kind is DirectionKind.HS:
@@ -254,13 +241,11 @@ def cg_beta(kind: DirectionKind, g: Tangent, t_g: Tangent, g_dot_t_eta: float,
         dd = den * den  # underflows to 0 below |den| ~ 1e-162, overflows above ~ 1e154
         if dd == 0.0 or dd == math.inf:
             return None
-        ya = ga - t_g.ambient
-        return num / den - _HZ_MU * _dot(ya, ya) * g_dot_t_eta / dd
+        y = g - t_g
+        return num / den - _HZ_MU * _dot(y, y) * g_dot_t_eta / dd
     raise ContractViolationError(f"{kind!r} is not a conjugate-gradient rule")
 
 
-def cg_direction(g: Tangent, beta: float, sigma: float, t_eta_prev: Tangent) -> Tangent:
-    """eta = -g + beta * sigma * T(eta_prev)."""
-    if t_eta_prev.point is not g.point:
-        _require_base(g.point, t_eta_prev, "t_eta_prev")
-    return Tangent(g.point, -g.ambient + float(beta * sigma) * t_eta_prev.ambient)
+def cg_direction(g: np.ndarray, beta: float, sigma: float, t_eta_prev: np.ndarray) -> np.ndarray:
+    """eta = -g + beta * sigma * T(eta_prev), all ambient arrays at one point."""
+    return -g + float(beta * sigma) * t_eta_prev

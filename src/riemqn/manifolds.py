@@ -4,6 +4,13 @@ Both manifolds carry the metric induced by the ambient Euclidean/Frobenius
 inner product.  The retraction is metric projection: add the tangent vector
 in ambient coordinates and renormalize (column-wise on the oblique manifold).
 
+``Point`` and ``Tangent`` are the public, checked form of the data.  The
+solver's loop carries tangent data as the ambient float64 arrays themselves:
+``retract``, ``transport_direction`` and ``scaling_sigma`` take and return
+those arrays (``retract`` returns a checked ``Point``), and ``inner`` and
+``norm`` take a ``Tangent`` or its array.  An array passed as tangent data is
+read as a tangent vector at the point it comes with; no base is checked.
+
 After a step alpha * eta from x to x_new = R_x(alpha * eta), one call,
 ``transport_direction``, carries the step data across: it returns the images
 ``(T(eta), T(g))`` of the direction and of the gradient at x.  Each image is
@@ -49,9 +56,11 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``float(np.vdot(a, b))`` of two ``Tangent`` arrays, bit for bit: the arrays' own ``dot``
-    of their C-order ravels.  A ``Tangent``'s array is never a view, so a 1-D one is its
-    own ``ravel``."""
+    """``float(np.vdot(a, b))`` of two float64 arrays of one shape: the arrays' own ``dot``
+    of their C-order ravels.  A 1-D array is dotted as it is, which is ``np.vdot`` bit for
+    bit when it is contiguous, as a ``Tangent``'s array and every array the solver's loop
+    makes are; a strided 1-D view is dotted through its strides and can differ from
+    ``np.vdot`` in the last bits."""
     if a.ndim == 1:
         return float(a.dot(b))
     return float(a.ravel().dot(b.ravel()))
@@ -303,26 +312,32 @@ def _require_base(x: Point, t: Tangent, name: str) -> None:
         raise ContractViolationError(f"{name} is not based at the given point")
 
 
-def inner(x: Point, u: Tangent, v: Tangent) -> float:
-    """Riemannian inner product (ambient Euclidean/Frobenius).
+def inner(x: Point, u, v) -> float:
+    """Riemannian inner product (ambient Euclidean/Frobenius) of two tangent vectors at x.
 
-    The base checks run only for a vector whose point is not x itself.  The
-    product is ``_dot``: ``np.vdot`` of the two arrays, bit for bit.
+    Each of u and v is a ``Tangent`` or an ambient array read as a tangent vector at x.
+    A Tangent's base is checked, and only when its point is not x itself.  The product
+    is ``_dot``: ``np.vdot`` of the two arrays, bit for bit unless one is a strided 1-D
+    view.
     """
-    if u.point is not x:
-        _require_base(x, u, "u")
-    if v.point is not x:
-        _require_base(x, v, "v")
-    return _dot(u.ambient, v.ambient)
+    if isinstance(u, Tangent):
+        if u.point is not x:
+            _require_base(x, u, "u")
+        u = u.ambient
+    if isinstance(v, Tangent):
+        if v.point is not x:
+            _require_base(x, v, "v")
+        v = v.ambient
+    return _dot(u, v)
 
 
-def norm(t: Tangent) -> float:
-    """Induced norm of a tangent vector.
+def norm(t) -> float:
+    """Induced norm of a tangent vector: a ``Tangent`` or its ambient array.
 
     A vector whose squared entries all underflow is measured again scaled by
     its largest entry, so a nonzero vector never has norm 0.
     """
-    arr = t.ambient
+    arr = t.ambient if isinstance(t, Tangent) else t
     n = _vector_norm(arr)
     if n == 0.0 and arr.any():
         scale = float(np.max(np.abs(arr)))
@@ -341,18 +356,16 @@ def project_tangent(x: Point, v_ambient) -> Tangent:
     return Tangent(x, x.manifold._project(x.ambient, arr))
 
 
-def retract(x: Point, eta: Tangent, alpha: float = 1.0) -> Point:
+def retract(x: Point, eta: np.ndarray, alpha: float = 1.0) -> Point:
     """Metric-projection retraction of the step alpha * eta: renormalize x + alpha * eta.
 
-    ``retract(x, eta, alpha)`` is bitwise ``retract(x, alpha * eta)``.  A zero
-    step returns x itself, so ``retract(x, 0)`` is exact.  The new point keeps
-    the scale it was divided by, ``|x + alpha * eta|`` (column norms on the
-    oblique manifold), so the differentiated retraction's weights need no
-    second norm.
+    ``eta`` is the ambient array of a tangent vector at x.  ``retract(x, eta, alpha)``
+    is bitwise ``retract(x, alpha * eta)``.  A zero step returns x itself, so
+    ``retract(x, eta, 0.0)`` is exact.  The new point keeps the scale it was divided by,
+    ``|x + alpha * eta|`` (column norms on the oblique manifold), so the differentiated
+    retraction's weights need no second norm.
     """
-    if eta.point is not x:
-        _require_base(x, eta, "eta")
-    step = float(alpha) * eta.ambient
+    step = float(alpha) * eta
     if not np.count_nonzero(step):
         return x
     arr = x.ambient + step
@@ -362,7 +375,7 @@ def retract(x: Point, eta: Tangent, alpha: float = 1.0) -> Point:
     return x_new
 
 
-def _retraction_scale(x: Point, eta: Tangent, alpha: float, x_new: Point):
+def _retraction_scale(x: Point, eta: np.ndarray, alpha: float, x_new: Point):
     """``|x + alpha * eta|``, the scale ``retract(x, eta, alpha)`` divided by to reach x_new.
 
     Read from x_new when retract made it; when the step underflowed and retract
@@ -371,34 +384,30 @@ def _retraction_scale(x: Point, eta: Tangent, alpha: float, x_new: Point):
     """
     scale = x_new.__dict__.get("_retraction_scale")
     if scale is None or x_new is x:
-        scale = x.manifold._scale(x.ambient + float(alpha) * eta.ambient)
+        scale = x.manifold._scale(x.ambient + float(alpha) * eta)
     return scale
 
 
 def transport_direction(
-    kind: TransportKind, x: Point, eta: Tangent, alpha: float, g: Tangent, x_new: Point
-) -> tuple[Tangent, Tangent]:
+    kind: TransportKind, x: Point, eta: np.ndarray, alpha: float, g: np.ndarray, x_new: Point
+) -> tuple[np.ndarray, np.ndarray]:
     """Carry the step data at x to x_new = retract(x, eta, alpha).
 
-    Returns ``(t_eta, t_g)``: the images of the direction eta and of the gradient g,
-    both tangent at x_new.  With u = x_new, ``t_eta = P_u(eta) * w_eta`` and
-    ``t_g = P_u(g) * w_g``: the weights are ``1 / |x + alpha * eta|`` for the
-    differentiated retraction, 1 for projection, and ``w_eta = 1 / <u, x>``,
-    ``w_g = 1`` for the inverse retraction.  The step image is ``s = alpha * t_eta``,
-    formed by its reader (``-R_u^{-1}(x)`` for the inverse retraction).  Two
-    projections in all; a step that is not positive and finite raises
+    ``eta`` and ``g`` are the ambient arrays of the direction and the gradient at x.
+    Returns ``(t_eta, t_g)``: the arrays of their images, both tangent at x_new.  With
+    u = x_new, ``t_eta = P_u(eta) * w_eta`` and ``t_g = P_u(g) * w_g``: the weights are
+    ``1 / |x + alpha * eta|`` for the differentiated retraction, 1 for projection, and
+    ``w_eta = 1 / <u, x>``, ``w_g = 1`` for the inverse retraction.  The step image is
+    ``s = alpha * t_eta``, formed by its reader (``-R_u^{-1}(x)`` for the inverse
+    retraction).  Two projections in all; a step that is not positive and finite raises
     ``ContractViolationError`` before either.
     """
-    if eta.point is not x:
-        _require_base(x, eta, "eta")
-    if g.point is not x:
-        _require_base(x, g, "g")
     if not 0.0 < alpha < math.inf:
         raise ContractViolationError(f"step size {alpha!r} is not positive and finite")
     manifold, u = x_new.manifold, x_new.ambient
     if manifold is not x.manifold:  # a point on x's manifold has x's shape already
         u = _ambient_array(u, x.ambient.shape)
-    t_eta, t_g = manifold._project(u, eta.ambient), manifold._project(u, g.ambient)
+    t_eta, t_g = manifold._project(u, eta), manifold._project(u, g)
     if kind is TransportKind.DIFFERENTIATED_RETRACTION:
         scale = _retraction_scale(x, eta, alpha, x_new)
         t_eta, t_g = t_eta / scale, t_g / scale
@@ -406,13 +415,12 @@ def transport_direction(
         t_eta = t_eta / manifold._overlap(u, x.ambient)
     elif kind is not TransportKind.PROJECTION:
         raise ContractViolationError(f"unknown transport kind: {kind!r}")
-    return Tangent(x_new, t_eta), Tangent(x_new, t_g)
+    return t_eta, t_g
 
 
-def scaling_sigma(x_next: Point, eta_prev_norm: float, t_eta: Tangent) -> float:
-    """Scaling factor clamping a transported direction to its original length."""
-    if t_eta.point is not x_next:
-        _require_base(x_next, t_eta, "t_eta")
+def scaling_sigma(eta_prev_norm: float, t_eta: np.ndarray) -> float:
+    """Scaling factor clamping a transported direction (its ambient array) to its original
+    length."""
     if not eta_prev_norm > 0.0:
         raise ContractViolationError("previous direction norm must be positive")
     tn = norm(t_eta)

@@ -38,11 +38,12 @@ check (``_check_point``) before computing, so a point is checked once however
 many calls read it.
 
 ``RayleighInstance`` also keeps one ray entry, for the line search in hand
-along eta from x.  The search names each trial ``x_t = R_x(alpha eta)``
-through the optional hook ``on_ray`` before it evaluates the cost there, and
-the entry holds ``A x``, the trial with the longest step ``alpha_1`` whose
-product was computed directly, with its scale ``c_1 = |x + alpha_1 eta|`` and
-``A x_1``, and the last trial named.  On a ray ``A (x + alpha eta)`` is linear
+along eta from x, keyed on the identity of x and of eta's ambient array.
+The search names each trial ``x_t = R_x(alpha eta)`` through the optional
+hook ``on_ray`` before it evaluates the cost there, and the entry holds
+``A x``, the trial with the longest step ``alpha_1`` whose product was
+computed directly, with its scale ``c_1 = |x + alpha_1 eta|`` and ``A x_1``,
+and the last trial named.  On a ray ``A (x + alpha eta)`` is linear
 in alpha, so a shorter trial takes
 
     A x_t = ((1 - t) A x + t c_1 A x_1) / |x + alpha eta|,   t = alpha / alpha_1,
@@ -213,8 +214,9 @@ class RayleighInstance:
             self.__dict__["_memo"] = (x, ax)
         return ax
 
-    def on_ray(self, x: Point, eta: Tangent, alpha: float, x_new: Point) -> None:
-        """Note that the next point evaluated, x_new, is ``retract(x, eta, alpha)``."""
+    def on_ray(self, x: Point, eta: np.ndarray, alpha: float, x_new: Point) -> None:
+        """Note that the next point evaluated, x_new, is ``retract(x, eta, alpha)``; eta is
+        the direction's ambient array, the same object for every trial of one search."""
         ray = self._ray
         if ray.x is not x or ray.eta is not eta:
             ray = _Ray(x, eta, self._product(x))
@@ -228,8 +230,9 @@ class RayleighInstance:
         """Tangent projection of the ambient gradient 2 A x."""
         return project_tangent(x, 2.0 * self._product(x))
 
-    def cost_change(self, x: Point, eta: Tangent, alpha: float, f0: float, d0: float) -> float:
-        """``cost(retract(x, eta, alpha)) - f0`` in closed form, for ``eta`` based at ``x``.
+    def cost_change(self, x: Point, eta: np.ndarray, alpha: float, f0: float, d0: float) -> float:
+        """``cost(retract(x, eta, alpha)) - f0`` in closed form, for the ambient array ``eta``
+        of a tangent vector at ``x``.
 
         With ``f0 = x'A x`` and ``d0 = <grad f(x), eta> = 2 (x'A eta - f0 x'eta)`` the
         change is ``(alpha d0 + alpha^2 (eta'A eta - f0 |eta|^2)) / |x + alpha eta|^2``,
@@ -242,9 +245,8 @@ class RayleighInstance:
         """
         if x.manifold is not self.manifold:
             _check_point(self, x)
-        e = eta.ambient
-        m = float(np.maximum.reduce(np.abs(e)))
-        u = e / m
+        m = float(np.maximum.reduce(np.abs(eta)))
+        u = eta / m
         ray = self._ray
         if ray.x is x and ray.eta is eta and ray.a1 > 0.0:
             au = (ray.c1 * ray.ax1 - ray.ax) / (ray.a1 * m)

@@ -292,10 +292,13 @@ def solve(
     x0 that is no ``Point`` or a cfg that is no ``SolverConfig`` raises
     ``ContractViolationError`` naming the argument and its type; an x0 on another
     manifold raises it ("dimension mismatch") from the problem's first ``cost``.
-    The latest accepted step's memory is kept in locals.  A Broyden step forms its step
-    image s = alpha * T(eta) and takes the products its memory reads here with ``_dot``,
-    bit for bit as ``inner`` takes them; a CG step keeps sigma and the previous
-    gradient's norm and slope, and ``cg_beta`` takes the products its rule reads.
+    The loop carries tangent data as ambient float64 arrays: it unwraps each gradient
+    ``Tangent`` once, and builds a ``Tangent`` only for a trace or callback row.  Every
+    iterate is a checked ``Point``.  The latest accepted step's memory is kept in
+    locals.  A Broyden step forms its step image s = alpha * T(eta) and takes the
+    products its memory reads here with ``_dot``, bit for bit as ``inner`` takes them;
+    a CG step keeps sigma and the previous gradient's norm and slope, and ``cg_beta``
+    takes the products its rule reads.
     """
     for name, value, kind in (("problem", problem, ProblemInstance), ("x0", x0, Point),
                               ("cfg", cfg, SolverConfig)):
@@ -329,10 +332,10 @@ def solve(
 
     x = x0
     f = problem.cost(x)
-    g = problem.grad(x)
-    # the latest accepted step (None before the first), based at x; a Broyden run keeps its
-    # s = alpha * T(eta), z and params, a CG run sigma and the norm and slope of the
-    # gradient the step left
+    g = problem.grad(x).ambient
+    # the latest accepted step (None before the first), its arrays at x; a Broyden run
+    # keeps its s = alpha * T(eta), z and params, a CG run sigma and the norm and slope of
+    # the gradient the step left
     ev = None
     k = 0
     failure: Optional[FailureReason] = None
@@ -388,23 +391,22 @@ def solve(
             break
         diag.alpha.append(ev.alpha)
         if sinks:
-            emit(gnorm, ev.alpha, gde, eta)
+            emit(gnorm, ev.alpha, gde, Tangent(x, eta))
         f_prev = f
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
         try:
-            if broyden:  # s, y = g - T(g_prev) and g are all based at x
-                s = Tangent(x, ev.alpha * ev.t_eta.ambient)
-                y = Tangent(x, g.ambient - ev.t_g.ambient)
-                sa = s.ambient
-                ss = _dot(sa, sa)
-                sy = _dot(sa, y.ambient)
+            if broyden:  # s, y = g - T(g_prev) and g are all at x
+                s = ev.alpha * ev.t_eta
+                y = g - ev.t_g
+                ss = _dot(s, s)
+                sy = _dot(s, y)
                 z = compute_z(z_mode, s, y, nu_hat, ss, sy)
                 params = schedule_params(s, z, phi_mode, xi, ss, sy if z is y else None)
                 diag.z_margin.append(params.sz - nu_hat * params.ss)
                 diag.z_ratio.append(math.sqrt(params.zz / params.ss))
             else:
-                sigma = scaling_sigma(x, eta_norm, ev.t_eta)
+                sigma = scaling_sigma(eta_norm, ev.t_eta)
                 g_prev_norm2, g_prev_dot_eta = gnorm * gnorm, gde
         except (DegenerateStepError, DegenerateTransportError, DegenerateZError) as exc:
             failure, detail = FailureReason.DEGENERATE_STEP, _detail(exc)

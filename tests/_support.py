@@ -103,19 +103,27 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) 
     return np.sort(np.diag(a))
 
 
-def central_diff_directional(problem, x: Point, eta: Tangent, t: float = 1e-6) -> float:
-    """(f(R_x(t*eta)) - f(R_x(-t*eta))) / (2t)."""
-    fp = problem.cost(retract(x, t * eta))
-    fm = problem.cost(retract(x, (-t) * eta))
+def ambient(t) -> np.ndarray:
+    """The ambient array of a ``Tangent``; an array is returned as it is."""
+    return t.ambient if isinstance(t, Tangent) else t
+
+
+def central_diff_directional(problem, x: Point, eta, t: float = 1e-6) -> float:
+    """(f(R_x(t*eta)) - f(R_x(-t*eta))) / (2t), for a ``Tangent`` eta or its array."""
+    e = ambient(eta)
+    fp = problem.cost(retract(x, t * e))
+    fm = problem.cost(retract(x, (-t) * e))
     return (fp - fm) / (2.0 * t)
 
 
-def search(problem, x: Point, eta: Tangent, cfg,
+def search(problem, x: Point, eta, cfg,
            kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION, alpha0=None):
-    """``search_step`` from an anchor evaluated here: f(x), grad f(x) and <g, eta> as
-    ``inner`` takes it, and the first trial ``alpha0`` (``cfg.alpha_init`` when None)."""
+    """``search_step`` along a ``Tangent`` eta or its array, from an anchor evaluated
+    here: f(x), grad f(x) and <g, eta> as ``inner`` takes it, and the first trial
+    ``alpha0`` (``cfg.alpha_init`` when None)."""
+    eta = ambient(eta)
     f0 = problem.cost(x)
-    g0 = problem.grad(x)
+    g0 = problem.grad(x).ambient
     return search_step(problem, x, eta, cfg, kind, f0=f0, g0=g0, d0=inner(x, g0, eta),
                        alpha0=cfg.alpha_init if alpha0 is None else alpha0)
 
@@ -137,19 +145,22 @@ def tangent_basis(x: Point) -> list[np.ndarray]:
     return basis
 
 
-def to_coords(t: Tangent, basis: list[np.ndarray]) -> np.ndarray:
-    return np.array([float(np.vdot(b, t.ambient)) for b in basis])
+def to_coords(t, basis: list[np.ndarray]) -> np.ndarray:
+    """The coordinates of a ``Tangent`` or its ambient array in ``basis``."""
+    return np.array([float(np.vdot(b, ambient(t))) for b in basis])
 
 
-def from_coords(x: Point, coords: np.ndarray, basis: list[np.ndarray]) -> Tangent:
+def from_coords(x: Point, coords: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """The ambient array of the tangent vector at x with these coordinates."""
     amb = np.zeros(x.manifold.ambient_shape)
     for c, b in zip(coords, basis):
         amb = amb + c * b
-    return Tangent(x, amb)
+    return amb
 
 
-def curvature_healthy_pair(x: Point, rng: SplitMix64) -> tuple[Tangent, Tangent]:
-    """Random (s, y) whose raw curvature <s, y> is comfortably positive.
+def curvature_healthy_pair(x: Point, rng: SplitMix64) -> tuple[np.ndarray, np.ndarray]:
+    """The ambient arrays of random (s, y) at x whose raw curvature <s, y> is comfortably
+    positive.
 
     Keeps the memoryless operator well conditioned so that closed-form vs
     dense-assembly comparisons are not dominated by fp amplification.
@@ -161,7 +172,7 @@ def curvature_healthy_pair(x: Point, rng: SplitMix64) -> tuple[Tangent, Tangent]
     u_perp = u - (su / ss) * s
     a = 0.5 + 2.0 * float(rng.uniform(1)[0])
     b = 2.0 * float(rng.uniform(1)[0])
-    return s, a * s + b * u_perp
+    return s.ambient, (a * s + b * u_perp).ambient
 
 
 def dense_memoryless_matrix(

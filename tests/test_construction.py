@@ -6,8 +6,11 @@ the class ``__dict__``, so every construction must go through it.  The step
 records (``StepEval``, ``BroydenParams``) are immutable.
 ``TestChecksKept`` holds every check of that one frame: coercion, shape,
 the constraint (before freezing), copy-if-view and freezing, and the base
-checks that ``inner``, ``retract`` and ``transport_direction`` make only
-when a vector's point is not the given point itself.
+checks that ``inner`` and ``wolfe_check`` make on a ``Tangent`` only when
+its point is not the given point itself.  The functions of the solver's loop
+take and return ambient arrays, so they build no ``Tangent``; ``retract``
+builds the one ``Point`` a trial step needs.  ``TestInputsNotWritten`` checks that
+those functions write none of the plain arrays they are handed.
 """
 
 import dataclasses
@@ -41,6 +44,7 @@ from riemqn import (
     retract,
     schedule_params,
     transport_direction,
+    wolfe_check,
 )
 from riemqn.directions import cg_beta, cg_direction
 
@@ -89,11 +93,11 @@ class TestOneCheckPerObject:
     def test_retract_and_project(self, manifold, built):
         x, eta, _ = _data(manifold)
         before = built()
-        x_new = retract(x, eta, 0.5)
+        x_new = retract(x, eta.ambient, 0.5)
         assert built(before) == (1, 0)
         assert isinstance(x_new, Point) and x_new is not x
         before = built()
-        assert retract(x, eta, 0.0) is x  # a zero step builds nothing
+        assert retract(x, eta.ambient, 0.0) is x  # a zero step builds nothing
         assert built(before) == (0, 0)
         before = built()
         project_tangent(x, eta.ambient)
@@ -102,29 +106,26 @@ class TestOneCheckPerObject:
     @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
     def test_transport(self, manifold, kind, built):
         x, eta, g = _data(manifold)
-        x_new = retract(x, eta, 0.25)
+        x_new = retract(x, eta.ambient, 0.25)
         before = built()
-        outs = transport_direction(kind, x, eta, 0.25, g, x_new)
-        assert built(before) == (0, 2)
+        outs = transport_direction(kind, x, eta.ambient, 0.25, g.ambient, x_new)
+        assert built(before) == (0, 0)
         assert len({id(t) for t in outs}) == 2
-        assert all(t.point is x_new for t in outs)
+        assert all(type(t) is np.ndarray for t in outs)
 
     def test_directions(self, manifold, built):
+        # the engines take and return arrays and build nothing
         x, s, g = _data(manifold)
-        y = Tangent(x, -s.ambient)  # <s, y> < 0: Li-Fukushima lifts it
+        s, g = s.ambient, g.ambient
+        y = -s  # <s, y> < 0: Li-Fukushima lifts it
         before = built()
         z = compute_z(ZMode.LI_FUKUSHIMA, s, y, 1e-6)
-        assert z is not y and built(before) == (0, 1)
-        before = built()
-        assert compute_z(ZMode.LI_FUKUSHIMA, s, s, 1e-6) is s  # no regularization: no object
-        assert built(before) == (0, 0)
+        assert z is not y
+        assert compute_z(ZMode.LI_FUKUSHIMA, s, s, 1e-6) is s  # no regularization: no array
         params = schedule_params(s, z, PhiMode.BFGS, 0.5)
-        before = built()
-        broyden_direction(g, s, z, params)
-        assert built(before) == (0, 1)
-        before = built()
-        cg_direction(g, 0.5, 1.0, s)
-        assert built(before) == (0, 1)
+        outs = [z, broyden_direction(g, s, z, params), cg_direction(g, 0.5, 1.0, s)]
+        assert built(before) == (0, 0)
+        assert all(type(t) is np.ndarray for t in outs)
 
 
 def _step_eval():
@@ -155,7 +156,86 @@ class TestImmutable:
         assert StepEval._fields == ("alpha", "x_new", "f_new", "g_new", "t_eta", "t_g", "dphi")
         assert BroydenParams._fields == ("gamma", "tau", "phi", "xi", "ss", "sz", "zz")
         ev = _step_eval()
-        assert StepEval(**ev._asdict()) == ev
+        assert all(a is b for a, b in zip(StepEval(**ev._asdict()), ev))
+
+    def test_step_eval_carries_arrays(self):
+        ev = _step_eval()
+        assert isinstance(ev.x_new, Point)
+        for arr in (ev.g_new, ev.t_eta, ev.t_g):
+            assert type(arr) is np.ndarray and arr.shape == ev.x_new.ambient.shape
+
+
+def _loose(manifold, seed=1):
+    """x and two writeable tangent arrays at x, as the loop's functions hand each other."""
+    x, a, b = _data(manifold, seed)
+    return x, np.array(a.ambient), np.array(b.ambient)
+
+
+def _call_unwritten(inputs, call):
+    """``call()``, checking that it leaves every input array's bytes as they were."""
+    before = [a.tobytes() for a in inputs]
+    out = call()
+    assert [a.tobytes() for a in inputs] == before
+    return out
+
+
+def _assert_fresh(outs, inputs):
+    for out in outs:
+        assert type(out) is np.ndarray
+        assert not any(np.shares_memory(out, a) for a in inputs)
+
+
+@pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
+class TestInputsNotWritten:
+    """The loop's arrays are plain and writeable, not a Tangent's frozen ones, so each
+    function writes none of its inputs and returns arrays that share no memory with them."""
+
+    def test_retract(self, manifold):
+        x, eta, _ = _loose(manifold)
+        x_new = _call_unwritten([x.ambient, eta], lambda: retract(x, eta, 0.5))
+        _assert_fresh([x_new.ambient], [x.ambient, eta])
+
+    @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
+    def test_transport_direction(self, manifold, kind):
+        x, eta, g = _loose(manifold)
+        x_new = retract(x, eta, 0.25)
+        inputs = [x.ambient, eta, g, x_new.ambient]
+        t_eta, t_g = _call_unwritten(
+            inputs, lambda: transport_direction(kind, x, eta, 0.25, g, x_new))
+        _assert_fresh([t_eta], inputs)
+        _assert_fresh([t_g], inputs + [t_eta])
+
+    def test_compute_z(self, manifold):
+        _, s, _ = _loose(manifold)
+        y = -s  # <s, y> < 0: both modes build z
+        for mode, nu_hat in ((ZMode.LI_FUKUSHIMA, 1e-6), (ZMode.POWELL, 0.1)):
+            z = _call_unwritten([s, y], lambda: compute_z(mode, s, y, nu_hat))
+            _assert_fresh([z], [s, y])
+
+    def test_schedule_params(self, manifold):
+        _, s, g = _loose(manifold)
+        z = g + 2.0 * s
+        params = _call_unwritten([s, z], lambda: schedule_params(s, z, PhiMode.PRECONVEX, 0.5))
+        assert params.sz > 0.0
+
+    def test_broyden_direction(self, manifold):
+        _, s, g = _loose(manifold)
+        z = g + 2.0 * s
+        params = schedule_params(s, z, PhiMode.BFGS, 0.5)
+        eta = _call_unwritten([g, s, z], lambda: broyden_direction(g, s, z, params))
+        _assert_fresh([eta], [g, s, z])
+
+    def test_cg_beta(self, manifold):
+        _, t_g, g = _loose(manifold)
+        for kind in (k for k in DirectionKind if k is not DirectionKind.BROYDEN):
+            beta = _call_unwritten([g, t_g], lambda: cg_beta(kind, g, t_g, 0.5, 2.0, -1.5, 0.75))
+            assert beta is not None
+
+    def test_cg_direction(self, manifold):
+        _, t_eta, g = _loose(manifold)
+        for beta in (0.0, 0.5):
+            eta = _call_unwritten([g, t_eta], lambda: cg_direction(g, beta, 0.75, t_eta))
+            _assert_fresh([eta], [g, t_eta])
 
 
 class _Sub(np.ndarray):
@@ -268,95 +348,36 @@ class TestChecksKept:
                 inner(*args)
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
-    def test_retract_base(self, manifold):
-        x, eta, _ = _data(manifold)
-        twin = Point(type(manifold)(*manifold.ambient_shape), x.ambient.copy())
-        other, *_ = _data(manifold, seed=2)
-        assert retract(twin, eta, 0.5).ambient.tobytes() == retract(x, eta, 0.5).ambient.tobytes()
-        with pytest.raises(ContractViolationError, match="eta is not based"):
-            retract(other, eta, 0.5)
-
-    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
     @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
     def test_transport_direction_base(self, manifold, kind):
+        # an x_new on an equal manifold object, not x's own, has its array checked again
         x, eta, g = _data(manifold)
-        twin = Point(manifold, x.ambient.copy())
-        other, *_ = _data(manifold, seed=2)
+        eta, g = eta.ambient, g.ambient
         x_new = retract(x, eta, 0.25)
-        # x_new on an equal manifold object, not x's own: its array is checked again
         new_twin = Point(type(manifold)(*manifold.ambient_shape), x_new.ambient)
-        want = [t.ambient.tobytes() for t in transport_direction(kind, x, eta, 0.25, g, x_new)]
-        for base, target in ((twin, x_new), (x, new_twin)):
-            got = transport_direction(kind, base, eta, 0.25, g, target)
-            assert [t.ambient.tobytes() for t in got] == want
-        for args, name in (((other, eta, 0.25, g), "eta"),
-                           ((x, eta, 0.25, Tangent(other, g.ambient)), "g")):
-            with pytest.raises(ContractViolationError, match=f"{name} is not based"):
-                transport_direction(kind, *args, x_new)
+        want = [t.tobytes() for t in transport_direction(kind, x, eta, 0.25, g, x_new)]
+        got = transport_direction(kind, x, eta, 0.25, g, new_twin)
+        assert [t.tobytes() for t in got] == want
         bigger = random_point(type(manifold)(*(d + 1 for d in manifold.ambient_shape)),
                               SplitMix64(5))
         with pytest.raises(InvalidPointError, match="expected ambient shape"):
             transport_direction(kind, x, eta, 0.25, g, bigger)
 
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
-    def test_broyden_direction_base(self, manifold):
-        # <s, g> and <z, g> are taken in broyden_direction's frame, with the base
-        # checks and the error that inner(g.point, ., g) makes
-        x, s, g = _data(manifold)
-        z = Tangent(x, g.ambient + 2.0 * s.ambient)
-        params = schedule_params(s, z, PhiMode.BFGS, 0.5)
-        want = broyden_direction(g, s, z, params).ambient.tobytes()
-        twin = Point(manifold, x.ambient.copy())
-        assert broyden_direction(Tangent(twin, g.ambient), s, z, params).ambient.tobytes() == want
-        other, *_ = _data(manifold, seed=2)
-        s_off, z_off = Tangent(other, s.ambient), Tangent(other, z.ambient)
-        with pytest.raises(ContractViolationError) as ref:
-            inner(x, s_off, g)
-        for args in ((s_off, z), (s, z_off)):
-            with pytest.raises(ContractViolationError) as got:
-                broyden_direction(g, *args, params)
-            assert str(got.value) == str(ref.value)
-
-    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
-    def test_cg_direction_base(self, manifold):
-        # T(eta_prev) is checked against g's point, identity first
-        x, t_eta, g = _data(manifold)
-        want = cg_direction(g, 0.5, 0.75, t_eta).ambient.tobytes()
-        twin = Point(manifold, x.ambient.copy())
-        assert cg_direction(g, 0.5, 0.75, Tangent(twin, t_eta.ambient)).ambient.tobytes() == want
-        other, *_ = _data(manifold, seed=2)
-        with pytest.raises(ContractViolationError, match="t_eta_prev is not based at the given"):
-            cg_direction(g, 0.5, 0.75, Tangent(other, t_eta.ambient))
-
-    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
-    @pytest.mark.parametrize("kind", [k for k in DirectionKind if k is not DirectionKind.BROYDEN],
-                             ids=lambda k: k.value)
-    def test_cg_beta_base(self, manifold, kind):
-        # T(g_prev) is checked against g's point, identity first
-        x, t_g, g = _data(manifold)
-        args = (0.5, 2.0, -1.5, 0.75)
-        want = cg_beta(kind, g, t_g, *args)
-        twin = Point(manifold, x.ambient.copy())
-        assert cg_beta(kind, g, Tangent(twin, t_g.ambient), *args).hex() == want.hex()
-        other, *_ = _data(manifold, seed=2)
-        with pytest.raises(ContractViolationError, match="t_g is not based at the given"):
-            cg_beta(kind, g, Tangent(other, t_g.ambient), *args)
-
-    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
-    def test_schedule_params_base(self, manifold):
-        # <s, z> taken in schedule_params' frame checks z's base as inner(s.point, s, z)
-        x, s, g = _data(manifold)
-        z = Tangent(x, g.ambient + 2.0 * s.ambient)
-        want = schedule_params(s, z, PhiMode.BFGS, 0.5)
-        twin = Point(manifold, x.ambient.copy())
-        assert schedule_params(s, Tangent(twin, z.ambient), PhiMode.BFGS, 0.5) == want
-        other, *_ = _data(manifold, seed=2)
-        moved = Tangent(other, z.ambient)
-        with pytest.raises(ContractViolationError) as ref:
-            inner(x, s, moved)
-        with pytest.raises(ContractViolationError) as got:
-            schedule_params(s, moved, PhiMode.BFGS, 0.5)
-        assert str(got.value) == str(ref.value)
+    def test_wolfe_check_base(self, manifold):
+        # a Tangent direction, such as a trace row's, is checked against x, identity first
+        inst = (rayleigh_instance(6, seed=4) if isinstance(manifold, Sphere)
+                else offdiag_instance(5, 3, 2, seed=4))
+        x = inst.initial_point()
+        eta = -inst.grad(x)
+        cfg = LineSearchConfig()
+        want = wolfe_check(inst, x, eta.ambient, 1e-3, cfg)
+        twin = Point(type(inst.manifold)(*inst.manifold.ambient_shape), x.ambient)
+        assert wolfe_check(inst, x, eta, 1e-3, cfg) == want
+        assert wolfe_check(inst, x, Tangent(twin, eta.ambient), 1e-3, cfg) == want
+        other = random_point(inst.manifold, SplitMix64(6))
+        with pytest.raises(ContractViolationError, match="eta is not based"):
+            wolfe_check(inst, x, Tangent(other, eta.ambient), 1e-3, cfg)
 
     @pytest.mark.parametrize("make", [lambda: rayleigh_instance(6, seed=4),
                                       lambda: offdiag_instance(5, 3, 2, seed=4)],

@@ -48,9 +48,10 @@ from _support import (
 
 
 def flat_tangents(*rows):
-    """Tangents with prescribed coordinates in the e2/e3 plane at e1 on S^2."""
+    """The point e1 on S^2 and the ambient arrays of tangents there with prescribed
+    coordinates in the e2/e3 plane."""
     x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
-    return x, [Tangent(x, np.array([0.0, float(a), float(b)])) for a, b in rows]
+    return x, [np.array([0.0, float(a), float(b)]) for a, b in rows]
 
 
 class TestComputeZ:
@@ -66,7 +67,7 @@ class TestComputeZ:
         z = compute_z(ZMode.LI_FUKUSHIMA, s, y, nu_hat)
         # nu = max(0, -sy/ss) + nu_hat = 1 + 1e-6, z = y + nu*s
         want = y + (1.0 + nu_hat) * s
-        assert np.allclose(z.ambient, want.ambient, rtol=1e-15)
+        assert np.allclose(z, want, rtol=1e-15)
         assert inner(x, s, z) == pytest.approx(1e-6, rel=1e-9)
 
     def test_powell_pass_through(self):
@@ -78,7 +79,7 @@ class TestComputeZ:
         x, (s, y) = flat_tangents((1.0, 0.0), (0.0, 1.0))  # sy = 0, ss = 1
         z = compute_z(ZMode.POWELL, s, y, 0.1)
         want = 0.9 * y + 0.1 * s
-        assert np.allclose(z.ambient, want.ambient, rtol=1e-15)
+        assert np.allclose(z, want, rtol=1e-15)
         assert inner(x, s, z) == pytest.approx(0.1, rel=1e-14)
 
     def test_zero_step_raises(self):
@@ -86,21 +87,14 @@ class TestComputeZ:
         with pytest.raises(DegenerateStepError):
             compute_z(ZMode.LI_FUKUSHIMA, s, y, 1e-6)
 
-    def test_bad_nu_hat_rejected(self):
-        x, (s, y) = flat_tangents((1.0, 0.0), (0.0, 1.0))
-        with pytest.raises(ContractViolationError):
-            compute_z(ZMode.LI_FUKUSHIMA, s, y, 0.0)
-        with pytest.raises(ContractViolationError):
-            compute_z(ZMode.POWELL, s, y, 1.5)
-
     @pytest.mark.parametrize("mode,nu_hat", [(ZMode.LI_FUKUSHIMA, 1e-6), (ZMode.POWELL, 0.1)])
     def test_curvature_floor_random_sweep(self, mode, nu_hat):
         rng = SplitMix64(101)
         for manifold in (Sphere(8), Oblique(5, 3)):
             x = random_point(manifold, rng)
             for _ in range(200):
-                s = random_tangent(x, rng)
-                y = 10.0 * random_tangent(x, rng)
+                s = random_tangent(x, rng).ambient
+                y = 10.0 * random_tangent(x, rng).ambient
                 z = compute_z(mode, s, y, nu_hat)
                 ss = inner(x, s, s)
                 assert inner(x, s, z) >= nu_hat * ss - 1e-14
@@ -117,11 +111,13 @@ class TestOneWrapperPerResult:
             x = random_point(manifold, rng)
             for _ in range(50):
                 g, s, y, t = (random_tangent(x, rng) for _ in range(4))
+                ga, sa, ya, ta = (v.ambient for v in (g, s, y, t))
                 ss, sy = inner(x, s, s), inner(x, s, y)
                 for mode, nu_hat in ((ZMode.LI_FUKUSHIMA, 1e-6), (ZMode.POWELL, 0.1)):
-                    z = compute_z(mode, s, y, nu_hat)
-                    assert compute_z(mode, s, y, nu_hat, ss=ss).ambient.tobytes() == z.ambient.tobytes()
+                    z = compute_z(mode, sa, ya, nu_hat, ss, sy)
+                    assert compute_z(mode, sa, ya, nu_hat).tobytes() == z.tobytes()
                     if sy >= nu_hat * ss:
+                        assert z is ya
                         continue
                     if mode is ZMode.LI_FUKUSHIMA:
                         want = y + (max(0.0, -sy / ss) + nu_hat) * s
@@ -129,20 +125,22 @@ class TestOneWrapperPerResult:
                         nu = (1.0 - nu_hat) * ss / (ss - sy)
                         want = nu * y + (1.0 - nu) * s
                     if inner(x, s, want) >= nu_hat * ss:  # the floor lift did nothing
-                        assert z.ambient.tobytes() == want.ambient.tobytes()
+                        assert z.tobytes() == want.ambient.tobytes()
+                zt = Tangent(x, z)
                 for phi_mode in PhiMode:
-                    params = schedule_params(s, z, phi_mode, 0.5)
-                    assert schedule_params(s, z, phi_mode, 0.5, ss=ss) == params
+                    params = schedule_params(sa, z, phi_mode, 0.5, ss, inner(x, s, zt))
+                    assert schedule_params(sa, z, phi_mode, 0.5) == params
                     p = params
-                    sg, zg = inner(x, s, g), inner(x, z, g)
+                    sg, zg = inner(x, s, g), inner(x, zt, g)
                     coef_s = p.gamma * (p.phi * zg / p.sz
                                         - (1.0 / (p.gamma * p.tau) + p.phi * p.zz / p.sz) * (sg / p.sz))
                     coef_z = p.gamma * p.xi * (p.phi * sg / p.sz + (1.0 - p.phi) * zg / p.zz)
-                    want = (-p.gamma) * g + coef_s * s + coef_z * z
-                    got = broyden_direction(g, s, z, params)
-                    assert got.ambient.tobytes() == want.ambient.tobytes()
+                    want = (-p.gamma) * g + coef_s * s + coef_z * zt
+                    for gv in (ga, g):  # the gradient's array, or its Tangent
+                        got = broyden_direction(gv, sa, z, params)
+                        assert got.tobytes() == want.ambient.tobytes()
                 want = -g + (0.7 * 0.9) * t
-                assert cg_direction(g, 0.7, 0.9, t).ambient.tobytes() == want.ambient.tobytes()
+                assert cg_direction(ga, 0.7, 0.9, ta).tobytes() == want.ambient.tobytes()
 
 
 class TestScheduleParams:
@@ -166,16 +164,16 @@ class TestScheduleParams:
     def test_bfgs_mode_phi_is_one(self):
         rng = SplitMix64(3)
         x = random_point(Sphere(5), rng)
-        s = random_tangent(x, rng)
-        z = compute_z(ZMode.LI_FUKUSHIMA, s, random_tangent(x, rng), 1e-6)
+        s = random_tangent(x, rng).ambient
+        z = compute_z(ZMode.LI_FUKUSHIMA, s, random_tangent(x, rng).ambient, 1e-6)
         assert schedule_params(s, z, PhiMode.BFGS, xi=1.0).phi == 1.0
 
     def test_schedule_bounds_random_sweep(self):
         rng = SplitMix64(7)
         x = random_point(Sphere(6), rng)
         for _ in range(300):
-            s = random_tangent(x, rng)
-            z = compute_z(ZMode.POWELL, s, 5.0 * random_tangent(x, rng), 0.1)
+            s = random_tangent(x, rng).ambient
+            z = compute_z(ZMode.POWELL, s, 5.0 * random_tangent(x, rng).ambient, 0.1)
             for phi_mode in PhiMode:
                 p = schedule_params(s, z, phi_mode, xi=0.8)
                 assert p.gamma >= 1.0
@@ -223,14 +221,14 @@ class TestBroydenDirection:
         x, (g, s, z) = flat_tangents((0.0, 1.0), (1.0, 0.0), (2.0, 0.0))
         p = BroydenParams(gamma=1.5, tau=1.0, phi=1.0, xi=0.7, ss=1.0, sz=2.0, zz=4.0)
         eta = broyden_direction(g, s, z, p)
-        assert np.allclose(eta.ambient, (-1.5 * g).ambient, atol=1e-15)
+        assert np.allclose(eta, -1.5 * g, atol=1e-15)
 
     def test_flat_hand_case(self):
         # g = (1,1), s = (0,1), z = (0,2), unit parameters -> eta = (-1, -1/2)
         x, (g, s, z) = flat_tangents((1.0, 1.0), (0.0, 1.0), (0.0, 2.0))
         p = BroydenParams(gamma=1.0, tau=1.0, phi=1.0, xi=1.0, ss=1.0, sz=2.0, zz=4.0)
         eta = broyden_direction(g, s, z, p)
-        assert np.allclose(eta.ambient, [0.0, -1.0, -0.5], atol=1e-15)
+        assert np.allclose(eta, [0.0, -1.0, -0.5], atol=1e-15)
         assert inner(x, g, eta) == pytest.approx(-1.5, rel=1e-14)
 
     @pytest.mark.parametrize("phi_mode", list(PhiMode))
@@ -242,7 +240,7 @@ class TestBroydenDirection:
             x = random_point(manifold, rng)
             basis = tangent_basis(x)
             for k in range(10):
-                g = random_tangent(x, rng)
+                g = random_tangent(x, rng).ambient
                 s, y = curvature_healthy_pair(x, rng)
                 mode = ZMode.LI_FUKUSHIMA if k % 2 == 0 else ZMode.POWELL
                 z = compute_z(mode, s, y, 1e-6 if k % 2 == 0 else 0.1)
@@ -260,9 +258,9 @@ class TestBroydenDirection:
         x = random_point(Sphere(7), rng)
         kappa = sufficient_descent_kappa(1.0, 0.1, 1.0 + 1e-9)
         for _ in range(200):
-            g = random_tangent(x, rng)
-            s = random_tangent(x, rng)
-            z = compute_z(ZMode.POWELL, s, 3.0 * random_tangent(x, rng), 0.1)
+            g = random_tangent(x, rng).ambient
+            s = random_tangent(x, rng).ambient
+            z = compute_z(ZMode.POWELL, s, 3.0 * random_tangent(x, rng).ambient, 0.1)
             params = schedule_params(s, z, PhiMode.BFGS, xi=0.1)
             eta = broyden_direction(g, s, z, params)
             gg = inner(x, g, g)
@@ -307,7 +305,7 @@ class TestCgBeta:
     def test_dy_hand_evaluation_with_sigma(self):
         # flat data: g = (1, 2), T(eta_prev) = (3, 0), |T| = 3 > |eta_prev| = 1
         x, (g, t_eta) = flat_tangents((1.0, 2.0), (3.0, 0.0))
-        sigma = scaling_sigma(x, 1.0, t_eta)
+        sigma = scaling_sigma(1.0, t_eta)
         assert sigma == pytest.approx(1.0 / 3.0, rel=1e-14)
         beta = cg_beta(DirectionKind.DY, g, t_eta, inner(x, g, t_eta), 4.0, -2.0, sigma)
         want = 5.0 / (sigma * 3.0 - (-2.0))
@@ -386,7 +384,7 @@ class TestCgBeta:
             ga, t_ga, random_tangent(x, rng).ambient * scale,
             random_tangent(x, rng).ambient * scale))
         args = (inner(x, g, t_eta), inner(x, t_g, t_g), inner(x, t_g, eta_prev), sigma)
-        got = cg_beta(kind, g, t_g, *args)
+        got = cg_beta(kind, g.ambient, t_g.ambient, *args)
         want = reference_cg_beta(kind, g, t_g, *args)
         assert (None if got is None else got.hex()) == (None if want is None else want.hex())
 
@@ -395,13 +393,13 @@ class TestCgDirection:
     def test_zero_beta_is_steepest_descent(self):
         x, (g, t) = flat_tangents((1.0, 0.0), (0.0, 1.0))
         eta = cg_direction(g, 0.0, 1.0, t)
-        assert np.array_equal(eta.ambient, (-g).ambient)
+        assert np.array_equal(eta, -g)
 
     def test_flat_arithmetic(self):
         # g = (1, 0), beta = 2, sigma = 0.5, T(eta_prev) = (0, 1) -> (-1, 1)
         x, (g, t) = flat_tangents((1.0, 0.0), (0.0, 1.0))
         eta = cg_direction(g, 2.0, 0.5, t)
-        assert np.allclose(eta.ambient, [0.0, -1.0, 1.0], atol=1e-15)
+        assert np.allclose(eta, [0.0, -1.0, 1.0], atol=1e-15)
 
 
 def _ref_schedule_params(s, z, phi_mode, xi):
@@ -445,10 +443,10 @@ class TestProductsAsInnerTakesThem:
         scale = 10.0**log_scale
         g, s, y = (Tangent(x, layout(random_tangent(x, rng).ambient * scale, order))
                    for _ in range(3))
-        z = compute_z(ZMode.LI_FUKUSHIMA, s, y, 1e-6)
+        z = Tangent(x, compute_z(ZMode.LI_FUKUSHIMA, s.ambient, y.ambient, 1e-6))
         want = _ref_schedule_params(s, z, phi_mode, 0.8)
         sums = (want.ss, want.sz) if given_sums else ()
-        params = schedule_params(s, z, phi_mode, 0.8, *sums)
+        params = schedule_params(s.ambient, z.ambient, phi_mode, 0.8, *sums)
         assert [v.hex() for v in params] == [v.hex() for v in want]
-        eta = broyden_direction(g, s, z, params)
-        assert eta.ambient.tobytes() == _ref_broyden_direction(g, s, z, want).tobytes()
+        eta = broyden_direction(g.ambient, s.ambient, z.ambient, params)
+        assert eta.tobytes() == _ref_broyden_direction(g, s, z, want).tobytes()

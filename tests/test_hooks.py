@@ -87,3 +87,52 @@ def test_rng_and_profile_hooks():
 def test_transport_kinds():
     names = {kind.name for kind in manifolds.TransportKind}
     assert {"DIFFERENTIATED_RETRACTION", "PROJECTION", "INVERSE_RETRACTION"} <= names
+
+
+# (solver id, instance) -> (cost calls, grad calls) of one solve.  The benchmark's
+# Probe counts evaluations through the class attributes and reads the final iterate
+# from the last ``solver.search_step`` call, so a search that bypassed that global,
+# or an evaluation that bypassed the class attributes, would show here.
+PROBE_CASES = {
+    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh"): (184, 159),
+    ("hz_dr", "rayleigh"): (275, 235),
+    ("broyden_preconvex_powell_xi0.8_invret", "offdiag"): (371, 339),
+    ("dy_proj", "offdiag"): (301, 297),
+}
+PROBE_INSTANCES = {
+    "rayleigh": lambda: problems.rayleigh_instance(100, 20250),
+    "offdiag": lambda: problems.offdiag_instance(10, 5, 5, 30500),
+}
+
+
+@pytest.mark.parametrize("sid,kind", list(PROBE_CASES), ids=lambda v: v)
+def test_probe_contract(sid, kind, monkeypatch):
+    problem = PROBE_INSTANCES[kind]()
+    counts = {"cost": 0, "grad": 0, "search": 0}
+    last_x = [None]
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    for cls in INSTANCE_CLASSES:
+        for name in ("cost", "grad"):
+            monkeypatch.setattr(cls, name, counting(name, cls.__dict__[name]))
+    real_search = solver.search_step
+
+    def capturing_search(*args, **kwargs):
+        counts["search"] += 1
+        ev = real_search(*args, **kwargs)
+        last_x[0] = ev.x_new
+        return ev
+
+    monkeypatch.setattr(solver, "search_step", capturing_search)
+    res = solver.solve(problem, problem.initial_point(), solver.config_from_id(sid))
+    evaluations = counts["cost"], counts["grad"]
+    assert counts["search"] == len(res.diagnostics.gnorm) > 0
+    x = last_x[0]
+    assert isinstance(x, manifolds.Point) and x.manifold == problem.manifold
+    assert problem.cost(x) == res.final_f
+    assert evaluations == PROBE_CASES[sid, kind]

@@ -17,7 +17,6 @@ from riemqn import (
     Sphere,
     SolverConfig,
     SplitMix64,
-    Tangent,
     config_from_id,
     generate_instance,
     inner,
@@ -178,12 +177,13 @@ EPS = np.finfo(float).eps
 
 
 def _scaled_setup(n, seed, scale):
-    """Rayleigh (n, seed) scaled by ``scale``, its start x, f0, and a unit tangent eta with its d0."""
+    """Rayleigh (n, seed) scaled by ``scale``, its start x, f0, and the ambient array of a
+    unit tangent eta with its d0."""
     base = rayleigh_instance(n, seed)
     inst = RayleighInstance(matrix=scale * base.matrix, x0=base.x0, seed=seed)
     x = inst.initial_point()
     eta = random_tangent(x, SplitMix64(seed))
-    eta = Tangent(x, eta.ambient / norm(eta))
+    eta = eta.ambient / norm(eta)
     return inst, x, inst.cost(x), eta, inner(x, inst.grad(x), eta)
 
 
@@ -207,7 +207,7 @@ class TestPointCheck:
     def test_every_entry_rejects_another_dimension(self, call):
         inst = rayleigh_instance(5, 1)
         x = random_point(Sphere(6), SplitMix64(1))
-        eta = random_tangent(x, SplitMix64(2))
+        eta = random_tangent(x, SplitMix64(2)).ambient
         args = {"cost": (x,), "grad": (x,), "on_ray": (x, eta, 0.5, retract(x, eta, 0.5)),
                 "cost_change": (x, eta, 0.5, 1.0, -1.0)}[call]
         with pytest.raises(ContractViolationError, match="dimension mismatch"):
@@ -257,14 +257,14 @@ class TestCostChange:
         # where the difference keeps an error of order eps |A|
         inst, x, f0, eta, d0 = _scaled_setup(n, seed, scale)
         change = inst.cost_change(x, eta, alpha, f0, d0)
-        exact = _exact_change(inst.matrix, x.ambient, eta.ambient, alpha)
+        exact = _exact_change(inst.matrix, x.ambient, eta, alpha)
         bound = 4 * n * EPS * np.linalg.norm(inst.matrix) * alpha * (1.0 + alpha)
         assert abs(Fraction(change) - exact) <= Fraction(bound)
 
     def test_long_direction_does_not_overflow(self):
         # |eta| ~ 1e150 on a matrix scaled by 1e150: eta'A eta itself would be inf
         inst, x, f0, _, _ = _scaled_setup(30, 7, 1e150)
-        g = inst.grad(x)
+        g = inst.grad(x).ambient
         eta = -g
         d0 = inner(x, g, eta)
         alpha = 1e-152
@@ -295,7 +295,7 @@ class TestCostChange:
             inst.cost_change(x, eta, alpha, f0, d0)
         assert CountingMatrix.calls == 0
         assert inst.cost_change(x, eta, 0.25, f0, d0) == first
-        other = Tangent(x, eta.ambient.copy())  # a new direction
+        other = eta.copy()  # a new direction
         for calls, alpha in enumerate((0.5, 0.25, 0.5), start=1):
             inst.cost_change(x, other, alpha, f0, d0)
             assert CountingMatrix.calls == calls
@@ -334,14 +334,14 @@ class TestRay:
             assert np.linalg.norm(derived - inst.matrix @ x_t.ambient) <= bound
         assert x_1 is not x
         # another direction from the same x opens another ray
-        x_o = self._trial(inst, x, Tangent(x, -eta.ambient), 0.5 * reach)
+        x_o = self._trial(inst, x, -eta, 0.5 * reach)
         assert np.linalg.norm(inst._memo[1] - inst.matrix @ x_o.ambient) <= bound
 
     def test_vanished_step_reads_a_x_itself(self):
         # a later trial whose step underflows is x itself: its product is the A x in
         # hand, not one interpolated with weight 1 / |x| (|x| is not 1.0 at seed 0)
         inst, x, f0, eta, _ = _scaled_setup(20, 0, 1.0)
-        eta = Tangent(x, 0.25 * eta.ambient)  # 5e-324 * |eta_i| rounds to 0
+        eta = 0.25 * eta  # 5e-324 * |eta_i| rounds to 0
         self._trial(inst, x, eta, 0.5)
         assert self._trial(inst, x, eta, 5e-324) is x
         assert inst._memo[0] is x and inst.cost(x) == f0
@@ -358,7 +358,7 @@ class TestRay:
         self._trial(inst, x, eta, alpha)
         change = inst.cost_change(x, eta, alpha, f0, d0)
         assert inst._ray.a1 == alpha_1
-        exact = _exact_change(inst.matrix, x.ambient, eta.ambient, alpha)
+        exact = _exact_change(inst.matrix, x.ambient, eta, alpha)
         bound = 4 * n * EPS * np.linalg.norm(inst.matrix) * alpha * (1.0 + alpha)
         assert abs(Fraction(change) - exact) <= Fraction(bound)
 
@@ -748,7 +748,7 @@ class TestMemo:
             x0,
             Point(inst.manifold, x0.ambient.copy()),  # bitwise equal, a distinct Point
             y,
-            retract(y, random_tangent(y, rng), 0.5),
+            retract(y, random_tangent(y, rng).ambient, 0.5),
             Point(inst.manifold, y.ambient.copy()),
         ]
         for name, i in calls:

@@ -35,7 +35,6 @@ from riemqn import (
     ZMode,
     config_from_id,
     generate_instance,
-    inner,
     norm,
     offdiag_instance,
     random_point,
@@ -849,12 +848,11 @@ class TestInFrameProducts:
         for (_, ev), ((_, s, y, _, ss, sy), z), ((s2, z2, _, _, ss2, sz), _) in zip(
                 steps, z_calls, p_calls):
             # the step image is alpha * T(eta) of the accepted step, bit for bit
-            assert s.point is ev.x_new
-            assert s.ambient.tobytes() == (ev.alpha * ev.t_eta.ambient).tobytes()
-            assert y.ambient.tobytes() == (ev.g_new.ambient - ev.t_g.ambient).tobytes()
+            assert s.tobytes() == (ev.alpha * ev.t_eta).tobytes()
+            assert y.tobytes() == (ev.g_new - ev.t_g).tobytes()
             assert s2 is s and z2 is z and ss2 == ss
-            assert _hexes((ss, sy)) == _hexes((inner(s.point, s, s), inner(s.point, s, y)))
-            assert sz is None if z is not y else sz.hex() == inner(s.point, s, z).hex()
+            assert _hexes((ss, sy)) == _hexes((np.vdot(s, s), np.vdot(s, y)))
+            assert sz is None if z is not y else sz.hex() == float(np.vdot(s, z)).hex()
 
     @pytest.mark.parametrize("sid,make", [
         ("hz_dr", lambda: rayleigh_instance(30, seed=7)),
@@ -875,9 +873,10 @@ class TestInFrameProducts:
             x = ev.x_new
             assert g is ev.g_new and t_g is ev.t_g and kind is config_from_id(sid).direction
             want = (ev.dphi, d.gnorm[k] * d.gnorm[k], d.g_dot_eta[k],
-                    scaling_sigma(x, d.eta_norm[k], ev.t_eta))
+                    scaling_sigma(d.eta_norm[k], ev.t_eta))
             assert _hexes(scalars) == _hexes(want)
-            assert beta.hex() == reference_cg_beta(kind, g, t_g, *scalars).hex()
+            want = reference_cg_beta(kind, Tangent(x, g), Tangent(x, t_g), *scalars)
+            assert beta.hex() == want.hex()
 
 
 def _run_bits(res: RunResult) -> dict:
@@ -935,12 +934,14 @@ def _riemqn_frames(run):
 
 
 # solver id, instance -> (riemqn Python frames in one solve, its iterations), with the
-# shipped configs' tol and max_iters: a frame added to the loop fails here
+# shipped configs' tol and max_iters: a frame added to the loop fails here.  Recorded
+# when the loop began to carry tangent data as arrays (it had been 8438, 11745, 24231
+# and 13534 frames with a Tangent built for every vector); the iterations are unchanged.
 FRAMES_PER_RUN = {
-    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (8438, 146),
-    ("hz_dr", "rayleigh 100, seed 20250"): (11745, 220),
-    ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (24231, 464),
-    ("dy_invret", "offdiag 10x5x5, seed 30500"): (13534, 314),
+    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (6929, 146),
+    ("hz_dr", "rayleigh 100, seed 20250"): (10368, 220),
+    ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (19454, 464),
+    ("dy_invret", "offdiag 10x5x5, seed 30500"): (11649, 314),
 }
 _FRAME_INSTANCES = {
     "rayleigh 100, seed 20250": lambda: rayleigh_instance(100, 20250),
@@ -1063,7 +1064,7 @@ class TestNumericalBreakdown:
 
         def vanishing(*args):
             t_eta, t_g = real(*args)
-            return Tangent(t_eta.point, np.zeros_like(t_eta.ambient)), t_g
+            return np.zeros_like(t_eta), t_g
 
         monkeypatch.setattr(linesearch_mod, "transport_direction", vanishing)
         inst = rayleigh_instance(12, seed=3)
