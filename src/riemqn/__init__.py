@@ -45,7 +45,6 @@ from .manifolds import (
     random_point,
     random_tangent,
     retract,
-    scaling_sigma,
     tangency_defect,
     transport_direction,
 )

@@ -216,20 +216,20 @@ def sufficient_descent_kappa(gamma_min: float, xi_bar: float, phi_bar: float) ->
 
 
 def cg_beta(kind: DirectionKind, g: np.ndarray, t_g: np.ndarray, g_dot_t_eta: float,
-            g_prev_norm2: float, g_prev_dot_eta: float, sigma: float) -> float | None:
+            g_prev_norm2: float, g_prev_dot_eta: float) -> float | None:
     """Transported beta value, or None (restart) when a denominator vanishes or HZ's squared
     denominator leaves the float range.
 
     g is the new gradient's ambient array and t_g that of T(g_prev), at the same point;
     g_dot_t_eta = <g, T(eta_prev)>, and the previous gradient's |g_prev|^2 and
     <g_prev, eta_prev>.  The rule takes with ``_dot`` only the products it reads: FR
-    |g|^2, DY also den = sigma <g, T(eta_prev)> - <g_prev, eta_prev>, PRP and HS also
+    |g|^2, DY also den = <g, T(eta_prev)> - <g_prev, eta_prev>, PRP and HS also
     <g, T(g_prev)>, and HZ (mu = 2) also |g - T(g_prev)|^2.
     """
     g_norm2 = _dot(g, g)
     if kind is DirectionKind.FR:
         return None if g_prev_norm2 == 0.0 else g_norm2 / g_prev_norm2
-    den = sigma * g_dot_t_eta - g_prev_dot_eta
+    den = g_dot_t_eta - g_prev_dot_eta
     if kind is DirectionKind.DY:
         return None if den == 0.0 else g_norm2 / den
     num = g_norm2 - _dot(g, t_g)
@@ -246,6 +246,9 @@ def cg_beta(kind: DirectionKind, g: np.ndarray, t_g: np.ndarray, g_dot_t_eta: fl
     raise ContractViolationError(f"{kind!r} is not a conjugate-gradient rule")
 
 
-def cg_direction(g: np.ndarray, beta: float, sigma: float, t_eta_prev: np.ndarray) -> np.ndarray:
-    """eta = -g + beta * sigma * T(eta_prev), all ambient arrays at one point."""
-    return -g + float(beta * sigma) * t_eta_prev
+def cg_direction(g: np.ndarray, beta: float, t_eta_prev: np.ndarray) -> np.ndarray:
+    """eta = -g + beta * T(eta_prev), all ambient arrays at one point.
+
+    No scaling factor enters: every shipped map meets |T(eta)| <= |eta|.
+    """
+    return -g + beta * t_eta_prev

@@ -22,7 +22,8 @@ class AntipodalPointsError(RiemqnError, ValueError):
 
 
 class DegenerateTransportError(RiemqnError, ValueError):
-    """A transported vector vanished, so no scaling factor exists."""
+    """A tangent vector that must be normalized vanished: ``random_tangent(unit=True)``
+    drew a zero projection."""
 
 
 class DegenerateStepError(RiemqnError, ValueError):

@@ -6,10 +6,10 @@ in ambient coordinates and renormalize (column-wise on the oblique manifold).
 
 ``Point`` and ``Tangent`` are the public, checked form of the data.  The
 solver's loop carries tangent data as the ambient float64 arrays themselves:
-``retract``, ``transport_direction`` and ``scaling_sigma`` take and return
-those arrays (``retract`` returns a checked ``Point``), and ``inner`` and
-``norm`` take a ``Tangent`` or its array.  An array passed as tangent data is
-read as a tangent vector at the point it comes with; no base is checked.
+``retract`` and ``transport_direction`` take and return those arrays
+(``retract`` returns a checked ``Point``), and ``inner`` and ``norm`` take a
+``Tangent`` or its array.  An array passed as tangent data is read as a
+tangent vector at the point it comes with; no base is checked.
 
 After a step alpha * eta from x to x_new = R_x(alpha * eta), one call,
 ``transport_direction``, carries the step data across: it returns the images
@@ -56,14 +56,18 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``float(np.vdot(a, b))`` of two float64 arrays of one shape: the arrays' own ``dot``
-    of their C-order ravels.  A 1-D array is dotted as it is, which is ``np.vdot`` bit for
-    bit when it is contiguous, as a ``Tangent``'s array and every array the solver's loop
-    makes are; a strided 1-D view is dotted through its strides and can differ from
-    ``np.vdot`` in the last bits."""
-    if a.ndim == 1:
-        return float(a.dot(b))
-    return float(a.ravel().dot(b.ravel()))
+    """``float(np.vdot(a, b))`` of two float64 arrays of one shape, bit for bit.
+
+    Two arrays that are no views are dotted with their own ``dot`` (of their C-order
+    ravels past 1-D), which is ``np.vdot`` without its dispatch.  A view goes to
+    ``np.vdot`` itself: how it sums a strided or reversed view follows the view's
+    strides, so no contiguous copy gives its bits.
+    """
+    if a.base is None and b.base is None:
+        if a.ndim == 1:
+            return float(a.dot(b))
+        return float(a.ravel().dot(b.ravel()))
+    return float(np.vdot(a, b))
 
 
 def _vector_norm(arr: np.ndarray) -> float:
@@ -317,8 +321,7 @@ def inner(x: Point, u, v) -> float:
 
     Each of u and v is a ``Tangent`` or an ambient array read as a tangent vector at x.
     A Tangent's base is checked, and only when its point is not x itself.  The product
-    is ``_dot``: ``np.vdot`` of the two arrays, bit for bit unless one is a strided 1-D
-    view.
+    is ``_dot``: ``np.vdot`` of the two arrays, bit for bit.
     """
     if isinstance(u, Tangent):
         if u.point is not x:
@@ -416,17 +419,6 @@ def transport_direction(
     elif kind is not TransportKind.PROJECTION:
         raise ContractViolationError(f"unknown transport kind: {kind!r}")
     return t_eta, t_g
-
-
-def scaling_sigma(eta_prev_norm: float, t_eta: np.ndarray) -> float:
-    """Scaling factor clamping a transported direction (its ambient array) to its original
-    length."""
-    if not eta_prev_norm > 0.0:
-        raise ContractViolationError("previous direction norm must be positive")
-    tn = norm(t_eta)
-    if tn == 0.0:
-        raise DegenerateTransportError("transported direction has zero norm")
-    return min(1.0, eta_prev_norm / tn)
 
 
 def random_point(manifold: Manifold, rng: SplitMix64) -> Point:

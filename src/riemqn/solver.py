@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     DegenerateStepError,
-    DegenerateTransportError,
     DegenerateZError,
     InvalidPointError,
     LineSearchFailedError,
@@ -50,7 +49,6 @@ from .manifolds import (
     _dot,
     inner,
     norm,
-    scaling_sigma,
 )
 from .problems import ProblemInstance
 from .schema import check_fields, choice, flag, positive_integer, read_object, real, reject_unknown
@@ -297,7 +295,7 @@ def solve(
     iterate is a checked ``Point``.  The latest accepted step's memory is kept in
     locals.  A Broyden step forms its step image s = alpha * T(eta) and takes the
     products its memory reads here with ``_dot``, bit for bit as ``inner`` takes them;
-    a CG step keeps sigma and the previous gradient's norm and slope, and ``cg_beta``
+    a CG step keeps the previous gradient's squared norm and slope, and ``cg_beta``
     takes the products its rule reads.
     """
     for name, value, kind in (("problem", problem, ProblemInstance), ("x0", x0, Point),
@@ -334,7 +332,7 @@ def solve(
     f = problem.cost(x)
     g = problem.grad(x).ambient
     # the latest accepted step (None before the first), its arrays at x; a Broyden run
-    # keeps its s = alpha * T(eta), z and params, a CG run sigma and the norm and slope of
+    # keeps its s = alpha * T(eta), z and params, a CG run the squared norm and slope of
     # the gradient the step left
     ev = None
     k = 0
@@ -356,8 +354,8 @@ def solve(
             diag.phi.append(params.phi)
             eta = broyden_direction(g, s, z, params)
         else:
-            beta = cg_beta(kind, g, ev.t_g, ev.dphi, g_prev_norm2, g_prev_dot_eta, sigma)
-            eta = None if beta is None else cg_direction(g, beta, sigma, ev.t_eta)
+            beta = cg_beta(kind, g, ev.t_g, ev.dphi, g_prev_norm2, g_prev_dot_eta)
+            eta = None if beta is None else cg_direction(g, beta, ev.t_eta)
         if eta is None or (gde := inner(x, g, eta)) >= -_DESCENT_GUARD * gnorm * gnorm:
             # steepest descent; a restart when the last step gave no descent direction
             if ev is not None:
@@ -370,8 +368,7 @@ def solve(
             break
         diag.gnorm.append(gnorm)
         diag.g_dot_eta.append(gde)
-        eta_norm = norm(eta)
-        diag.eta_norm.append(eta_norm)
+        diag.eta_norm.append(norm(eta))
         # Nocedal & Wright (3.60): the step that repeats the last decrease,
         # 1 / |g| on the first search, capped at alpha_init; alpha_init when
         # that is not finite and positive (|g| = inf, no decrease, a rounding rise)
@@ -395,20 +392,19 @@ def solve(
         f_prev = f
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1
-        try:
-            if broyden:  # s, y = g - T(g_prev) and g are all at x
-                s = ev.alpha * ev.t_eta
-                y = g - ev.t_g
-                ss = _dot(s, s)
-                sy = _dot(s, y)
-                z = compute_z(z_mode, s, y, nu_hat, ss, sy)
-                params = schedule_params(s, z, phi_mode, xi, ss, sy if z is y else None)
-                diag.z_margin.append(params.sz - nu_hat * params.ss)
-                diag.z_ratio.append(math.sqrt(params.zz / params.ss))
-            else:
-                sigma = scaling_sigma(eta_norm, ev.t_eta)
-                g_prev_norm2, g_prev_dot_eta = gnorm * gnorm, gde
-        except (DegenerateStepError, DegenerateTransportError, DegenerateZError) as exc:
+        if not broyden:
+            g_prev_norm2, g_prev_dot_eta = gnorm * gnorm, gde
+            continue
+        try:  # s, y = g - T(g_prev) and g are all at x
+            s = ev.alpha * ev.t_eta
+            y = g - ev.t_g
+            ss = _dot(s, s)
+            sy = _dot(s, y)
+            z = compute_z(z_mode, s, y, nu_hat, ss, sy)
+            params = schedule_params(s, z, phi_mode, xi, ss, sy if z is y else None)
+            diag.z_margin.append(params.sz - nu_hat * params.ss)
+            diag.z_ratio.append(math.sqrt(params.zz / params.ss))
+        except (DegenerateStepError, DegenerateZError) as exc:
             failure, detail = FailureReason.DEGENERATE_STEP, _detail(exc)
             break
 

@@ -194,7 +194,7 @@ def dense_memoryless_matrix(
 
 
 def reference_cg_beta(kind: DirectionKind, g: Tangent, t_g: Tangent, g_dot_t_eta: float,
-                      g_prev_norm2: float, g_prev_dot_eta: float, sigma: float):
+                      g_prev_norm2: float, g_prev_dot_eta: float):
     """The transported beta from all of its products, each taken with ``inner`` whether the
     rule reads it or not: |g|^2, <g, T(g_prev)> and |y|^2 with y = g - T(g_prev)."""
     x = g.point
@@ -204,7 +204,7 @@ def reference_cg_beta(kind: DirectionKind, g: Tangent, t_g: Tangent, g_dot_t_eta
         if g_prev_norm2 == 0.0:
             return None
         return g_norm2 / g_prev_norm2
-    den = sigma * g_dot_t_eta - g_prev_dot_eta
+    den = g_dot_t_eta - g_prev_dot_eta
     if kind is DirectionKind.DY:
         return None if den == 0.0 else g_norm2 / den
     num = g_norm2 - g_dot_t_g

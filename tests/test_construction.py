@@ -123,7 +123,7 @@ class TestOneCheckPerObject:
         assert z is not y
         assert compute_z(ZMode.LI_FUKUSHIMA, s, s, 1e-6) is s  # no regularization: no array
         params = schedule_params(s, z, PhiMode.BFGS, 0.5)
-        outs = [z, broyden_direction(g, s, z, params), cg_direction(g, 0.5, 1.0, s)]
+        outs = [z, broyden_direction(g, s, z, params), cg_direction(g, 0.5, s)]
         assert built(before) == (0, 0)
         assert all(type(t) is np.ndarray for t in outs)
 
@@ -228,13 +228,13 @@ class TestInputsNotWritten:
     def test_cg_beta(self, manifold):
         _, t_g, g = _loose(manifold)
         for kind in (k for k in DirectionKind if k is not DirectionKind.BROYDEN):
-            beta = _call_unwritten([g, t_g], lambda: cg_beta(kind, g, t_g, 0.5, 2.0, -1.5, 0.75))
+            beta = _call_unwritten([g, t_g], lambda: cg_beta(kind, g, t_g, 0.5, 2.0, -1.5))
             assert beta is not None
 
     def test_cg_direction(self, manifold):
         _, t_eta, g = _loose(manifold)
         for beta in (0.0, 0.5):
-            eta = _call_unwritten([g, t_eta], lambda: cg_direction(g, beta, 0.75, t_eta))
+            eta = _call_unwritten([g, t_eta], lambda: cg_direction(g, beta, t_eta))
             _assert_fresh([eta], [g, t_eta])
 
 

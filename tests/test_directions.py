@@ -28,7 +28,6 @@ from riemqn import (
     random_point,
     random_tangent,
     schedule_params,
-    scaling_sigma,
     sufficient_descent_kappa,
 )
 
@@ -139,8 +138,8 @@ class TestOneWrapperPerResult:
                     for gv in (ga, g):  # the gradient's array, or its Tangent
                         got = broyden_direction(gv, sa, z, params)
                         assert got.tobytes() == want.ambient.tobytes()
-                want = -g + (0.7 * 0.9) * t
-                assert cg_direction(ga, 0.7, 0.9, ta).tobytes() == want.ambient.tobytes()
+                want = -g + 0.7 * t
+                assert cg_direction(ga, 0.7, ta).tobytes() == want.ambient.tobytes()
 
 
 class TestScheduleParams:
@@ -284,11 +283,11 @@ class TestKappa:
 
 
 def cg_args(g=(2.0, 0.0), t_g=(0.25, 0.5), g_dot_t_eta=1.0, g_prev_norm2=4.0,
-            g_prev_dot_eta=-3.0, sigma=1.0):
+            g_prev_dot_eta=-3.0):
     """cg_beta's arguments after the rule: g and T(g_prev) in the flat plane, then the
     scalars.  By default |g|^2 = 4, <g, T(g_prev)> = 0.5 and den = 4."""
     _, vecs = flat_tangents(g, t_g)
-    return (*vecs, g_dot_t_eta, g_prev_norm2, g_prev_dot_eta, sigma)
+    return (*vecs, g_dot_t_eta, g_prev_norm2, g_prev_dot_eta)
 
 
 CG_RULES = [k for k in DirectionKind if k is not DirectionKind.BROYDEN]
@@ -302,17 +301,15 @@ class TestCgBeta:
         args = cg_args(g_dot_t_eta=0.0)
         assert cg_beta(DirectionKind.HZ, *args) == cg_beta(DirectionKind.HS, *args)
 
-    def test_dy_hand_evaluation_with_sigma(self):
-        # flat data: g = (1, 2), T(eta_prev) = (3, 0), |T| = 3 > |eta_prev| = 1
+    def test_dy_hand_evaluation(self):
+        # flat data: g = (1, 2), T(eta_prev) = (3, 0), <g_prev, eta_prev> = -2: no factor
+        # scales <g, T(eta_prev)>, so den = 3 - (-2) and beta = |g|^2 / den = 5 / 5
         x, (g, t_eta) = flat_tangents((1.0, 2.0), (3.0, 0.0))
-        sigma = scaling_sigma(1.0, t_eta)
-        assert sigma == pytest.approx(1.0 / 3.0, rel=1e-14)
-        beta = cg_beta(DirectionKind.DY, g, t_eta, inner(x, g, t_eta), 4.0, -2.0, sigma)
-        want = 5.0 / (sigma * 3.0 - (-2.0))
-        assert beta == pytest.approx(want, rel=1e-14)
+        beta = cg_beta(DirectionKind.DY, g, t_eta, inner(x, g, t_eta), 4.0, -2.0)
+        assert beta == 1.0
 
     def test_zero_denominator_signals_restart(self):
-        args = cg_args(g_dot_t_eta=3.0, g_prev_dot_eta=3.0, sigma=1.0)
+        args = cg_args(g_dot_t_eta=3.0, g_prev_dot_eta=3.0)
         for kind in (DirectionKind.DY, DirectionKind.HS, DirectionKind.HZ):
             assert cg_beta(kind, *args) is None
         for kind in (DirectionKind.FR, DirectionKind.PRP):
@@ -320,8 +317,8 @@ class TestCgBeta:
 
     def test_hz_underflowing_denominator_square_signals_restart(self):
         # den ~ 1e-170 is nonzero, but den * den underflows to 0
-        args = cg_args(g_dot_t_eta=5e-171, g_prev_dot_eta=-5e-171, sigma=1.0)
-        assert 1.0 * 5e-171 - (-5e-171) != 0.0
+        args = cg_args(g_dot_t_eta=5e-171, g_prev_dot_eta=-5e-171)
+        assert 5e-171 - (-5e-171) != 0.0
         assert cg_beta(DirectionKind.HZ, *args) is None
         assert math.isfinite(cg_beta(DirectionKind.HS, *args))
 
@@ -329,14 +326,14 @@ class TestCgBeta:
         # den ~ 1e200 is finite, but den * den overflows to inf, and with it
         # |y|^2 * <g, T(eta_prev)> (|y|^2 ~ 1e250): inf / inf would make beta nan
         args = cg_args(g=(1e100, 0.0), t_g=(0.0, 1e125), g_dot_t_eta=5e199,
-                       g_prev_dot_eta=-5e199, sigma=1.0)
-        assert math.isfinite(1.0 * 5e199 - (-5e199))
+                       g_prev_dot_eta=-5e199)
+        assert math.isfinite(5e199 - (-5e199))
         assert cg_beta(DirectionKind.HZ, *args) is None
         assert math.isfinite(cg_beta(DirectionKind.HS, *args))
 
     def test_hz_formula(self):
         # y = g - T(g_prev) = (1.75, -0.5), |y|^2 = 3.3125
-        den = 1.0 * 1.0 - (-3.0)
+        den = 1.0 - (-3.0)
         want = (4.0 - 0.5) / den - 2.0 * 3.3125 * 1.0 / den**2
         assert cg_beta(DirectionKind.HZ, *cg_args()) == pytest.approx(want, rel=1e-14)
 
@@ -366,11 +363,10 @@ class TestCgBeta:
         log_scale=st.sampled_from([-50.0, 50.0]) | st.floats(-50.0, 50.0),
         order=st.sampled_from(LAYOUTS),
         kind=st.sampled_from(CG_RULES),
-        sigma=st.floats(0.0, 1.0),
         near=st.booleans(),
     )
     def test_bitwise_equal_to_the_inner_reference(self, manifold, seed, log_scale, order, kind,
-                                                   sigma, near):
+                                                   near):
         # the products a rule reads are the bits inner gives; T(g_prev) near g makes
         # |g - T(g_prev)|^2 and the PRP/HS numerator cancel
         rng = SplitMix64(seed)
@@ -383,7 +379,7 @@ class TestCgBeta:
         g, t_g, t_eta, eta_prev = (Tangent(x, layout(a, order)) for a in (
             ga, t_ga, random_tangent(x, rng).ambient * scale,
             random_tangent(x, rng).ambient * scale))
-        args = (inner(x, g, t_eta), inner(x, t_g, t_g), inner(x, t_g, eta_prev), sigma)
+        args = (inner(x, g, t_eta), inner(x, t_g, t_g), inner(x, t_g, eta_prev))
         got = cg_beta(kind, g.ambient, t_g.ambient, *args)
         want = reference_cg_beta(kind, g, t_g, *args)
         assert (None if got is None else got.hex()) == (None if want is None else want.hex())
@@ -392,14 +388,14 @@ class TestCgBeta:
 class TestCgDirection:
     def test_zero_beta_is_steepest_descent(self):
         x, (g, t) = flat_tangents((1.0, 0.0), (0.0, 1.0))
-        eta = cg_direction(g, 0.0, 1.0, t)
+        eta = cg_direction(g, 0.0, t)
         assert np.array_equal(eta, -g)
 
     def test_flat_arithmetic(self):
-        # g = (1, 0), beta = 2, sigma = 0.5, T(eta_prev) = (0, 1) -> (-1, 1)
+        # g = (1, 0), beta = 2, T(eta_prev) = (0, 1) -> (-1, 2)
         x, (g, t) = flat_tangents((1.0, 0.0), (0.0, 1.0))
-        eta = cg_direction(g, 2.0, 0.5, t)
-        assert np.allclose(eta, [0.0, -1.0, 1.0], atol=1e-15)
+        eta = cg_direction(g, 2.0, t)
+        assert np.array_equal(eta, [0.0, -1.0, 2.0])
 
 
 def _ref_schedule_params(s, z, phi_mode, xi):
