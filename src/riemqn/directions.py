@@ -35,7 +35,7 @@ from .errors import (
     DegenerateZError,
     OutOfHypothesisError,
 )
-from .manifolds import Tangent, _dot
+from .manifolds import _dot
 
 
 class ZMode(Enum):
@@ -180,14 +180,11 @@ def schedule_params(
     return BroydenParams(gamma, tau, phi, xi, ss, sz, zz)
 
 
-def broyden_direction(g, s: np.ndarray, z: np.ndarray,
+def broyden_direction(g: np.ndarray, s: np.ndarray, z: np.ndarray,
                       params: BroydenParams) -> np.ndarray:
     """Closed-form Broyden direction, as an ambient array; ``params`` must come from
-    ``schedule_params`` on s and z.  s and z are ambient arrays at g's point; g is the
-    gradient's array, or its ``Tangent``, which is read as its array.  <s, g> and
-    <z, g> are taken as ``inner`` takes them."""
-    if isinstance(g, Tangent):
-        g = g.ambient
+    ``schedule_params`` on s and z.  g, s and z are ambient arrays at one point.
+    <s, g> and <z, g> are taken as ``inner`` takes them."""
     sg = _dot(s, g)
     zg = _dot(z, g)
     gamma, tau, phi, xi = params.gamma, params.tau, params.phi, params.xi

@@ -30,9 +30,11 @@ step 41 (``|g|`` 1.6e-10, the two ``d0`` 2.7% apart) was accepted at a change
 of -3.0e-31 against its bound -5.4e-33, and replays at +1.2e-30, so
 ``wolfe_check`` gives ``(False, True)``.
 
-Tangent data travels as ambient float64 arrays: eta, the gradients and the
-transported images are the arrays themselves, read as tangent vectors at the
-point they come with (see ``manifolds``).  Every trial is a checked ``Point``.
+Tangent data is ambient float64 arrays at every boundary here: eta, the
+gradients ``grad`` returns and the transported images are the arrays
+themselves, read as tangent vectors at the point they come with (see
+``manifolds``), and ``wolfe_check`` takes a trace row's ``direction`` as it
+is.  Every trial is a checked ``Point``.
 
 Before it evaluates a trial, the search names it to the problem through the
 optional hook ``on_ray(x, eta, alpha, x_new)``: x_new is
@@ -62,15 +64,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, LineSearchFailedError
-from .manifolds import (
-    Point,
-    Tangent,
-    TransportKind,
-    _require_base,
-    inner,
-    retract,
-    transport_direction,
-)
+from .manifolds import Point, TransportKind, inner, retract, transport_direction
 from .schema import Check, check_fields, integer, real
 
 # |f_new - f0| <= FLOOR_BAND * |f0|: f_new - f0 may be rounding noise
@@ -142,7 +136,7 @@ def _complete(
     alpha: float, x_new: Point, f_new: float,
 ) -> StepEval:
     """The full evaluation of the trial step alpha, which reached x_new at cost f_new."""
-    g_new = problem.grad(x_new).ambient
+    g_new = problem.grad(x_new)
     t_eta, t_g = transport_direction(kind, x, eta, alpha, g0, x_new)
     dphi = inner(x_new, g_new, t_eta)
     return StepEval(alpha, x_new, f_new, g_new, t_eta, t_g, dphi)
@@ -151,25 +145,20 @@ def _complete(
 def wolfe_check(
     problem,
     x: Point,
-    eta,
+    eta: np.ndarray,
     alpha: float,
     cfg: LineSearchConfig,
     kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION,
 ) -> tuple[bool, bool]:
     """Evaluate the (Armijo, curvature) predicates for a given step size along eta.
 
-    eta is the direction's ambient array at x, or a ``Tangent`` based at x, such as a
-    trace row's ``direction``, which is read as its array.  A step that is not positive
-    and finite raises ``ContractViolationError`` before any evaluation, as
-    ``search_step``'s first trial does."""
+    eta is the direction's ambient array at x, such as a trace row's ``direction``.
+    A step that is not positive and finite raises ``ContractViolationError`` before any
+    evaluation, as ``search_step``'s first trial does."""
     if not 0.0 < alpha < math.inf:
         raise ContractViolationError(f"step size {alpha!r} is not positive and finite")
-    if isinstance(eta, Tangent):
-        if eta.point is not x:
-            _require_base(x, eta, "eta")
-        eta = eta.ambient
     f0 = problem.cost(x)
-    g0 = problem.grad(x).ambient
+    g0 = problem.grad(x)
     d0 = inner(x, g0, eta)
     if not d0 < 0.0:
         raise ContractViolationError("eta is not a descent direction")

@@ -4,12 +4,15 @@ Both manifolds carry the metric induced by the ambient Euclidean/Frobenius
 inner product.  The retraction is metric projection: add the tangent vector
 in ambient coordinates and renormalize (column-wise on the oblique manifold).
 
-``Point`` and ``Tangent`` are the public, checked form of the data.  The
-solver's loop carries tangent data as the ambient float64 arrays themselves:
-``retract`` and ``transport_direction`` take and return those arrays
-(``retract`` returns a checked ``Point``), and ``inner`` and ``norm`` take a
-``Tangent`` or its array.  An array passed as tangent data is read as a
-tangent vector at the point it comes with; no base is checked.
+A point is a checked ``Point``.  Tangent data is the ambient float64 array
+itself, as a tangent vector of an embedded submanifold is its ambient vector
+(Absil, Mahony & Sepulchre 2008, section 3.6.1): ``project_tangent``,
+``random_tangent``, ``retract``, ``transport_direction``, ``inner``, ``norm``
+and ``tangency_defect`` take and return those arrays (``retract`` returns a
+checked ``Point``).  An array passed as tangent data is read as a tangent
+vector at the point it comes with; no base is checked.  No function here
+builds a ``Tangent``: the class and its operators remain for callers that
+wrap them.
 
 After a step alpha * eta from x to x_new = R_x(alpha * eta), one call,
 ``transport_direction``, carries the step data across: it returns the images
@@ -249,13 +252,13 @@ class Point:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Tangent:
-    """A tangent vector at a specific point.
+    """A tangent vector at a specific point, with base-checked arithmetic.
 
     The array is coerced to float64, checked for the shape of the point's
     array (which the point's own check fixed) and frozen, a copy when it is a
-    view.  Tangency is guaranteed by the producing operations (projection,
-    transport, gradients) and is not re-verified here; ``tangency_defect``
-    measures it.
+    view.  Tangency is not verified here; ``tangency_defect`` measures it.
+    No riemqn function takes or returns a ``Tangent``: tangent data is an
+    ambient array everywhere (see the module docstring).
     """
 
     point: Point
@@ -316,47 +319,38 @@ def _require_base(x: Point, t: Tangent, name: str) -> None:
         raise ContractViolationError(f"{name} is not based at the given point")
 
 
-def inner(x: Point, u, v) -> float:
-    """Riemannian inner product (ambient Euclidean/Frobenius) of two tangent vectors at x.
+def inner(x: Point, u: np.ndarray, v: np.ndarray) -> float:
+    """Riemannian inner product of the ambient arrays u and v of two tangent vectors at x.
 
-    Each of u and v is a ``Tangent`` or an ambient array read as a tangent vector at x.
-    A Tangent's base is checked, and only when its point is not x itself.  The product
-    is ``_dot``: ``np.vdot`` of the two arrays, bit for bit.
+    x names the point; the induced (ambient Euclidean/Frobenius) metric does not
+    depend on it.  The product is ``_dot``: ``np.vdot`` of the two arrays, bit for bit.
     """
-    if isinstance(u, Tangent):
-        if u.point is not x:
-            _require_base(x, u, "u")
-        u = u.ambient
-    if isinstance(v, Tangent):
-        if v.point is not x:
-            _require_base(x, v, "v")
-        v = v.ambient
     return _dot(u, v)
 
 
-def norm(t) -> float:
-    """Induced norm of a tangent vector: a ``Tangent`` or its ambient array.
+def norm(t: np.ndarray) -> float:
+    """Induced norm of the ambient array of a tangent vector.
 
     A vector whose squared entries all underflow is measured again scaled by
     its largest entry, so a nonzero vector never has norm 0.
     """
-    arr = t.ambient if isinstance(t, Tangent) else t
-    n = _vector_norm(arr)
-    if n == 0.0 and arr.any():
-        scale = float(np.max(np.abs(arr)))
-        n = scale * _vector_norm(arr / scale)
+    n = _vector_norm(t)
+    if n == 0.0 and t.any():
+        scale = float(np.max(np.abs(t)))
+        n = scale * _vector_norm(t / scale)
     return n
 
 
-def tangency_defect(t: Tangent) -> float:
-    """How far a vector is from the tangent space of its base point."""
-    return t.point.manifold.tangent_defect(t.point.ambient, t.ambient)
+def tangency_defect(x: Point, t: np.ndarray) -> float:
+    """How far the ambient array t is from the tangent space at x."""
+    return x.manifold.tangent_defect(x.ambient, t)
 
 
-def project_tangent(x: Point, v_ambient) -> Tangent:
-    """Orthogonal projection of an ambient vector onto the tangent space at x."""
+def project_tangent(x: Point, v_ambient) -> np.ndarray:
+    """The ambient array of the orthogonal projection of an ambient vector onto the
+    tangent space at x; ``v_ambient`` of another shape raises ``InvalidPointError``."""
     arr = _ambient_array(v_ambient, x.manifold.ambient_shape)
-    return Tangent(x, x.manifold._project(x.ambient, arr))
+    return x.manifold._project(x.ambient, arr)
 
 
 def retract(x: Point, eta: np.ndarray, alpha: float = 1.0) -> Point:
@@ -427,8 +421,9 @@ def random_point(manifold: Manifold, rng: SplitMix64) -> Point:
     return Point(manifold, manifold._normalize(draw))
 
 
-def random_tangent(x: Point, rng: SplitMix64, unit: bool = False) -> Tangent:
-    """Projection of a standard-normal ambient draw; optionally normalized."""
+def random_tangent(x: Point, rng: SplitMix64, unit: bool = False) -> np.ndarray:
+    """The ambient array of the projection of a standard-normal ambient draw at x;
+    optionally normalized."""
     t = project_tangent(x, rng.normal(x.manifold.ambient_shape))
     if unit:
         n = norm(t)

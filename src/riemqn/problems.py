@@ -72,15 +72,7 @@ from typing import ClassVar, Mapping, Union
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .manifolds import (
-    Oblique,
-    Point,
-    Sphere,
-    Tangent,
-    _freeze,
-    _retraction_scale,
-    project_tangent,
-)
+from .manifolds import Oblique, Point, Sphere, _freeze, _retraction_scale, project_tangent
 from .rng import SplitMix64
 from .schema import integer, positive_integer, read_object
 
@@ -226,8 +218,9 @@ class RayleighInstance:
     def cost(self, x: Point) -> float:
         return float(x.ambient.dot(self._product(x)))  # the BLAS ddot that @ makes
 
-    def grad(self, x: Point) -> Tangent:
-        """Tangent projection of the ambient gradient 2 A x."""
+    def grad(self, x: Point) -> np.ndarray:
+        """The Riemannian gradient at x as an ambient array: ``project_tangent`` of the
+        Euclidean gradient 2 A x."""
         return project_tangent(x, 2.0 * self._product(x))
 
     def cost_change(self, x: Point, eta: np.ndarray, alpha: float, f0: float, d0: float) -> float:
@@ -308,8 +301,9 @@ class OffDiagonalInstance:
         _, e = self._products(x)
         return float(np.add.reduce(e * e, axis=None))
 
-    def grad(self, x: Point) -> Tangent:
-        """Tangent projection of the ambient gradient 4 sum_i C_i X E_i."""
+    def grad(self, x: Point) -> np.ndarray:
+        """The Riemannian gradient at x as an ambient array: ``project_tangent`` of the
+        Euclidean gradient 4 sum_i C_i X E_i."""
         cx, e = self._products(x)
         return project_tangent(x, 4.0 * np.add.reduce(cx @ e, axis=0))
 

@@ -42,14 +42,7 @@ from .errors import (
     SingularRetractionError,
 )
 from .linesearch import LineSearchConfig, search_step
-from .manifolds import (
-    Point,
-    Tangent,
-    TransportKind,
-    _dot,
-    inner,
-    norm,
-)
+from .manifolds import Point, TransportKind, _dot, inner, norm
 from .problems import ProblemInstance
 from .schema import check_fields, choice, flag, positive_integer, read_object, real, reject_unknown
 
@@ -173,7 +166,10 @@ def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """One trace row at ``point``; the terminal row carries nan step fields and no direction."""
+    """One trace row at ``point``; the terminal row carries nan step fields and no direction.
+
+    ``direction`` is the read-only ambient array of the step's direction at ``point``.
+    """
 
     iteration: int
     f: float
@@ -182,7 +178,7 @@ class IterationTrace:
     g_dot_eta: float
     time_ms: float
     point: Optional[Point] = None
-    direction: Optional[Tangent] = None
+    direction: Optional[np.ndarray] = None
 
     # trace column -> (field, format spec), in stream order
     COLUMNS: ClassVar[dict[str, tuple[str, str]]] = {
@@ -290,10 +286,10 @@ def solve(
     x0 that is no ``Point`` or a cfg that is no ``SolverConfig`` raises
     ``ContractViolationError`` naming the argument and its type; an x0 on another
     manifold raises it ("dimension mismatch") from the problem's first ``cost``.
-    The loop carries tangent data as ambient float64 arrays: it unwraps each gradient
-    ``Tangent`` once, and builds a ``Tangent`` only for a trace or callback row.  Every
-    iterate is a checked ``Point``.  The latest accepted step's memory is kept in
-    locals.  A Broyden step forms its step image s = alpha * T(eta) and takes the
+    Tangent data is ambient float64 arrays throughout: ``grad`` returns one, the loop
+    carries them, and a trace or callback row holds the direction's array, made
+    read-only in place.  Every iterate is a checked ``Point``.  The latest accepted
+    step's memory is kept in locals.  A Broyden step forms its step image s = alpha * T(eta) and takes the
     products its memory reads here with ``_dot``, bit for bit as ``inner`` takes them;
     a CG step keeps the previous gradient's squared norm and slope, and ``cg_beta``
     takes the products its rule reads.
@@ -330,7 +326,7 @@ def solve(
 
     x = x0
     f = problem.cost(x)
-    g = problem.grad(x).ambient
+    g = problem.grad(x)
     # the latest accepted step (None before the first), its arrays at x; a Broyden run
     # keeps its s = alpha * T(eta), z and params, a CG run the squared norm and slope of
     # the gradient the step left
@@ -388,7 +384,8 @@ def solve(
             break
         diag.alpha.append(ev.alpha)
         if sinks:
-            emit(gnorm, ev.alpha, gde, Tangent(x, eta))
+            eta.setflags(False)  # write=False: the row's array stays as the step used it
+            emit(gnorm, ev.alpha, gde, eta)
         f_prev = f
         x, f, g = ev.x_new, ev.f_new, ev.g_new
         k += 1

@@ -24,7 +24,6 @@ from riemqn import (
     Point,
     ProfileTable,
     Sphere,
-    Tangent,
     TransportKind,
     ZMode,
     inner,
@@ -103,27 +102,20 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) 
     return np.sort(np.diag(a))
 
 
-def ambient(t) -> np.ndarray:
-    """The ambient array of a ``Tangent``; an array is returned as it is."""
-    return t.ambient if isinstance(t, Tangent) else t
-
-
-def central_diff_directional(problem, x: Point, eta, t: float = 1e-6) -> float:
-    """(f(R_x(t*eta)) - f(R_x(-t*eta))) / (2t), for a ``Tangent`` eta or its array."""
-    e = ambient(eta)
-    fp = problem.cost(retract(x, t * e))
-    fm = problem.cost(retract(x, (-t) * e))
+def central_diff_directional(problem, x: Point, eta: np.ndarray, t: float = 1e-6) -> float:
+    """(f(R_x(t*eta)) - f(R_x(-t*eta))) / (2t), for the ambient array eta."""
+    fp = problem.cost(retract(x, t * eta))
+    fm = problem.cost(retract(x, (-t) * eta))
     return (fp - fm) / (2.0 * t)
 
 
-def search(problem, x: Point, eta, cfg,
+def search(problem, x: Point, eta: np.ndarray, cfg,
            kind: TransportKind = TransportKind.DIFFERENTIATED_RETRACTION, alpha0=None):
-    """``search_step`` along a ``Tangent`` eta or its array, from an anchor evaluated
-    here: f(x), grad f(x) and <g, eta> as ``inner`` takes it, and the first trial
-    ``alpha0`` (``cfg.alpha_init`` when None)."""
-    eta = ambient(eta)
+    """``search_step`` along the ambient array eta, from an anchor evaluated here: f(x),
+    grad f(x) and <g, eta> as ``inner`` takes it, and the first trial ``alpha0``
+    (``cfg.alpha_init`` when None)."""
     f0 = problem.cost(x)
-    g0 = problem.grad(x).ambient
+    g0 = problem.grad(x)
     return search_step(problem, x, eta, cfg, kind, f0=f0, g0=g0, d0=inner(x, g0, eta),
                        alpha0=cfg.alpha_init if alpha0 is None else alpha0)
 
@@ -145,9 +137,9 @@ def tangent_basis(x: Point) -> list[np.ndarray]:
     return basis
 
 
-def to_coords(t, basis: list[np.ndarray]) -> np.ndarray:
-    """The coordinates of a ``Tangent`` or its ambient array in ``basis``."""
-    return np.array([float(np.vdot(b, ambient(t))) for b in basis])
+def to_coords(t: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """The coordinates of the ambient array t of a tangent vector in ``basis``."""
+    return np.array([float(np.vdot(b, t)) for b in basis])
 
 
 def from_coords(x: Point, coords: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -167,12 +159,12 @@ def curvature_healthy_pair(x: Point, rng: SplitMix64) -> tuple[np.ndarray, np.nd
     """
     s = random_tangent(x, rng)
     u = random_tangent(x, rng)
-    ss = float(np.vdot(s.ambient, s.ambient))
-    su = float(np.vdot(s.ambient, u.ambient))
+    ss = float(np.vdot(s, s))
+    su = float(np.vdot(s, u))
     u_perp = u - (su / ss) * s
     a = 0.5 + 2.0 * float(rng.uniform(1)[0])
     b = 2.0 * float(rng.uniform(1)[0])
-    return s.ambient, (a * s + b * u_perp).ambient
+    return s, a * s + b * u_perp
 
 
 def dense_memoryless_matrix(
@@ -193,12 +185,11 @@ def dense_memoryless_matrix(
     return h
 
 
-def reference_cg_beta(kind: DirectionKind, g: Tangent, t_g: Tangent, g_dot_t_eta: float,
-                      g_prev_norm2: float, g_prev_dot_eta: float):
-    """The transported beta from all of its products, each taken with ``inner`` whether the
-    rule reads it or not: |g|^2, <g, T(g_prev)> and |y|^2 with y = g - T(g_prev)."""
-    x = g.point
-    y = Tangent(x, g.ambient - t_g.ambient)
+def reference_cg_beta(kind: DirectionKind, x: Point, g: np.ndarray, t_g: np.ndarray,
+                      g_dot_t_eta: float, g_prev_norm2: float, g_prev_dot_eta: float):
+    """The transported beta from all of its products at x, each taken with ``inner`` whether
+    the rule reads it or not: |g|^2, <g, T(g_prev)> and |y|^2 with y = g - T(g_prev)."""
+    y = g - t_g
     g_norm2, g_dot_t_g, y_norm2 = inner(x, g, g), inner(x, g, t_g), inner(x, y, y)
     if kind is DirectionKind.FR:
         if g_prev_norm2 == 0.0:

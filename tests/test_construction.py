@@ -5,12 +5,11 @@ the class: the benchmark counts constructions by replacing that attribute in
 the class ``__dict__``, so every construction must go through it.  The step
 records (``StepEval``, ``BroydenParams``) are immutable.
 ``TestChecksKept`` holds every check of that one frame: coercion, shape,
-the constraint (before freezing), copy-if-view and freezing, and the base
-checks that ``inner`` and ``wolfe_check`` make on a ``Tangent`` only when
-its point is not the given point itself.  The functions of the solver's loop
-take and return ambient arrays, so they build no ``Tangent``; ``retract``
-builds the one ``Point`` a trial step needs.  ``TestInputsNotWritten`` checks that
-those functions write none of the plain arrays they are handed.
+the constraint (before freezing), copy-if-view and freezing.  Tangent data is
+an ambient array at every riemqn boundary, so no riemqn function builds a
+``Tangent`` (``TestNoTangentBuilt``); ``retract`` builds the one ``Point`` a
+trial step needs.  ``TestInputsNotWritten`` checks that the functions of the
+solver's loop write none of the plain arrays they are handed.
 """
 
 import dataclasses
@@ -27,6 +26,7 @@ from riemqn import (
     Oblique,
     PhiMode,
     Point,
+    SolverConfig,
     Sphere,
     SplitMix64,
     StepEval,
@@ -35,7 +35,7 @@ from riemqn import (
     ZMode,
     broyden_direction,
     compute_z,
-    inner,
+    config_from_id,
     offdiag_instance,
     project_tangent,
     random_point,
@@ -43,6 +43,7 @@ from riemqn import (
     rayleigh_instance,
     retract,
     schedule_params,
+    solve,
     transport_direction,
     wolfe_check,
 )
@@ -86,29 +87,29 @@ class TestOneCheckPerObject:
         before = built()
         Point(manifold, np.array(x.ambient))
         Point(manifold=manifold, ambient=x.ambient)
-        Tangent(x, np.array(eta.ambient))
-        Tangent(point=x, ambient=eta.ambient)
+        Tangent(x, np.array(eta))
+        Tangent(point=x, ambient=eta)
         assert built(before) == (2, 2)
 
     def test_retract_and_project(self, manifold, built):
         x, eta, _ = _data(manifold)
         before = built()
-        x_new = retract(x, eta.ambient, 0.5)
+        x_new = retract(x, eta, 0.5)
         assert built(before) == (1, 0)
         assert isinstance(x_new, Point) and x_new is not x
         before = built()
-        assert retract(x, eta.ambient, 0.0) is x  # a zero step builds nothing
+        assert retract(x, eta, 0.0) is x  # a zero step builds nothing
         assert built(before) == (0, 0)
         before = built()
-        project_tangent(x, eta.ambient)
-        assert built(before) == (0, 1)
+        project_tangent(x, eta)
+        assert built(before) == (0, 0)
 
     @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
     def test_transport(self, manifold, kind, built):
         x, eta, g = _data(manifold)
-        x_new = retract(x, eta.ambient, 0.25)
+        x_new = retract(x, eta, 0.25)
         before = built()
-        outs = transport_direction(kind, x, eta.ambient, 0.25, g.ambient, x_new)
+        outs = transport_direction(kind, x, eta, 0.25, g, x_new)
         assert built(before) == (0, 0)
         assert len({id(t) for t in outs}) == 2
         assert all(type(t) is np.ndarray for t in outs)
@@ -116,7 +117,6 @@ class TestOneCheckPerObject:
     def test_directions(self, manifold, built):
         # the engines take and return arrays and build nothing
         x, s, g = _data(manifold)
-        s, g = s.ambient, g.ambient
         y = -s  # <s, y> < 0: Li-Fukushima lifts it
         before = built()
         z = compute_z(ZMode.LI_FUKUSHIMA, s, y, 1e-6)
@@ -126,6 +126,42 @@ class TestOneCheckPerObject:
         outs = [z, broyden_direction(g, s, z, params), cg_direction(g, 0.5, s)]
         assert built(before) == (0, 0)
         assert all(type(t) is np.ndarray for t in outs)
+
+
+@pytest.mark.parametrize("sid", ["broyden_bfgs_lf_xi0.1_dr", "hz_invret"])
+@pytest.mark.parametrize("make", [lambda: rayleigh_instance(30, seed=5),
+                                  lambda: offdiag_instance(6, 3, 3, seed=5)],
+                         ids=["rayleigh", "offdiag"])
+class TestNoTangentBuilt:
+    """Tangent data is an ambient array at every riemqn boundary, so no call builds a
+    ``Tangent``, counted as the benchmark counts them, and trace rows carry arrays."""
+
+    def test_no_call_builds_a_tangent(self, make, sid, built):
+        inst = make()
+        x = inst.initial_point()
+        cfg = config_from_id(sid, SolverConfig(max_iters=300, record_trace=True))
+        rows = []
+        before = built()
+        res = solve(inst, x, cfg, callback=rows.append)
+        assert built(before)[1] == 0
+        g = inst.grad(x)
+        assert built(before)[1] == 0
+        ev = search(inst, x, -g, cfg.line_search, cfg.transport)  # search_step's entry
+        wolfe_check(inst, x, -g, ev.alpha, cfg.line_search, cfg.transport)
+        project_tangent(x, 2.0 * g)
+        random_tangent(x, SplitMix64(3), unit=True)
+        assert built(before)[1] == 0
+        assert rows == res.trace and res.iters > 5
+
+    def test_trace_rows_carry_read_only_arrays(self, make, sid):
+        inst = make()
+        cfg = config_from_id(sid, SolverConfig(max_iters=300, record_trace=True))
+        res = solve(inst, inst.initial_point(), cfg)
+        for row in res.trace[:-1]:
+            d = row.direction
+            assert type(d) is np.ndarray and d.dtype == np.float64
+            assert d.shape == inst.manifold.ambient_shape and not d.flags.writeable
+        assert res.trace[-1].direction is None
 
 
 def _step_eval():
@@ -141,7 +177,8 @@ def _broyden_params():
 class TestImmutable:
     def test_point_and_tangent_fields(self):
         x, eta, _ = _data(Sphere(4))
-        for obj, fields in ((x, ("manifold", "ambient")), (eta, ("point", "ambient"))):
+        for obj, fields in ((x, ("manifold", "ambient")),
+                            (Tangent(x, eta), ("point", "ambient"))):
             for name in fields:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(obj, name, getattr(obj, name))
@@ -165,12 +202,6 @@ class TestImmutable:
             assert type(arr) is np.ndarray and arr.shape == ev.x_new.ambient.shape
 
 
-def _loose(manifold, seed=1):
-    """x and two writeable tangent arrays at x, as the loop's functions hand each other."""
-    x, a, b = _data(manifold, seed)
-    return x, np.array(a.ambient), np.array(b.ambient)
-
-
 def _call_unwritten(inputs, call):
     """``call()``, checking that it leaves every input array's bytes as they were."""
     before = [a.tobytes() for a in inputs]
@@ -187,17 +218,18 @@ def _assert_fresh(outs, inputs):
 
 @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
 class TestInputsNotWritten:
-    """The loop's arrays are plain and writeable, not a Tangent's frozen ones, so each
-    function writes none of its inputs and returns arrays that share no memory with them."""
+    """The loop's arrays are plain and writeable (``random_tangent`` gives such arrays), so
+    each function writes none of its inputs and returns arrays that share no memory with
+    them."""
 
     def test_retract(self, manifold):
-        x, eta, _ = _loose(manifold)
+        x, eta, _ = _data(manifold)
         x_new = _call_unwritten([x.ambient, eta], lambda: retract(x, eta, 0.5))
         _assert_fresh([x_new.ambient], [x.ambient, eta])
 
     @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
     def test_transport_direction(self, manifold, kind):
-        x, eta, g = _loose(manifold)
+        x, eta, g = _data(manifold)
         x_new = retract(x, eta, 0.25)
         inputs = [x.ambient, eta, g, x_new.ambient]
         t_eta, t_g = _call_unwritten(
@@ -206,33 +238,33 @@ class TestInputsNotWritten:
         _assert_fresh([t_g], inputs + [t_eta])
 
     def test_compute_z(self, manifold):
-        _, s, _ = _loose(manifold)
+        _, s, _ = _data(manifold)
         y = -s  # <s, y> < 0: both modes build z
         for mode, nu_hat in ((ZMode.LI_FUKUSHIMA, 1e-6), (ZMode.POWELL, 0.1)):
             z = _call_unwritten([s, y], lambda: compute_z(mode, s, y, nu_hat))
             _assert_fresh([z], [s, y])
 
     def test_schedule_params(self, manifold):
-        _, s, g = _loose(manifold)
+        _, s, g = _data(manifold)
         z = g + 2.0 * s
         params = _call_unwritten([s, z], lambda: schedule_params(s, z, PhiMode.PRECONVEX, 0.5))
         assert params.sz > 0.0
 
     def test_broyden_direction(self, manifold):
-        _, s, g = _loose(manifold)
+        _, s, g = _data(manifold)
         z = g + 2.0 * s
         params = schedule_params(s, z, PhiMode.BFGS, 0.5)
         eta = _call_unwritten([g, s, z], lambda: broyden_direction(g, s, z, params))
         _assert_fresh([eta], [g, s, z])
 
     def test_cg_beta(self, manifold):
-        _, t_g, g = _loose(manifold)
+        _, t_g, g = _data(manifold)
         for kind in (k for k in DirectionKind if k is not DirectionKind.BROYDEN):
             beta = _call_unwritten([g, t_g], lambda: cg_beta(kind, g, t_g, 0.5, 2.0, -1.5))
             assert beta is not None
 
     def test_cg_direction(self, manifold):
-        _, t_eta, g = _loose(manifold)
+        _, t_eta, g = _data(manifold)
         for beta in (0.0, 0.5):
             eta = _call_unwritten([g, t_eta], lambda: cg_direction(g, beta, t_eta))
             _assert_fresh([eta], [g, t_eta])
@@ -334,25 +366,11 @@ class TestChecksKept:
             assert built(before) == (1, 0)
             assert arr.flags.writeable
 
-    # the base checks test identity first; an equal but distinct point still passes
-    # the equality check and a different point still raises
-
-    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
-    def test_inner_base(self, manifold):
-        x, u, v = _data(manifold)
-        twin = Point(manifold, x.ambient.copy())
-        other, *_ = _data(manifold, seed=2)
-        assert inner(twin, u, v) == inner(x, u, v)
-        for args, name in (((other, u, v), "u"), ((x, u, Tangent(other, v.ambient)), "v")):
-            with pytest.raises(ContractViolationError, match=f"{name} is not based"):
-                inner(*args)
-
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
     @pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.name)
     def test_transport_direction_base(self, manifold, kind):
         # an x_new on an equal manifold object, not x's own, has its array checked again
         x, eta, g = _data(manifold)
-        eta, g = eta.ambient, g.ambient
         x_new = retract(x, eta, 0.25)
         new_twin = Point(type(manifold)(*manifold.ambient_shape), x_new.ambient)
         want = [t.tobytes() for t in transport_direction(kind, x, eta, 0.25, g, x_new)]
@@ -362,22 +380,6 @@ class TestChecksKept:
                               SplitMix64(5))
         with pytest.raises(InvalidPointError, match="expected ambient shape"):
             transport_direction(kind, x, eta, 0.25, g, bigger)
-
-    @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
-    def test_wolfe_check_base(self, manifold):
-        # a Tangent direction, such as a trace row's, is checked against x, identity first
-        inst = (rayleigh_instance(6, seed=4) if isinstance(manifold, Sphere)
-                else offdiag_instance(5, 3, 2, seed=4))
-        x = inst.initial_point()
-        eta = -inst.grad(x)
-        cfg = LineSearchConfig()
-        want = wolfe_check(inst, x, eta.ambient, 1e-3, cfg)
-        twin = Point(type(inst.manifold)(*inst.manifold.ambient_shape), x.ambient)
-        assert wolfe_check(inst, x, eta, 1e-3, cfg) == want
-        assert wolfe_check(inst, x, Tangent(twin, eta.ambient), 1e-3, cfg) == want
-        other = random_point(inst.manifold, SplitMix64(6))
-        with pytest.raises(ContractViolationError, match="eta is not based"):
-            wolfe_check(inst, x, Tangent(other, eta.ambient), 1e-3, cfg)
 
     @pytest.mark.parametrize("make", [lambda: rayleigh_instance(6, seed=4),
                                       lambda: offdiag_instance(5, 3, 2, seed=4)],
@@ -390,7 +392,7 @@ class TestChecksKept:
         twin = Point(type(m)(*m.ambient_shape), x.ambient)
         assert twin.manifold is not m
         assert inst.cost(twin) == make().cost(x)
-        assert inst.grad(twin).ambient.tobytes() == make().grad(x).ambient.tobytes()
+        assert inst.grad(twin).tobytes() == make().grad(x).tobytes()
         other = random_point(type(m)(*(d + 1 for d in m.ambient_shape)), SplitMix64(1))
         for method in (inst.cost, inst.grad):
             with pytest.raises(ContractViolationError, match="dimension mismatch"):

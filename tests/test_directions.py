@@ -92,8 +92,8 @@ class TestComputeZ:
         for manifold in (Sphere(8), Oblique(5, 3)):
             x = random_point(manifold, rng)
             for _ in range(200):
-                s = random_tangent(x, rng).ambient
-                y = 10.0 * random_tangent(x, rng).ambient
+                s = random_tangent(x, rng)
+                y = 10.0 * random_tangent(x, rng)
                 z = compute_z(mode, s, y, nu_hat)
                 ss = inner(x, s, s)
                 assert inner(x, s, z) >= nu_hat * ss - 1e-14
@@ -109,9 +109,9 @@ class TestOneWrapperPerResult:
         for manifold in (Sphere(8), Oblique(5, 3)):
             x = random_point(manifold, rng)
             for _ in range(50):
-                g, s, y, t = (random_tangent(x, rng) for _ in range(4))
+                g, s, y, t = (Tangent(x, random_tangent(x, rng)) for _ in range(4))
                 ga, sa, ya, ta = (v.ambient for v in (g, s, y, t))
-                ss, sy = inner(x, s, s), inner(x, s, y)
+                ss, sy = inner(x, sa, sa), inner(x, sa, ya)
                 for mode, nu_hat in ((ZMode.LI_FUKUSHIMA, 1e-6), (ZMode.POWELL, 0.1)):
                     z = compute_z(mode, sa, ya, nu_hat, ss, sy)
                     assert compute_z(mode, sa, ya, nu_hat).tobytes() == z.tobytes()
@@ -123,21 +123,20 @@ class TestOneWrapperPerResult:
                     else:
                         nu = (1.0 - nu_hat) * ss / (ss - sy)
                         want = nu * y + (1.0 - nu) * s
-                    if inner(x, s, want) >= nu_hat * ss:  # the floor lift did nothing
+                    if inner(x, sa, want.ambient) >= nu_hat * ss:  # the floor lift did nothing
                         assert z.tobytes() == want.ambient.tobytes()
                 zt = Tangent(x, z)
                 for phi_mode in PhiMode:
-                    params = schedule_params(sa, z, phi_mode, 0.5, ss, inner(x, s, zt))
+                    params = schedule_params(sa, z, phi_mode, 0.5, ss, inner(x, sa, z))
                     assert schedule_params(sa, z, phi_mode, 0.5) == params
                     p = params
-                    sg, zg = inner(x, s, g), inner(x, zt, g)
+                    sg, zg = inner(x, sa, ga), inner(x, z, ga)
                     coef_s = p.gamma * (p.phi * zg / p.sz
                                         - (1.0 / (p.gamma * p.tau) + p.phi * p.zz / p.sz) * (sg / p.sz))
                     coef_z = p.gamma * p.xi * (p.phi * sg / p.sz + (1.0 - p.phi) * zg / p.zz)
                     want = (-p.gamma) * g + coef_s * s + coef_z * zt
-                    for gv in (ga, g):  # the gradient's array, or its Tangent
-                        got = broyden_direction(gv, sa, z, params)
-                        assert got.tobytes() == want.ambient.tobytes()
+                    got = broyden_direction(ga, sa, z, params)
+                    assert got.tobytes() == want.ambient.tobytes()
                 want = -g + 0.7 * t
                 assert cg_direction(ga, 0.7, ta).tobytes() == want.ambient.tobytes()
 
@@ -163,16 +162,16 @@ class TestScheduleParams:
     def test_bfgs_mode_phi_is_one(self):
         rng = SplitMix64(3)
         x = random_point(Sphere(5), rng)
-        s = random_tangent(x, rng).ambient
-        z = compute_z(ZMode.LI_FUKUSHIMA, s, random_tangent(x, rng).ambient, 1e-6)
+        s = random_tangent(x, rng)
+        z = compute_z(ZMode.LI_FUKUSHIMA, s, random_tangent(x, rng), 1e-6)
         assert schedule_params(s, z, PhiMode.BFGS, xi=1.0).phi == 1.0
 
     def test_schedule_bounds_random_sweep(self):
         rng = SplitMix64(7)
         x = random_point(Sphere(6), rng)
         for _ in range(300):
-            s = random_tangent(x, rng).ambient
-            z = compute_z(ZMode.POWELL, s, 5.0 * random_tangent(x, rng).ambient, 0.1)
+            s = random_tangent(x, rng)
+            z = compute_z(ZMode.POWELL, s, 5.0 * random_tangent(x, rng), 0.1)
             for phi_mode in PhiMode:
                 p = schedule_params(s, z, phi_mode, xi=0.8)
                 assert p.gamma >= 1.0
@@ -239,7 +238,7 @@ class TestBroydenDirection:
             x = random_point(manifold, rng)
             basis = tangent_basis(x)
             for k in range(10):
-                g = random_tangent(x, rng).ambient
+                g = random_tangent(x, rng)
                 s, y = curvature_healthy_pair(x, rng)
                 mode = ZMode.LI_FUKUSHIMA if k % 2 == 0 else ZMode.POWELL
                 z = compute_z(mode, s, y, 1e-6 if k % 2 == 0 else 0.1)
@@ -257,9 +256,9 @@ class TestBroydenDirection:
         x = random_point(Sphere(7), rng)
         kappa = sufficient_descent_kappa(1.0, 0.1, 1.0 + 1e-9)
         for _ in range(200):
-            g = random_tangent(x, rng).ambient
-            s = random_tangent(x, rng).ambient
-            z = compute_z(ZMode.POWELL, s, 3.0 * random_tangent(x, rng).ambient, 0.1)
+            g = random_tangent(x, rng)
+            s = random_tangent(x, rng)
+            z = compute_z(ZMode.POWELL, s, 3.0 * random_tangent(x, rng), 0.1)
             params = schedule_params(s, z, PhiMode.BFGS, xi=0.1)
             eta = broyden_direction(g, s, z, params)
             gg = inner(x, g, g)
@@ -372,16 +371,15 @@ class TestCgBeta:
         rng = SplitMix64(seed)
         x = random_point(manifold, rng)
         scale = 10.0**log_scale
-        ga = random_tangent(x, rng).ambient * scale
-        t_ga = random_tangent(x, rng).ambient * scale
+        ga = random_tangent(x, rng) * scale
+        t_ga = random_tangent(x, rng) * scale
         if near:
             t_ga = ga + 1e-9 * t_ga
-        g, t_g, t_eta, eta_prev = (Tangent(x, layout(a, order)) for a in (
-            ga, t_ga, random_tangent(x, rng).ambient * scale,
-            random_tangent(x, rng).ambient * scale))
+        g, t_g, t_eta, eta_prev = (layout(a, order) for a in (
+            ga, t_ga, random_tangent(x, rng) * scale, random_tangent(x, rng) * scale))
         args = (inner(x, g, t_eta), inner(x, t_g, t_g), inner(x, t_g, eta_prev))
-        got = cg_beta(kind, g.ambient, t_g.ambient, *args)
-        want = reference_cg_beta(kind, g, t_g, *args)
+        got = cg_beta(kind, g, t_g, *args)
+        want = reference_cg_beta(kind, x, g, t_g, *args)
         assert (None if got is None else got.hex()) == (None if want is None else want.hex())
 
 
@@ -398,9 +396,9 @@ class TestCgDirection:
         assert np.array_equal(eta, [0.0, -1.0, 2.0])
 
 
-def _ref_schedule_params(s, z, phi_mode, xi):
-    """``schedule_params`` written with ``inner``."""
-    ss, sz, zz = inner(s.point, s, s), inner(s.point, s, z), inner(z.point, z, z)
+def _ref_schedule_params(x, s, z, phi_mode, xi):
+    """``schedule_params`` on the arrays s and z at x, written with ``inner``."""
+    ss, sz, zz = inner(x, s, s), inner(x, s, z), inner(x, z, z)
     phi = 1.0
     if phi_mode is not PhiMode.BFGS:
         mu = (ss * zz) / (sz * sz)
@@ -408,14 +406,13 @@ def _ref_schedule_params(s, z, phi_mode, xi):
     return BroydenParams(max(1.0, sz / zz), min(1.0, zz / sz), phi, xi, ss, sz, zz)
 
 
-def _ref_broyden_direction(g, s, z, p):
-    """The ambient array of ``broyden_direction`` written with ``inner``."""
-    x = g.point
+def _ref_broyden_direction(x, g, s, z, p):
+    """``broyden_direction`` on the arrays g, s and z at x, written with ``inner``."""
     sg, zg = inner(x, s, g), inner(x, z, g)
     coef_s = p.gamma * (p.phi * zg / p.sz - (1.0 / (p.gamma * p.tau) + p.phi * p.zz / p.sz)
                         * (sg / p.sz))
     coef_z = p.gamma * p.xi * (p.phi * sg / p.sz + (1.0 - p.phi) * zg / p.zz)
-    return (-p.gamma) * g.ambient + coef_s * s.ambient + coef_z * z.ambient
+    return (-p.gamma) * g + coef_s * s + coef_z * z
 
 
 class TestProductsAsInnerTakesThem:
@@ -437,12 +434,11 @@ class TestProductsAsInnerTakesThem:
         rng = SplitMix64(seed)
         x = random_point(manifold, rng)
         scale = 10.0**log_scale
-        g, s, y = (Tangent(x, layout(random_tangent(x, rng).ambient * scale, order))
-                   for _ in range(3))
-        z = Tangent(x, compute_z(ZMode.LI_FUKUSHIMA, s.ambient, y.ambient, 1e-6))
-        want = _ref_schedule_params(s, z, phi_mode, 0.8)
+        g, s, y = (layout(random_tangent(x, rng) * scale, order) for _ in range(3))
+        z = compute_z(ZMode.LI_FUKUSHIMA, s, y, 1e-6)
+        want = _ref_schedule_params(x, s, z, phi_mode, 0.8)
         sums = (want.ss, want.sz) if given_sums else ()
-        params = schedule_params(s.ambient, z.ambient, phi_mode, 0.8, *sums)
+        params = schedule_params(s, z, phi_mode, 0.8, *sums)
         assert [v.hex() for v in params] == [v.hex() for v in want]
-        eta = broyden_direction(g.ambient, s.ambient, z.ambient, params)
-        assert eta.tobytes() == _ref_broyden_direction(g, s, z, want).tobytes()
+        eta = broyden_direction(g, s, z, params)
+        assert eta.tobytes() == _ref_broyden_direction(x, g, s, z, want).tobytes()

@@ -30,7 +30,6 @@ from riemqn import (
     SolverConfig,
     Sphere,
     SplitMix64,
-    Tangent,
     TransportKind,
     ZMode,
     config_from_id,
@@ -611,7 +610,7 @@ class TestSolve:
         # rows carry the iterate and the direction without record_trace
         assert res.trace == []
         assert all(isinstance(row.point, Point) for row in rows)
-        assert all(isinstance(row.direction, Tangent) for row in rows[:-1])
+        assert all(type(row.direction) is np.ndarray for row in rows[:-1])
         assert rows[-1].direction is None
 
     def test_callback_and_trace_get_the_same_rows(self):
@@ -873,7 +872,7 @@ class TestInFrameProducts:
             assert g is ev.g_new and t_g is ev.t_g and kind is config_from_id(sid).direction
             want = (ev.dphi, d.gnorm[k] * d.gnorm[k], d.g_dot_eta[k])
             assert _hexes(scalars) == _hexes(want)
-            want = reference_cg_beta(kind, Tangent(x, g), Tangent(x, t_g), *scalars)
+            want = reference_cg_beta(kind, x, g, t_g, *scalars)
             assert beta.hex() == want.hex()
 
 
@@ -887,7 +886,7 @@ def _run_bits(res: RunResult) -> dict:
         "series": {name: _hexes(getattr(d, name)) for name in RunDiagnostics.SERIES},
         "trace": [(row.iteration, _hexes((row.f, row.gnorm, row.alpha, row.g_dot_eta)),
                    row.point.ambient.tobytes(),
-                   None if row.direction is None else row.direction.ambient.tobytes())
+                   None if row.direction is None else row.direction.tobytes())
                   for row in res.trace],
     }
 
@@ -937,12 +936,14 @@ def _riemqn_frames(run):
 # and 13534 frames with a Tangent built for every vector); the iterations are unchanged.
 # The CG rows again when the CG step dropped its scaling factor, and with it three frames
 # a step (scaling_sigma, norm, _vector_norm): hz_dr from 10368 frames, and dy_invret
-# from (11649, 314), whose iterates moved.
+# from (11649, 314), whose iterates moved.  All four again when grad came to return
+# its array, without the Tangent's __init__ and __post_init__ frames: from 6929, 9708,
+# 19454 and 10639 frames, the iterations unchanged.
 FRAMES_PER_RUN = {
-    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (6929, 146),
-    ("hz_dr", "rayleigh 100, seed 20250"): (9708, 220),
-    ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (19454, 464),
-    ("dy_invret", "offdiag 10x5x5, seed 30500"): (10639, 312),
+    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (6611, 146),
+    ("hz_dr", "rayleigh 100, seed 20250"): (9238, 220),
+    ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (18456, 464),
+    ("dy_invret", "offdiag 10x5x5, seed 30500"): (10013, 312),
 }
 _FRAME_INSTANCES = {
     "rayleigh 100, seed 20250": lambda: rayleigh_instance(100, 20250),
@@ -1189,7 +1190,7 @@ class TestExactInvariance:
         for row, neg in zip(*(res.trace for res in runs)):
             assert neg.point.ambient.tobytes() == flip(row.point.ambient).tobytes()
             if row.direction is not None:
-                assert neg.direction.ambient.tobytes() == flip(row.direction.ambient).tobytes()
+                assert neg.direction.tobytes() == flip(row.direction).tobytes()
 
     @staticmethod
     def _assert_covariant(inst, sid, k):
