@@ -134,9 +134,8 @@ def _preconvex_phi(mu: float) -> float:
     if abs(1.0 - mu) < _DEGENERATE_EPS:
         return 1.0
     theta = max(1.0 / (1.0 - mu), _PRECONVEX_THETA_FLOOR)
+    # den <= -0.9 to rounding: 0.1 - 1 unless the floor binds (mu > 1), then below -1
     den = 0.1 * theta * (1.0 - mu) - 1.0
-    if abs(den) < _DEGENERATE_EPS:
-        return 1.0
     phi = (0.1 * theta - 1.0) / den
     # the reciprocal reading can produce values below the family's domain
     return max(phi, 0.0)
@@ -171,10 +170,11 @@ def schedule_params(
     tau = min(1.0, zz / sz)
     if phi_mode is PhiMode.BFGS:
         phi = 1.0
-    elif phi_mode is PhiMode.PRECONVEX:
-        phi = _preconvex_phi((ss * zz) / (sz * sz))
-    elif phi_mode is PhiMode.PRECONVEX_RECIPROCAL:
-        phi = _preconvex_phi(1.0 / ((ss * zz) / (sz * sz)))
+    elif phi_mode is PhiMode.PRECONVEX or phi_mode is PhiMode.PRECONVEX_RECIPROCAL:
+        # sz * sz underflows to 0 below |sz| ~ 1e-162: mu is then formed from the quotients
+        sz2 = sz * sz
+        mu = (ss * zz) / sz2 if sz2 != 0.0 else (ss / sz) * (zz / sz)
+        phi = _preconvex_phi(mu if phi_mode is PhiMode.PRECONVEX else 1.0 / mu)
     else:
         raise ContractViolationError(f"unknown phi mode: {phi_mode!r}")
     return BroydenParams(gamma, tau, phi, xi, ss, sz, zz)

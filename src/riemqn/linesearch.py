@@ -11,7 +11,10 @@ call also returns the image of the gradient at x, which the solver's memory
 uses with T(eta), so an accepted step needs no further transport.  The
 search brackets by doubling and then zooms; zoom progress is guaranteed by
 bisection, with a safeguarded quadratic fit for its first trial to cut
-evaluations on stiff objectives.  Gradients are only evaluated for trials
+evaluations on stiff objectives.  The zoom keeps ``0 <= a_lo < a_hi``: a trial
+that passes Armijo and fails the weak curvature test has ``dphi < c2 <g, eta> < 0``
+and only raises a_lo, so the strong-Wolfe zoom's swap (Nocedal & Wright, Alg. 3.6)
+cannot fire, and there is none.  Gradients are only evaluated for trials
 that pass Armijo.  ``search_step`` evaluates nothing at x: its caller hands
 it f(x), grad f(x), <g, eta> and the first trial (the solver's start rule is
 the one place a search's start is chosen), so ``wolfe_check`` is the one
@@ -197,11 +200,12 @@ def search_step(
 
     # One loop makes every trial: it doubles alpha until a trial brackets a
     # Wolfe step (a_hi is set), then zooms.  a_lo always satisfies Armijo with
-    # the lowest f seen so far; a Wolfe point lies between a_lo and a_hi (the
-    # interval may be reversed).  ch_lo is a_lo's cost change when Armijo
-    # tested one (0 at a_lo = 0), else None.  The zoom's first trial is the
-    # minimizer of the quadratic through (0, f0, d0) and (a_hi, f_hi), kept
-    # strictly interior so progress never stalls.
+    # the lowest f seen so far, and 0 <= a_lo < a_hi: a_hi is first a trial above
+    # a_lo, every later trial lies strictly inside, and one failing curvature only
+    # raises a_lo.  ch_lo is a_lo's cost change when Armijo tested one (0 at
+    # a_lo = 0), else None.  The zoom's first trial is the minimizer of the
+    # quadratic through (0, f0, d0) and (a_hi, f_hi), kept strictly interior so
+    # progress never stalls.
     on_ray = getattr(problem, "on_ray", None)
     evals = 0
     a_lo, f_lo, ch_lo = 0.0, f0, 0.0
@@ -231,18 +235,15 @@ def search_step(
                 a_lo, f_lo, ch_lo = alpha, f_new, change
                 alpha = min(2.0 * alpha, cfg.alpha_max)
                 continue
-            if ev.dphi * (a_hi - a_lo) >= 0.0:
-                a_hi, f_hi = a_lo, f_lo
             a_lo, f_lo, ch_lo = alpha, f_new, change
         alpha = 0.5 * (a_lo + a_hi)
         if use_fit:
             use_fit = False
-            left, right = (a_lo, a_hi) if a_lo <= a_hi else (a_hi, a_lo)
-            width = right - left
+            width = a_hi - a_lo
             denom = f_hi - f0 - d0 * a_hi
             if denom > 0.0:
                 cand = -0.5 * d0 * a_hi * a_hi / denom
-                if left + 0.1 * width <= cand <= right - 0.1 * width:
+                if a_lo + 0.1 * width <= cand <= a_hi - 0.1 * width:
                     alpha = cand
         if alpha == a_lo or alpha == a_hi:
             raise LineSearchFailedError("zoom interval collapsed")

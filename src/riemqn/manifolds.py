@@ -52,6 +52,7 @@ from .errors import (
     SingularRetractionError,
 )
 from .rng import SplitMix64
+from .schema import check_fields, positive_integer
 
 POINT_TOL = 1e-12
 
@@ -114,12 +115,13 @@ class TransportKind(Enum):
 
 @dataclass(frozen=True)
 class Sphere:
-    """Unit vectors in R^n; ``ambient_shape``, ``(n,)``, is stored once."""
+    """Unit vectors in R^n, n >= 1 (else ``ConfigError``); ``ambient_shape`` is stored once."""
 
     n: int
     ambient_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_fields(self, {"n": positive_integer})
         object.__setattr__(self, "ambient_shape", (self.n,))
 
     def point_defect(self, arr: np.ndarray) -> float:
@@ -153,13 +155,15 @@ class Sphere:
 
 @dataclass(frozen=True)
 class Oblique:
-    """n x p matrices of unit columns (a product of spheres); ``ambient_shape`` is stored once."""
+    """n x p matrices of unit columns, n, p >= 1 (else ``ConfigError``): a product of
+    spheres; ``ambient_shape`` is stored once."""
 
     n: int
     p: int
     ambient_shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_fields(self, {"n": positive_integer, "p": positive_integer})
         object.__setattr__(self, "ambient_shape", (self.n, self.p))
 
     # The column maps call the ufunc reductions that np.sum, np.max and np.any
@@ -204,7 +208,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
     A view is an array with a ``base``, which is cheaper to read than
     ``flags.owndata``.  A writable view of ``arr`` made before this call still
-    writes through.  ``Point`` and ``Tangent`` make these steps inline.
+    writes through.  ``Point`` makes these steps inline.
     """
     if arr.base is not None:
         arr = arr.copy()
@@ -212,11 +216,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Point and Tangent store their fields into __dict__ (the generated __init__ of a
-# frozen dataclass calls object.__setattr__ per field) and then call
-# __post_init__ through the class, so a wrapper set there sees every construction.
-# Every check runs inline in that one frame (a call costs about what a check
-# does); _ambient_array is called only for an array it must coerce or reject.
+# Point and Tangent call __post_init__ through the class, so a wrapper set there sees
+# every construction.  Point, built for every trial, stores its fields into __dict__
+# itself (the generated __init__ calls object.__setattr__ per field) and makes every
+# check inline in that one frame (a call costs about what a check does);
+# _ambient_array is called only for an array it must coerce or reject.
 @dataclass(frozen=True, eq=False, init=False)
 class Point:
     """A point on a manifold, checked against the constraint; its array is frozen.
@@ -250,7 +254,7 @@ class Point:
         self.__dict__["ambient"] = arr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Tangent:
     """A tangent vector at a specific point, with base-checked arithmetic.
 
@@ -264,20 +268,8 @@ class Tangent:
     point: Point
     ambient: np.ndarray
 
-    def __init__(self, point: Point, ambient: np.ndarray):
-        d = self.__dict__
-        d["point"], d["ambient"] = point, ambient
-        self.__post_init__()
-
     def __post_init__(self):
-        arr = self.ambient
-        shape = self.point.ambient.shape
-        if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64 or arr.shape != shape:
-            arr = _ambient_array(arr, shape)
-        if arr.base is not None:
-            arr = arr.copy()
-        arr.setflags(False)
-        self.__dict__["ambient"] = arr
+        self.__dict__["ambient"] = _freeze(_ambient_array(self.ambient, self.point.ambient.shape))
 
     def __add__(self, other: "Tangent") -> "Tangent":
         if not isinstance(other, Tangent):
@@ -307,15 +299,9 @@ class Tangent:
         return Tangent(self.point, self.ambient / float(scalar))
 
 
-def _points_equal(a: Point, b: Point) -> bool:
-    """Same manifold and bitwise-equal ambient coordinates."""
-    if a is b:
-        return True
-    return a.manifold == b.manifold and np.array_equal(a.ambient, b.ambient)
-
-
 def _require_base(x: Point, t: Tangent, name: str) -> None:
-    if t.point is not x and not _points_equal(x, t.point):
+    p = t.point
+    if p is not x and not (p.manifold == x.manifold and np.array_equal(p.ambient, x.ambient)):
         raise ContractViolationError(f"{name} is not based at the given point")
 
 

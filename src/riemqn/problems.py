@@ -12,7 +12,9 @@ SplitMix64 stream seeded with ``seed`` yields the symmetric matrices
 (``(B + B') / 2`` of standard-normal draws, in order) followed by the
 ambient draw that is normalized into the initial iterate.  ``KINDS`` maps
 each kind to its dims keys and factory.  Dims are positive integers and the
-seed an integer, or ``ConfigError`` is raised.  Instance arrays are read-only.
+seed an integer, or ``ConfigError`` is raised by the value holding each
+(``Sphere``/``Oblique``, ``SplitMix64``, the instances; the factory checks ``N``).
+Instances compare and hash by identity; their arrays are read-only.
 
 Generation runs in the memory of the data it makes: ``SplitMix64.normal``
 writes the draws straight into the matrix (an array of its own, for an odd
@@ -161,18 +163,19 @@ class _Ray:
         self.trial, self.alpha = None, 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RayleighInstance:
     """Rayleigh-quotient minimization over the unit sphere."""
 
     matrix: np.ndarray
     x0: np.ndarray
     seed: int
-    manifold: Sphere = field(init=False, repr=False, compare=False)
+    manifold: Sphere = field(init=False, repr=False)
 
     kind: ClassVar[str] = "rayleigh"
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         a = _symmetric_matrix(self.matrix, self.kind)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "manifold", Sphere(a.shape[0]))
@@ -254,18 +257,19 @@ class RayleighInstance:
         return self._start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OffDiagonalInstance:
     """Joint off-diagonal minimization over the oblique manifold."""
 
     matrices: tuple[np.ndarray, ...]
     x0: np.ndarray
     seed: int
-    manifold: Oblique = field(init=False, repr=False, compare=False)
+    manifold: Oblique = field(init=False, repr=False)
 
     kind: ClassVar[str] = "offdiag"
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not self.matrices:
             raise ConfigError("offdiag instance needs at least one matrix")
         mats = tuple(_symmetric_matrix(c, self.kind) for c in self.matrices)
@@ -331,26 +335,18 @@ def _symmetric_draw(stream: SplitMix64, n: int) -> np.ndarray:
     return b
 
 
-def _factory_args(kind: str, dims: tuple, seed) -> tuple[list[int], int]:
-    """The dims (positive integers, in ``KINDS`` order) and seed of a factory call."""
-    keys, _ = KINDS[kind]
-    checked = [positive_integer(v, key) for key, v in zip(keys, dims)]
-    return checked, integer(seed, "seed")
-
-
 def rayleigh_instance(n: int, seed: int) -> RayleighInstance:
-    (n,), seed = _factory_args(RayleighInstance.kind, (n,), seed)
-    stream = SplitMix64(seed)
-    a = _symmetric_draw(stream, n)
-    x0 = Sphere(n)._normalize(stream.normal(n))
+    sphere, stream = Sphere(n), SplitMix64(seed)
+    a = _symmetric_draw(stream, sphere.n)
+    x0 = sphere._normalize(stream.normal(sphere.ambient_shape))
     return RayleighInstance(matrix=a, x0=x0, seed=seed)
 
 
 def offdiag_instance(n: int, p: int, num_matrices: int, seed: int) -> OffDiagonalInstance:
-    (n, p, num_matrices), seed = _factory_args(OffDiagonalInstance.kind, (n, p, num_matrices), seed)
+    oblique, num_matrices = Oblique(n, p), positive_integer(num_matrices, "N")
     stream = SplitMix64(seed)
-    mats = tuple(_symmetric_draw(stream, n) for _ in range(num_matrices))
-    x0 = Oblique(n, p)._normalize(stream.normal((n, p)))
+    mats = tuple(_symmetric_draw(stream, oblique.n) for _ in range(num_matrices))
+    x0 = oblique._normalize(stream.normal(oblique.ambient_shape))
     return OffDiagonalInstance(matrices=mats, x0=x0, seed=seed)
 
 

@@ -4,7 +4,8 @@ For each problem p and solver s with cost t[p][s] (infinity on failure), the
 ratio r[p][s] = t[p][s] / min_s' t[p][s'] measures distance from the best
 solver, and the profile P_s(tau) is the fraction of problems with
 r[p][s] <= tau.  The tau grid holds every distinct finite ratio, so the step
-functions are exact rather than sampled.
+functions are exact rather than sampled.  A ``ProfileTable`` compares and
+hashes by identity.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, EmptyTableError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileTable:
     problems: tuple[str, ...]
     solvers: tuple[str, ...]

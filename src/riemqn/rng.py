@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .schema import integer
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -48,11 +50,11 @@ class SplitMix64:
 
     The i-th raw output (1-based) is ``mix(seed + i * golden)``, which matches
     the scalar reference that advances the state by the golden-ratio constant
-    before mixing.
+    before mixing.  A seed that is no integer raises ``ConfigError``.
     """
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _MASK)
+        self._seed = np.uint64(integer(seed, "seed") & _MASK)
         self._position = 0
 
     def uint64(self, count: int) -> np.ndarray:

@@ -164,11 +164,12 @@ def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
         raise ConfigError(f"{exc} in solver id {sid!r}") from exc
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationTrace:
     """One trace row at ``point``; the terminal row carries nan step fields and no direction.
 
     ``direction`` is the read-only ambient array of the step's direction at ``point``.
+    Rows compare and hash by identity.
     """
 
     iteration: int
@@ -262,7 +263,12 @@ class RunResult:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """``to_dict`` as strict JSON: a non-finite float is written as ``null``."""
+        out = self.to_dict()
+        for row in (out, *out.get("trace", ())):
+            row.update([(k, None) for k, v in row.items()
+                        if isinstance(v, float) and not math.isfinite(v)])
+        return json.dumps(out)
 
 
 _NON_FINITE_SLOPE = "<g, eta> is not negative: nan, or -|g|^2 underflowed to zero"

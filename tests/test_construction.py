@@ -9,7 +9,9 @@ the constraint (before freezing), copy-if-view and freezing.  Tangent data is
 an ambient array at every riemqn boundary, so no riemqn function builds a
 ``Tangent`` (``TestNoTangentBuilt``); ``retract`` builds the one ``Point`` a
 trial step needs.  ``TestInputsNotWritten`` checks that the functions of the
-solver's loop write none of the plain arrays they are handed.
+solver's loop write none of the plain arrays they are handed.  Each value
+checks its own construction arguments (``test_arguments_checked``), and the
+values that hold arrays compare and hash by identity (``test_identity_equality``).
 """
 
 import dataclasses
@@ -19,13 +21,17 @@ import pytest
 
 from riemqn import (
     BroydenParams,
+    ConfigError,
     ContractViolationError,
     DirectionKind,
     InvalidPointError,
+    IterationTrace,
     LineSearchConfig,
     Oblique,
+    OffDiagonalInstance,
     PhiMode,
     Point,
+    RayleighInstance,
     SolverConfig,
     Sphere,
     SplitMix64,
@@ -37,6 +43,7 @@ from riemqn import (
     compute_z,
     config_from_id,
     offdiag_instance,
+    performance_profile,
     project_tangent,
     random_point,
     random_tangent,
@@ -332,6 +339,21 @@ class TestChecksKept:
         with pytest.raises(InvalidPointError):
             dataclasses.replace(x, ambient=np.array([2.0, 0.0]))
 
+    def test_replace_rechecks_a_tangent(self, built):
+        # the generated __init__ calls the class-level __post_init__ once per construction
+        x = Point(Sphere(3), np.array([1.0, 0.0, 0.0]))
+        t = Tangent(x, np.array([0.0, 1.0, 0.0]))
+        base = np.zeros(4)
+        before = built()
+        moved = dataclasses.replace(t, ambient=base[:3])  # a view: copied
+        assert built(before) == (0, 1)
+        assert moved.point is x and moved.ambient.base is None
+        assert moved.ambient.dtype == np.float64 and not moved.ambient.flags.writeable
+        assert base.flags.writeable
+        with pytest.raises(InvalidPointError, match="expected ambient shape"):
+            dataclasses.replace(t, ambient=np.zeros(4))
+        assert built(before) == (0, 2)
+
     @pytest.mark.parametrize("manifold", MANIFOLDS, ids=str)
     @pytest.mark.parametrize("form", FORMS)
     def test_stored_as_frozen_float64(self, manifold, form, built):
@@ -397,3 +419,55 @@ class TestChecksKept:
         for method in (inst.cost, inst.grad):
             with pytest.raises(ContractViolationError, match="dimension mismatch"):
                 method(other)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Sphere(-2), "n must be at least 1, got -2"),
+    (lambda: Sphere(2.5), "n must be an integer, got 2.5"),
+    (lambda: Oblique(3, 0), "p must be at least 1, got 0"),
+    (lambda: Oblique(True, 2), "n must be an integer, got True"),
+    (lambda: OffDiagonalInstance(matrices=(np.eye(3),), x0=np.zeros((3, 0)), seed=0),
+     "p must be at least 1, got 0"),
+    (lambda: SplitMix64(2.5), "seed must be an integer, got 2.5"),
+    (lambda: RayleighInstance(matrix=np.eye(2), x0=np.array([1.0, 0.0]), seed="abc"),
+     "seed must be an integer, got 'abc'"),
+    (lambda: OffDiagonalInstance(matrices=(np.eye(2),), x0=np.eye(2), seed=1.0),
+     "seed must be an integer, got 1.0"),
+], ids=["sphere-negative", "sphere-float", "oblique-zero", "oblique-bool", "offdiag-no-columns",
+        "rng-float", "rayleigh-seed", "offdiag-seed"])
+def test_arguments_checked(build, message):
+    """Each value checks its own construction arguments with the config checks."""
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build()
+
+
+def test_checked_arguments_are_stored_as_python_ints():
+    assert type(Sphere(np.int64(3)).n) is int
+    assert Oblique(np.int32(3), 2).ambient_shape == (3, 2)
+    inst = RayleighInstance(matrix=np.eye(2), x0=np.array([1.0, 0.0]), seed=np.uint8(7))
+    assert type(inst.seed) is int and inst.seed == 7
+    assert np.array_equal(SplitMix64(np.int64(-1)).uint64(2), SplitMix64(2**64 - 1).uint64(2))
+
+
+def _trace_rows():
+    """Two rows at one point with equal scalars and equal but distinct direction arrays."""
+    x = Point(Sphere(2), np.array([1.0, 0.0]))
+    return tuple(IterationTrace(iteration=0, f=1.0, gnorm=2.0, alpha=0.5, g_dot_eta=-4.0,
+                                time_ms=0.0, point=x, direction=np.array([0.0, 1.0]))
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (rayleigh_instance(3, 1), rayleigh_instance(3, 1)),
+    lambda: (offdiag_instance(3, 2, 2, 1), offdiag_instance(3, 2, 2, 1)),
+    lambda: tuple(performance_profile({"p1": {"a": 1.0, "b": 2.0}, "p2": {"a": 3.0, "b": 1.5}})
+                  for _ in range(2)),
+    _trace_rows,
+], ids=["rayleigh", "offdiag", "profile-table", "trace-row"])
+def test_identity_equality(make):
+    """Equal data in two objects: each object equals only itself, and hashes."""
+    a, b = make()
+    assert a == a and not a != a
+    assert not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert a in [b, a] and a not in [b]

@@ -202,6 +202,16 @@ class TestScheduleParams:
         p = schedule_params(s, z, PhiMode.PRECONVEX_RECIPROCAL, xi=0.0)
         assert p.phi == pytest.approx((0.2 - 1.0) / (0.1 - 1.0), rel=1e-14)
 
+    @pytest.mark.parametrize("mode", [PhiMode.PRECONVEX, PhiMode.PRECONVEX_RECIPROCAL])
+    def test_preconvex_mu_when_sz_squared_underflows(self, mode):
+        # sz = 1e-162, so sz * sz underflows to 0, which mu once divided by
+        # (ZeroDivisionError); mu = (ss / sz) * (zz / sz) = 2, as for the unscaled pair
+        s, z = np.array([1e-81, 0.0]), np.array([1e-81, 1e-81])
+        p = schedule_params(s, z, mode, 1.0)
+        assert p.sz * p.sz == 0.0
+        unscaled = schedule_params(np.array([1.0, 0.0]), np.array([1.0, 1.0]), mode, 1.0)
+        assert p.phi == unscaled.phi
+
     def test_nonpositive_curvature_rejected(self):
         x, (s, z) = flat_tangents((1.0, 0.0), (-1.0, 0.0))
         with pytest.raises(DegenerateZError):

@@ -257,6 +257,65 @@ class _Scripted:
         return self.g0 if x is self.x0 else np.zeros(x.ambient.shape)
 
 
+class _Wall:
+    """On Sphere(2) from x = e1 along eta = e2, phi(alpha) = f(R_x(alpha eta)) is -alpha up to
+    alpha = 1, then rises on a steep quadratic wall.  Its Wolfe steps lie in about
+    (1 + 5e-4, 1.1): a shorter step passes Armijo and fails curvature (slope -1), a longer
+    one fails Armijo.  A point at angle t from e1 is R_x(alpha eta) with alpha = tan t."""
+
+    K = 100.0
+
+    def phi(self, alpha):
+        return -alpha + self.K * max(alpha - 1.0, 0.0) ** 2
+
+    def cost(self, x):
+        u = x.ambient
+        return self.phi(u[1] / u[0])
+
+    def grad(self, x):
+        # d phi(tan t) / dt along the unit tangent (-sin t, cos t), so that the
+        # differentiated retraction's <grad, T(eta)> is phi'(alpha)
+        u = x.ambient
+        alpha = u[1] / u[0]
+        slope = -1.0 + 2.0 * self.K * max(alpha - 1.0, 0.0)
+        return slope * (1.0 + alpha * alpha) * np.array([-u[1], u[0]])
+
+
+class TestZoomInterval:
+    """The zoom keeps 0 <= a_lo < a_hi: a trial that passes Armijo and fails the weak
+    curvature test only raises a_lo, so the interval never reverses."""
+
+    def test_every_zoom_trial_lies_inside_the_bracket(self, monkeypatch):
+        problem = _Wall()
+        x = Point(Sphere(2), np.array([1.0, 0.0]))
+        g = problem.grad(x)
+        eta = -g
+        cfg = LineSearchConfig()
+        trials = []
+        real = linesearch.retract
+        monkeypatch.setattr(linesearch, "retract",
+                            lambda x_, e, alpha=1.0: trials.append(alpha) or real(x_, e, alpha))
+        f0, d0 = problem.cost(x), inner(x, g, eta)
+        ev = search_step(problem, x, eta, cfg, f0=f0, g0=g, d0=d0, alpha0=100.0)
+        monkeypatch.undo()
+        assert trials[-1] == ev.alpha and len(trials) > 8
+        lo, f_lo, hi, raised = 0.0, f0, None, 0
+        for i, alpha in enumerate(trials[:-1]):
+            if hi is not None:
+                assert lo < alpha < hi, (i, lo, alpha, hi)
+            f = problem.cost(retract(x, eta, alpha))
+            if armijo(problem, x, eta, alpha, f0, d0, f, cfg.c1)[0] and (i == 0 or f < f_lo):
+                # passed Armijo and lowered f, so it failed curvature: a_lo
+                assert wolfe_check(problem, x, eta, alpha, cfg) == (True, False)
+                lo, f_lo = max(lo, alpha), f
+                raised += hi is not None
+            else:  # bracketed: failed Armijo, or no lower than a_lo
+                hi = alpha if hi is None else min(hi, alpha)
+        assert raised >= 2  # the zoom took Armijo-passing, curvature-failing trials
+        assert lo < ev.alpha < hi
+        assert wolfe_check(problem, x, eta, ev.alpha, cfg) == (True, True)
+
+
 class TestAcceptanceArithmetic:
     """The first trial's acceptance, decided at the last bit."""
 

@@ -601,6 +601,19 @@ class TestSolve:
         assert len(data["trace"]) == res.iters + 1
         assert "point" not in data["trace"][0]
 
+    def test_result_json_is_strict(self):
+        # overflow ends the run non_finite with a nan gnorm; to_json writes it, and the
+        # terminal trace row's nan alpha and g_dot_eta, as null, while to_dict keeps them
+        inst = _scaled_instance("rayleigh", 7, 1e308)
+        res = solve(inst, inst.initial_point(), config_from_id(
+            "hz_dr", SolverConfig(record_trace=True)))
+        assert res.failure_reason is FailureReason.NON_FINITE
+        assert math.isnan(res.to_dict()["final_gnorm"])
+        data = json.loads(res.to_json(), parse_constant=_reject_constant)
+        assert data["final_gnorm"] is None and data["failure_reason"] == "non_finite"
+        assert data["trace"][-1]["alpha"] is None and data["trace"][-1]["g_dot_eta"] is None
+        assert data["iters"] == res.iters and data["final_f"] == res.final_f
+
     def test_callback_streams_all_rows(self):
         inst = rayleigh_instance(8, seed=42)
         rows = []
@@ -961,6 +974,10 @@ def test_python_frames_per_run_pinned(sid, instance):
     assert (frames, res.iters) == FRAMES_PER_RUN[sid, instance]
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: bare {name}")
+
+
 def _scaled_instance(kind: str, seed: int, scale: float, n: int = 5):
     """The seeded instance (Rayleigh of size n) with its matrices multiplied by ``scale``."""
     if kind == "rayleigh":
@@ -1035,6 +1052,21 @@ class TestNumericalBreakdown:
         directions = searches + (res.failure_detail == solver_mod._NON_FINITE_SLOPE)
         assert len(d.gamma) == len(d.tau) == len(d.phi) == (
             max(directions - 1, 0) if broyden else 0)
+
+    @pytest.mark.parametrize("sid", ["broyden_preconvex_powell_xi0.1_dr",
+                                     "broyden_preconvex_lf_xi0.1_dr",
+                                     "broyden_preconvexrecip_powell_xi0.1_dr"])
+    def test_preconvex_underflowing_curvature_square_does_not_raise(self, sid):
+        # found by a fuzz over Rayleigh n 2-30, beyond the n <= 8 sampled above: after
+        # the first step |<s, z>| < 1e-162, so sz * sz underflows to 0, which the
+        # preconvex mu once divided by, raising ZeroDivisionError out of solve
+        c = 6.611357288337949e-163
+        inst = _scaled_instance("rayleigh", 184451, c, n=30)
+        ls = LineSearchConfig(alpha_init=1e10, alpha_max=1e10)
+        cfg = config_from_id(sid, SolverConfig(tol=1e-8 * c, max_iters=200, line_search=ls))
+        res = solve(inst, inst.initial_point(), cfg)
+        assert (res.iters, res.failure_reason) == (1, FailureReason.LINE_SEARCH_FAILED)
+        assert len(res.diagnostics.phi) == 1 and math.isfinite(res.diagnostics.phi[0])
 
     def test_hz_underflowing_denominator_square_does_not_raise(self):
         # the first search starts at alpha_init = 1 (1 / |g| ~ 4e149 is capped), and
