@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolationError, LineSearchFailedError
 from .manifolds import Point, TransportKind, inner, retract, transport_direction
-from .schema import Check, check_fields, integer, real
+from .schema import Check, at_least, check_fields, real
 
 # |f_new - f0| <= FLOOR_BAND * |f0|: f_new - f0 may be rounding noise
 FLOOR_BAND = 1000.0 * sys.float_info.epsilon
@@ -87,7 +87,7 @@ class LineSearchConfig:
 
     # field -> check, applied here and by the solver config's JSON reader
     CHECKS: ClassVar[dict[str, Check]] = {
-        "c1": real, "c2": real, "alpha_init": real, "alpha_max": real, "max_evals": integer,
+        "c1": real, "c2": real, "alpha_init": real, "alpha_max": real, "max_evals": at_least(3),
     }
 
     def __post_init__(self):
@@ -98,8 +98,6 @@ class LineSearchConfig:
             raise ConfigError("alpha_init must be positive and finite")
         if self.alpha_max < self.alpha_init:
             raise ConfigError("alpha_max must be >= alpha_init")
-        if self.max_evals < 3:
-            raise ConfigError("max_evals must be at least 3")
 
 
 class StepEval(NamedTuple):

@@ -12,14 +12,15 @@ raw outputs to its pair of normals on its own, so ``normal`` produces a
 draw one cache-sized chunk of ``_CHUNK`` pairs at a time: each chunk mixes
 its raw outputs in place and writes its normals into the one output array.
 The values are bit for bit those of a single block over the whole draw;
-only the temporaries are bounded.
+only the temporaries are bounded.  Every size is checked by ``schema`` before
+the stream moves, so a malformed one raises ``ConfigError`` and draws nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .schema import integer
+from .schema import array_shape, integer, nonnegative_integer
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -58,20 +59,16 @@ class SplitMix64:
         self._position = 0
 
     def uint64(self, count: int) -> np.ndarray:
-        """Next ``count`` raw 64-bit outputs."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        """Next ``count`` raw 64-bit outputs; ``count`` is a ``nonnegative_integer``."""
+        count = nonnegative_integer(count, "count")
         z = np.arange(self._position + 1, self._position + count + 1, dtype=np.uint64)
         self._position += count
         _outputs(z, self._seed)
         return z
 
-    def uniform(self, count: int) -> np.ndarray:
-        """Uniform doubles in [0, 1) from the top 53 bits."""
-        return (self.uint64(count) >> _R11).astype(np.float64) * 2.0**-53
-
     def normal(self, shape) -> np.ndarray:
-        """Standard normal draws via Box-Muller.
+        """Standard normal draws via Box-Muller, in an array of ``shape``: an
+        ``array_shape``, so a count of at least 0 or a sequence of them.
 
         Each call consumes one block of raw outputs: the first half feeds the
         radius (mapped into (0, 1] so the log is finite), the second half the
@@ -85,20 +82,11 @@ class SplitMix64:
         itself is returned, owning its data; for an odd count the last
         pair's cosine is written alone and its sine is not made.
         """
-        if isinstance(shape, (int, np.integer)):
-            out_shape: tuple[int, ...] = (int(shape),)
-        else:
-            out_shape = tuple(int(s) for s in shape)
-        total = 1
-        for s in out_shape:
-            total *= s
-        if total == 0:
-            return np.zeros(out_shape)
-        pairs = (total + 1) // 2
-        whole = total // 2  # the pairs that keep both their cosine and their sine
+        out = np.empty(array_shape(shape, "shape"))
+        pairs = (out.size + 1) // 2
+        whole = out.size // 2  # the pairs that keep both their cosine and their sine
         start = self._position + 1  # the position of the first radius
         self._position += 2 * pairs
-        out = np.empty(out_shape)
         flat = out.reshape(-1)
         both = flat[: 2 * whole].reshape(whole, 2)
         for lo in range(0, pairs, _CHUNK):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import ConfigError
 
@@ -35,12 +35,25 @@ def integer(value, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
-def positive_integer(value, key: str) -> int:
-    """An ``integer`` of at least 1."""
-    checked = integer(value, key)
-    if checked < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value!r}")
+def at_least(low: int) -> Check:
+    """An ``integer`` of at least ``low``."""
+    def checked(value, key: str) -> int:
+        got = integer(value, key)
+        if got < low:
+            raise ConfigError(f"{key} must be at least {low}, got {value!r}")
+        return got
     return checked
+
+
+positive_integer = at_least(1)
+nonnegative_integer = at_least(0)
+
+
+def array_shape(value, key: str) -> tuple[int, ...]:
+    """A ``nonnegative_integer`` or a sequence of them, as a tuple."""
+    if isinstance(value, Sequence):
+        return tuple(nonnegative_integer(s, f"{key}[{i}]") for i, s in enumerate(value))
+    return (nonnegative_integer(value, key),)
 
 
 def flag(value, key: str) -> bool:

@@ -150,6 +150,11 @@ def from_coords(x: Point, coords: np.ndarray, basis: list[np.ndarray]) -> np.nda
     return amb
 
 
+def _unit_double(rng: SplitMix64) -> float:
+    """A double in [0, 1) from the top 53 bits of the stream's next raw output."""
+    return float(rng.uint64(1)[0] >> 11) * 2.0**-53
+
+
 def curvature_healthy_pair(x: Point, rng: SplitMix64) -> tuple[np.ndarray, np.ndarray]:
     """The ambient arrays of random (s, y) at x whose raw curvature <s, y> is comfortably
     positive.
@@ -162,8 +167,8 @@ def curvature_healthy_pair(x: Point, rng: SplitMix64) -> tuple[np.ndarray, np.nd
     ss = float(np.vdot(s, s))
     su = float(np.vdot(s, u))
     u_perp = u - (su / ss) * s
-    a = 0.5 + 2.0 * float(rng.uniform(1)[0])
-    b = 2.0 * float(rng.uniform(1)[0])
+    a = 0.5 + 2.0 * _unit_double(rng)
+    b = 2.0 * _unit_double(rng)
     return s, a * s + b * u_perp
 
 

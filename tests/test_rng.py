@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemqn import SplitMix64
+from riemqn import ConfigError, SplitMix64
 from riemqn.rng import _CHUNK as CHUNK
 
 from _support import single_block_normal
@@ -55,11 +55,34 @@ def test_stream_is_position_addressed():
     assert np.array_equal(np.concatenate([first, second]), both)
 
 
-def test_uniform_range_and_determinism():
-    rng = SplitMix64(7)
-    u = rng.uniform(10_000)
-    assert np.all(u >= 0.0) and np.all(u < 1.0)
-    assert np.array_equal(u, SplitMix64(7).uniform(10_000))
+@pytest.mark.parametrize(
+    "draw, size, key",
+    [
+        ("uint64", 2.5, "count"),
+        ("uint64", True, "count"),
+        ("uint64", 2.0, "count"),
+        ("uint64", -1, "count"),
+        ("normal", (2.5,), "shape"),
+        ("normal", (True, 3), "shape"),
+        ("normal", -1, "shape"),
+        ("normal", (2, -1), "shape"),
+        ("normal", 3.0, "shape"),
+    ],
+)
+def test_malformed_size_raises_and_draws_nothing(draw, size, key):
+    rng = SplitMix64(5)
+    with pytest.raises(ConfigError, match=key):
+        getattr(rng, draw)(size)
+    assert rng._position == 0
+    assert rng.uint64(1)[0] == SplitMix64(5).uint64(1)[0]
+
+
+@pytest.mark.parametrize("shape", [0, (0,), (3, 0), (0, 4)])
+def test_empty_shape_draws_nothing(shape):
+    rng = SplitMix64(5)
+    out = rng.normal(shape)
+    assert out.shape == np.empty(shape).shape and out.flags.owndata
+    assert rng._position == 0
 
 
 def test_normal_matches_reference_bitwise():

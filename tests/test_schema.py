@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riemqn import ConfigError, TransportKind
-from riemqn.schema import choice, flag, integer, read_object, real
+from riemqn.schema import array_shape, at_least, choice, flag, integer, read_object, real
 
 NOT_NUMBERS = st.one_of(
     st.text(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
@@ -48,6 +48,27 @@ def test_flag_accepts_only_booleans(v):
     with pytest.raises(ConfigError):
         flag(v, "k")
     assert flag(True, "k") is True and flag(False, "k") is False
+
+
+def test_at_least_bounds_an_integer():
+    check = at_least(3)
+    assert check(3, "k") == 3 and type(check(np.int64(7), "k")) is int
+    with pytest.raises(ConfigError, match="k must be at least 3, got 2"):
+        check(2, "k")
+    with pytest.raises(ConfigError, match="k must be an integer, got 3.0"):
+        check(3.0, "k")
+
+
+def test_array_shape_reads_a_count_or_a_sequence_of_counts():
+    assert array_shape(4, "shape") == (4,)
+    assert array_shape(np.int64(0), "shape") == (0,)
+    assert array_shape([2, np.int32(3)], "shape") == (2, 3)
+    assert array_shape((), "shape") == ()
+    for bad, named in ((2.5, "shape"), ((2, 2.0), r"shape\[1\]"), ((False,), r"shape\[0\]"),
+                       ((1, -1), r"shape\[1\] must be at least 0"), (np.array([2, 3]), "shape"),
+                       ("ab", r"shape\[0\]"), (None, "shape")):
+        with pytest.raises(ConfigError, match=named):
+            array_shape(bad, "shape")
 
 
 def test_choice_takes_the_value_only():

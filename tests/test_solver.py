@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 import tracemalloc
 import warnings
@@ -978,14 +979,29 @@ def _reject_constant(name):
     raise ValueError(f"not strict JSON: bare {name}")
 
 
-def _scaled_instance(kind: str, seed: int, scale: float, n: int = 5):
-    """The seeded instance (Rayleigh of size n) with its matrices multiplied by ``scale``."""
-    if kind == "rayleigh":
-        inst = rayleigh_instance(n, seed)
-        return RayleighInstance(matrix=inst.matrix * scale, x0=inst.x0, seed=seed)
-    inst = offdiag_instance(4, 2, 2, seed)
+def _scaled(inst, scale: float):
+    """``inst`` with its matrices multiplied by ``scale``."""
+    if isinstance(inst, RayleighInstance):
+        return RayleighInstance(matrix=inst.matrix * scale, x0=inst.x0, seed=inst.seed)
     mats = tuple(m * scale for m in inst.matrices)
-    return OffDiagonalInstance(matrices=mats, x0=inst.x0, seed=seed)
+    return OffDiagonalInstance(matrices=mats, x0=inst.x0, seed=inst.seed)
+
+
+def _scaled_instance(kind: str, seed: int, scale: float, n: int = 5):
+    """The seeded instance (Rayleigh of size n, offdiag 4x2x2) scaled by ``scale``."""
+    inst = rayleigh_instance(n, seed) if kind == "rayleigh" else offdiag_instance(4, 2, 2, seed)
+    return _scaled(inst, scale)
+
+
+# the 69 solver ids: Broyden with each phi mode, either z mode and xi 0.1, 0.8 or 1,
+# and the five CG rules, each with the three transports
+ALL_IDS = [
+    f"{engine}_{t}"
+    for engine in [f"broyden_{phi.value}_{z.value}_xi{xi}" for phi in PhiMode
+                   for z in ZMode for xi in ("0.1", "0.8", "1")]
+    + ["fr", "dy", "prp", "hs", "hz"]
+    for t in ("dr", "proj", "invret")
+]
 
 
 class TestNumericalBreakdown:
@@ -1052,6 +1068,32 @@ class TestNumericalBreakdown:
         directions = searches + (res.failure_detail == solver_mod._NON_FINITE_SLOPE)
         assert len(d.gamma) == len(d.tau) == len(d.phi) == (
             max(directions - 1, 0) if broyden else 0)
+
+    @pytest.mark.slow
+    def test_fuzz_over_sizes_and_scales_never_raises(self):
+        # wider than the properties above: Rayleigh n 2-30 and offdiag up to 6x3x3,
+        # matrices scaled by 10^U(-200, 200) with tol scaled alike (f is quadratic in
+        # the offdiag matrices), 6 of the 69 ids per instance; this range found the
+        # preconvex mu's ZeroDivisionError below
+        rnd = random.Random(0)
+        assert len(ALL_IDS) == 69
+        for _ in range(300):
+            c = 10.0 ** rnd.uniform(-200.0, 200.0)
+            seed = rnd.randrange(2**20)
+            if rnd.random() < 0.5:
+                inst, tol = _scaled(rayleigh_instance(rnd.randint(2, 30), seed), c), 1e-8 * c
+            else:
+                n = rnd.randint(2, 6)
+                dims = (n, rnd.randint(1, min(3, n)), rnd.randint(1, 3))
+                inst, tol = _scaled(offdiag_instance(*dims, seed), c), 1e-8 * c * c
+            alpha_init, alpha_max = rnd.choice([(1e10, 1e10), (1.0, math.inf)])
+            base = SolverConfig(tol=min(max(tol, 1e-300), 1e300), max_iters=200,
+                                line_search=LineSearchConfig(alpha_init=alpha_init,
+                                                             alpha_max=alpha_max))
+            for sid in rnd.sample(ALL_IDS, 6):
+                with np.errstate(all="ignore"):
+                    res = solve(inst, inst.initial_point(), config_from_id(sid, base))
+                assert res.converged == (res.failure_reason is None), (sid, inst.seed, c)
 
     @pytest.mark.parametrize("sid", ["broyden_preconvex_powell_xi0.1_dr",
                                      "broyden_preconvex_lf_xi0.1_dr",
