@@ -49,27 +49,25 @@ class BenchConfig:
 def parse_config(data: Mapping) -> BenchConfig:
     """Validate and resolve a benchmark config mapping."""
     keys = ("problem", "solvers", "tol", "max_iters", "line_search")
-    read_object(data, dict.fromkeys(keys, _as_is), "config")
-    missing = {"problem", "solvers"} - set(data)
+    settings = read_object(data, dict.fromkeys(keys, _as_is), "config")
+    missing = {"problem", "solvers"} - set(settings)
     if missing:
         raise ConfigError(f"config missing required keys: {sorted(missing)}")
-    prob = read_object(data["problem"], _PROBLEM_KEYS, "problem", required=True)
+    prob = read_object(settings.pop("problem"), _PROBLEM_KEYS, "problem", required=True)
     prob["dims"] = check_dims(prob["kind"], prob["dims"])
-    solver_entries = data["solvers"]
+    solver_entries = settings.pop("solvers")
     if not isinstance(solver_entries, list) or not solver_entries:
         raise ConfigError("'solvers' must be a non-empty list")
 
-    base = SolverConfig.from_dict(
-        {key: data[key] for key in ("tol", "max_iters", "line_search") if key in data}
-    )
+    base = SolverConfig.from_dict(settings)  # the tol, max_iters and line_search all solvers share
     solvers = []
     for i, entry in enumerate(solver_entries):
+        if not isinstance(entry, str):
+            raise ConfigError(f"solvers[{i}] must be a solver id, got {entry!r}")
         try:
-            solvers.append(config_from_id(entry, base) if isinstance(entry, str)
-                           else SolverConfig.from_dict(entry, base))
+            solvers.append(config_from_id(entry, base))
         except ConfigError as exc:
-            named = "" if isinstance(entry, str) else f" {entry!r}"  # an id's error names it
-            raise ConfigError(f"solvers[{i}]{named}: {exc}") from exc
+            raise ConfigError(f"solvers[{i}]: {exc}") from exc
     ids = [solver_id(cfg) for cfg in solvers]
     duplicates = sorted({sid for sid in ids if ids.count(sid) > 1})
     if duplicates:

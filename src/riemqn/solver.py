@@ -65,8 +65,8 @@ _TYPED_FIELDS = {**_ENUM_FIELDS, "line_search": LineSearchConfig}  # field -> it
 # configs alike.  No key takes None.
 _SCALAR_KEYS = {"xi": real, "tol": real, "max_iters": positive_integer}
 
-# JSON key -> check; each key names a SolverConfig field and to_dict writes every one.
-# record_trace is not a key: it is for Python callers, and no bench output reads a trace.
+# JSON key -> check; each key names a SolverConfig field.  record_trace is not a key:
+# it is for Python callers, and no bench output reads a trace.
 _SOLVER_KEYS = {
     **{key: choice(enum) for key, enum in _ENUM_FIELDS.items()},
     **_SCALAR_KEYS,
@@ -107,14 +107,6 @@ class SolverConfig:
     def resolved_nu_hat(self) -> float:
         """The curvature floor of ``z_mode``: ``DEFAULT_NU_HAT[z_mode]``."""
         return DEFAULT_NU_HAT[self.z_mode]
-
-    def to_dict(self) -> dict:
-        """The JSON object ``from_dict`` reads back, with every key it accepts."""
-        out = {key: getattr(self, key) for key in _SOLVER_KEYS}
-        out.update({key: value.value for key, value in out.items() if isinstance(value, Enum)})
-        ls = self.line_search
-        out["line_search"] = {key: getattr(ls, key) for key in LineSearchConfig.CHECKS}
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping, base: "SolverConfig | None" = None) -> "SolverConfig":

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riemqn import performance_profile
+from riemqn import (
+    DirectionKind,
+    LineSearchConfig,
+    PhiMode,
+    TransportKind,
+    ZMode,
+    performance_profile,
+)
 from riemqn.bench import (
     RunRecord,
     load_config,
@@ -51,19 +58,34 @@ class TestConfigParsing:
             {
                 "problem": {"kind": "offdiag", "dims": {"n": 5, "p": 2, "N": 2},
                             "instances": 1, "seed_base": 1},
-                "solvers": [{"direction": "broyden", "phi_mode": "bfgs",
-                             "z_mode": "powell", "xi": 0.8, "transport": "dr"}],
+                "solvers": ["broyden_bfgs_powell_xi0.8_dr"],
             }
         )
         assert cfg.solver_ids == ("broyden_bfgs_powell_xi0.8_dr",)
 
+    def test_top_level_settings_reach_every_solver(self, tmp_path):
+        # the id names the direction; tol, max_iters and line_search are the config's own keys
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "problem": {"kind": "rayleigh", "dims": {"n": 5}, "instances": 1, "seed_base": 1},
+            "solvers": ["hz_proj", "broyden_preconvexrecip_powell_xi0.8_invret"],
+            "tol": 1e-7, "max_iters": 50, "line_search": {"c1": 1e-3, "c2": 0.5, "max_evals": 40},
+        }))
+        shared = dict(tol=1e-7, max_iters=50,
+                      line_search=LineSearchConfig(c1=1e-3, c2=0.5, max_evals=40))
+        assert load_config(path).solvers == (
+            SolverConfig(direction=DirectionKind.HZ, transport=TransportKind.PROJECTION, **shared),
+            SolverConfig(phi_mode=PhiMode.PRECONVEX_RECIPROCAL, z_mode=ZMode.POWELL, xi=0.8,
+                         transport=TransportKind.INVERSE_RETRACTION, **shared),
+        )
+
     def test_duplicate_solvers_rejected(self, tmp_path):
-        path = small_config(tmp_path, solvers=["dy_dr", {"direction": "dy"}])
-        with pytest.raises(ConfigError):
+        path = small_config(tmp_path, solvers=["dy_dr", "dy_dr"])
+        with pytest.raises(ConfigError, match=r"duplicate solver ids: \['dy_dr'\]"):
             load_config(path)
 
     def test_close_xi_values_are_distinct_solvers(self):
-        solvers = [{"direction": "broyden", "xi": xi} for xi in (0.1234567, 0.1234568)]
+        solvers = [f"broyden_bfgs_lf_xi{xi}_dr" for xi in ("0.1234567", "0.1234568")]
         cfg = parse_config({"problem": {"kind": "rayleigh", "dims": {"n": 5}, "instances": 1,
                                         "seed_base": 1}, "solvers": solvers})
         assert cfg.solver_ids == ("broyden_bfgs_lf_xi0.1234567_dr",
@@ -108,6 +130,14 @@ class TestConfigParsing:
         problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
         with pytest.raises(ConfigError):
             parse_config({"problem": problem, "solvers": [entry]})
+
+    @pytest.mark.parametrize("entry", [{"direction": "dy"}, 3, None, True, ["dy_dr"]], ids=repr)
+    def test_solver_entry_must_be_an_id(self, entry):
+        # a solver has one spelling, its id; tol, max_iters and line_search are top-level keys
+        problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"problem": problem, "solvers": ["dy_dr", entry]})
+        assert str(exc.value) == f"solvers[1] must be a solver id, got {entry!r}"
 
     def test_dims_kept_as_checked(self):
         cfg = parse_config(
@@ -259,8 +289,7 @@ class TestCliCommands:
         [("broyden_bfx_lf_xi0.1_dr", "solvers[2]: phi_mode must be one of ['bfgs', 'preconvex', "
                                      "'preconvexrecip'], got 'bfx' in solver id "
                                      "'broyden_bfx_lf_xi0.1_dr'"),
-         ({"z_mode": "lff"}, "solvers[2] {'z_mode': 'lff'}: z_mode must be one of "
-                             "['lf', 'powell'], got 'lff'")],
+         ({"z_mode": "lf"}, "solvers[2] must be a solver id, got {'z_mode': 'lf'}")],
         ids=["id", "object"],
     )
     def test_bad_solver_entry_named_exits_2(self, tmp_path, capsys, entry, named):

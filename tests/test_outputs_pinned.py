@@ -16,6 +16,7 @@ columns (``time_ms``, ``elapsed_s``) are dropped before hashing, so the pins
 hold on any machine.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -28,12 +29,9 @@ from riemqn.cli import main
 from riemqn.problems import generate_instance
 from riemqn.solver import SolverConfig, config_from_id, solve
 
-# a forced max_iters failure rides along with two solvers that converge
-SOLVERS = [
-    "broyden_bfgs_lf_xi0.1_dr",
-    "hz_proj",
-    {"direction": "fr", "transport": "dr", "max_iters": 2},
-]
+# a forced max_iters failure rides along with two solvers that converge; a config sets
+# max_iters for all its solvers, so the test gives fr_dr its max_iters of 2 itself
+SOLVERS = ["broyden_bfgs_lf_xi0.1_dr", "hz_proj", "fr_dr"]
 
 # problem -> sha256 of runs.csv without time_ms, profile_iters.csv, summary.json without elapsed_s
 PINNED_BENCH = {
@@ -103,6 +101,8 @@ def without_column(text: str, name: str) -> str:
 def test_benchmark_files_pinned(kind, tmp_path):
     problem, runs, iters, summary = PINNED_BENCH[kind]
     cfg = parse_config({"problem": problem, "solvers": SOLVERS, "max_iters": 2000})
+    *converging, fr = cfg.solvers
+    cfg = dataclasses.replace(cfg, solvers=(*converging, dataclasses.replace(fr, max_iters=2)))
     run_benchmark(cfg, tmp_path)
     text = {name: (tmp_path / name).read_bytes().decode()
             for name in ("runs.csv", "profile_iters.csv", "summary.json")}
