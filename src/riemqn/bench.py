@@ -58,7 +58,6 @@ def parse_config(data: Mapping) -> BenchConfig:
     solver_entries = settings.pop("solvers")
     if not isinstance(solver_entries, list) or not solver_entries:
         raise ConfigError("'solvers' must be a non-empty list")
-
     base = SolverConfig.from_dict(settings)  # the tol, max_iters and line_search all solvers share
     solvers = []
     for i, entry in enumerate(solver_entries):
@@ -68,8 +67,7 @@ def parse_config(data: Mapping) -> BenchConfig:
             solvers.append(config_from_id(entry, base))
         except ConfigError as exc:
             raise ConfigError(f"solvers[{i}]: {exc}") from exc
-    ids = [solver_id(cfg) for cfg in solvers]
-    duplicates = sorted({sid for sid in ids if ids.count(sid) > 1})
+    duplicates = sorted({sid for sid in solver_entries if solver_entries.count(sid) > 1})
     if duplicates:
         raise ConfigError(f"duplicate solver ids: {duplicates}")
     return BenchConfig(**prob, solvers=tuple(solvers))

@@ -61,17 +61,17 @@ _ENUM_FIELDS = {"direction": DirectionKind, "transport": TransportKind, "phi_mod
                 "z_mode": ZMode}
 _TYPED_FIELDS = {**_ENUM_FIELDS, "line_search": LineSearchConfig}  # field -> its type
 
-# field -> check of the other scalar fields but record_trace, for built and JSON
+# field -> check of the other scalar fields but record_trace, for built and parsed
 # configs alike.  No key takes None.
 _SCALAR_KEYS = {"xi": real, "tol": real, "max_iters": positive_integer}
 
-# JSON key -> check; each key names a SolverConfig field.  record_trace is not a key:
-# it is for Python callers, and no bench output reads a trace.
-_SOLVER_KEYS = {
-    **{key: choice(enum) for key, enum in _ENUM_FIELDS.items()},
-    **_SCALAR_KEYS,
-    "line_search": lambda value, key: read_object(value, LineSearchConfig.CHECKS, key),
-}
+# JSON key -> check: the settings all solvers of a bench config share; the id spells the rest
+_SOLVER_KEYS = {"tol": real, "max_iters": positive_integer,
+                "line_search": lambda value, key: read_object(value, LineSearchConfig.CHECKS, key)}
+
+# solver id field -> parse of its code; float() raises ValueError on a bad xi
+_ID_CODES = {**{key: choice(enum) for key, enum in _ENUM_FIELDS.items()},
+             "xi": lambda code, key: float(code[2:])}
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping, base: "SolverConfig | None" = None) -> "SolverConfig":
-        """``base`` (default: the defaults) with the fields that ``data`` sets."""
+        """``base`` (default: the defaults) with the tol, max_iters and line_search of ``data``."""
         base = base if base is not None else cls()
         fields = read_object(data, _SOLVER_KEYS, "solver config")
         if "line_search" in fields:
@@ -122,13 +122,13 @@ def solver_id(cfg: SolverConfig) -> str:
     """Stable string naming the algorithmic choices, e.g. broyden_bfgs_lf_xi0.1_dr.
 
     Each choice is written as its enum value; ``xi`` is written with ``%g`` when that
-    reads back exactly, else with ``repr``.
+    reads back exactly, else with ``repr``; -0.0 is written ``0``.
     """
     t = cfg.transport.value
     if cfg.direction is DirectionKind.BROYDEN:
-        xi = f"{cfg.xi:g}"
+        xi = f"{abs(cfg.xi):g}"
         if float(xi) != cfg.xi:
-            xi = repr(float(cfg.xi))
+            xi = repr(cfg.xi)
         return f"broyden_{cfg.phi_mode.value}_{cfg.z_mode.value}_xi{xi}_{t}"
     return f"{cfg.direction.value}_{t}"
 
@@ -136,24 +136,26 @@ def solver_id(cfg: SolverConfig) -> str:
 def config_from_id(sid: str, base: SolverConfig | None = None) -> SolverConfig:
     """Parse a solver id back into a config (other fields taken from ``base``).
 
-    Every id ends in its transport: ``dr``, ``proj`` or ``invret``.  Errors name the id.
+    Every id ends in its transport: ``dr``, ``proj`` or ``invret``.  Errors name the id;
+    an id spelled unlike ``solver_id`` writes it (``xi0.10``) names that spelling.
     """
     parts = sid.split("_")
     if parts[0] == "broyden" and len(parts) == 5 and parts[3].startswith("xi"):
-        try:
-            xi = float(parts[3][2:])
-        except ValueError as exc:
-            raise ConfigError(f"bad xi in solver id {sid!r}") from exc
-        data = {"direction": parts[0], "phi_mode": parts[1], "z_mode": parts[2],
-                "xi": xi, "transport": parts[4]}
+        keys = ("direction", "phi_mode", "z_mode", "xi", "transport")
     elif parts[0] != "broyden" and len(parts) == 2:
-        data = {"direction": parts[0], "transport": parts[1]}
+        keys = ("direction", "transport")
     else:
         raise ConfigError(f"malformed solver id: {sid!r}")
     try:
-        return SolverConfig.from_dict(data, base)
-    except ConfigError as exc:
+        fields = {key: _ID_CODES[key](code, key) for key, code in zip(keys, parts)}
+        cfg = dataclasses.replace(base if base is not None else SolverConfig(), **fields)
+    except ConfigError as exc:  # before ValueError, its base class
         raise ConfigError(f"{exc} in solver id {sid!r}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad xi in solver id {sid!r}") from exc
+    if solver_id(cfg) != sid:
+        raise ConfigError(f"solver id {sid!r} is written {solver_id(cfg)!r}")
+    return cfg
 
 
 @dataclass(eq=False)

@@ -84,6 +84,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"duplicate solver ids: \['dy_dr'\]"):
             load_config(path)
 
+    @pytest.mark.parametrize("code,canonical", [("0.10", "0.1"), ("1e-1", "0.1"), (".1", "0.1"),
+                                                ("+0.1", "0.1"), (" 0.1", "0.1"), ("-0", "0")])
+    def test_one_solver_has_one_id(self, code, canonical):
+        # listing both spellings would run one solver twice, under two names
+        sid = f"broyden_bfgs_lf_xi{code}_dr"
+        named = f"broyden_bfgs_lf_xi{canonical}_dr"
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"problem": {"kind": "rayleigh", "dims": {"n": 5}, "instances": 1,
+                                      "seed_base": 1}, "solvers": [named, sid]})
+        assert str(exc.value) == f"solvers[1]: solver id {sid!r} is written {named!r}"
+
     def test_close_xi_values_are_distinct_solvers(self):
         solvers = [f"broyden_bfgs_lf_xi{xi}_dr" for xi in ("0.1234567", "0.1234568")]
         cfg = parse_config({"problem": {"kind": "rayleigh", "dims": {"n": 5}, "instances": 1,
@@ -296,6 +307,19 @@ class TestCliCommands:
         path = small_config(tmp_path, solvers=["dy_dr", "hz_dr", entry])
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("code,canonical", [("0.10", "0.1"), ("1e-1", "0.1"), (".1", "0.1"),
+                                                ("+0.1", "0.1"), (" 0.1", "0.1"), ("-0", "0")])
+    def test_id_spelled_otherwise_exits_2(self, tmp_path, capsys, code, canonical):
+        sid, named = f"broyden_bfgs_lf_xi{code}_dr", f"'broyden_bfgs_lf_xi{canonical}_dr'"
+        path = small_config(tmp_path, solvers=[sid])
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: solvers[0]: solver id {sid!r} is written {named}\n"
+        assert main(["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1",
+                     "--solver", sid]) == 2
+        assert capsys.readouterr().err == f"error: solver id {sid!r} is written {named}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_code_in_solve_id_exits_2(self, capsys):
         code = main(["solve", "--problem", "rayleigh", "--n", "10", "--seed", "1",

@@ -13,7 +13,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemqn import (
@@ -114,14 +114,34 @@ class TestSolverConfig:
         assert solver_id(SolverConfig(direction=DirectionKind.DY)) == "dy_dr"
         cfg = SolverConfig(xi=0.1, phi_mode=PhiMode.PRECONVEX_RECIPROCAL)
         assert solver_id(cfg) == "broyden_preconvexrecip_lf_xi0.1_dr"
+        assert solver_id(SolverConfig(xi=-0.0)) == "broyden_bfgs_lf_xi0_dr"
 
     @settings(max_examples=200, deadline=None)
-    @given(xi=st.floats(0.0, 1.0))
+    @given(xi=st.floats(-0.0, 1.0))
+    @example(xi=-0.0)
+    @example(xi=5e-324)  # the least subnormal
+    @example(xi=2.225073858507201e-308)  # the largest subnormal
+    @example(xi=0.1234567891)  # %g keeps six digits, which do not read back
+    @example(xi=math.nextafter(0.1, 1.0))
     def test_solver_id_roundtrips_xi(self, xi):
-        # %g keeps six digits; an id must still read back to its exact xi
-        sid = solver_id(SolverConfig(xi=xi))
+        # an id reads back to its exact xi, and is the one spelling of its config
+        base = SolverConfig(phi_mode=PhiMode.PRECONVEX, z_mode=ZMode.POWELL, tol=1e-7,
+                            transport=TransportKind.PROJECTION, max_iters=50,
+                            line_search=LineSearchConfig(c1=1e-3, max_evals=40))
+        cfg = dataclasses.replace(base, xi=xi)
+        sid = solver_id(cfg)
         assert sid.count("_") == 4
-        assert config_from_id(sid).xi == xi
+        again = config_from_id(sid, base)
+        assert again == cfg
+        assert solver_id(again) == sid
+
+    @pytest.mark.parametrize("code", ["0.10", "1e-1", ".1", "+0.1", " 0.1", "-0", "0.1000000"])
+    def test_id_accepted_only_as_solver_id_writes_it(self, code):
+        sid = f"broyden_bfgs_lf_xi{code}_dr"
+        canonical = "broyden_bfgs_lf_xi0_dr" if code == "-0" else "broyden_bfgs_lf_xi0.1_dr"
+        with pytest.raises(ConfigError) as exc:
+            config_from_id(sid)
+        assert str(exc.value) == f"solver id {sid!r} is written {canonical!r}"
 
     def test_cg_id_names_its_transport(self):
         cfg = config_from_id("hz_dr")
@@ -138,7 +158,12 @@ class TestSolverConfig:
     @pytest.mark.parametrize("sid,code", [("broyden_bfx_lf_xi0.1_dr", "bfx"),
                                           ("broyden_bfgs_lff_xi0.1_dr", "lff"),
                                           ("broyden_bfgs_lf_xi2_dr", "xi"),
-                                          ("hz_warp", "warp")])
+                                          ("hz_warp", "warp"),
+                                          ("hz_None", "transport must be one of"),
+                                          ("broyden_bfgs_1_xi0.1_dr", "z_mode must be one of"),
+                                          ("HZ_dr", "direction must be one of"),
+                                          ("broyden_bfgs_lf_xiNone_dr", "bad xi"),
+                                          ("broyden_bfgs_lf_xinan_dr", "xi must be a number")])
     def test_id_errors_name_the_id(self, sid, code):
         with pytest.raises(ConfigError, match=rf"{code}.* in solver id '{sid}'$"):
             config_from_id(sid)
@@ -279,15 +304,7 @@ class TestStrictConfig:
             {"tol": True},
             {"record_trace": True},
             {"tol": None},
-            {"xi": "0.5"},
-            {"xi": False},
-            {"xi": float("nan")},
-            {"xi": None},
             {"tol": "1e-6"},
-            {"transport": "warp"},
-            {"transport": None},
-            {"z_mode": 1},
-            {"direction": "HZ"},
             {"line_search": {"max_evals": 2.5}},
             {"line_search": {"max_evals": 40.5}},
             {"line_search": {"max_evals": 2}},
@@ -301,6 +318,20 @@ class TestStrictConfig:
     def test_malformed_value_rejected(self, data):
         with pytest.raises(ConfigError):
             SolverConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"direction": "dy"}, {"direction": "HZ"}, {"transport": "dr"}, {"transport": "warp"},
+         {"phi_mode": "bfgs"}, {"z_mode": 1}, {"xi": 0.5}, {"xi": None}],
+        ids=repr,
+    )
+    def test_direction_keys_rejected(self, data):
+        # the solver id is the one spelling of a direction; from_dict reads the shared settings
+        (key,) = data
+        with pytest.raises(ConfigError) as exc:
+            SolverConfig.from_dict(data)
+        assert str(exc.value) == (f"unknown solver config keys: ['{key}'] "
+                                  "(accepted: line_search, max_iters, tol)")
 
     def test_infinite_alpha_init_rejected(self):
         # an infinite first trial step would end every run non_finite at
@@ -318,10 +349,6 @@ class TestStrictConfig:
     @pytest.mark.parametrize(
         "data",
         [
-            {"transport": "differentiated_retraction"},
-            {"transport": "projection"},
-            {"transport": "inverse_retraction"},
-            {"z_mode": "li_fukushima"},
             {"line_search": {"max_ls_evals": 40}},
             {"record_trace": False},
             {"nu_hat": 0.1},
@@ -363,10 +390,10 @@ class TestStrictConfig:
 
     def test_json_numbers_normalized(self):
         cfg = SolverConfig.from_dict(
-            {"xi": 1, "max_iters": np.int64(50),
-             "line_search": {"max_evals": np.int32(40), "alpha_max": 10}}
+            {"max_iters": np.int64(50), "line_search": {"max_evals": np.int32(40), "alpha_max": 10}}
         )
-        assert type(cfg.xi) is float and cfg.xi == 1.0
+        xi = config_from_id("broyden_bfgs_lf_xi1_dr").xi
+        assert type(xi) is float and xi == 1.0
         assert type(cfg.max_iters) is int and cfg.max_iters == 50
         assert cfg.line_search == LineSearchConfig(max_evals=40, alpha_max=10.0)
 
@@ -398,6 +425,7 @@ class TestStrictConfig:
         assert getattr(config_from_id(sid), name) is member
 
     @pytest.mark.parametrize("sid", ["hz_projection", "broyden_bfgs_lf_xi0.1_projection",
+                                     "hz_differentiated_retraction", "hz_inverse_retraction",
                                      "broyden_bfgs_li_fukushima_xi0.1_dr", "broyden_dr",
                                      "broyden_bfgs_lf_xi_dr", "broyden_bfgs_lf_xi2_dr"])
     def test_ids_use_codes(self, sid):
