@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError
+from .linesearch import LineSearchConfig
 from .problems import ProblemInstance, check_dims, generate_instance
 from .profiles import ProfileTable, performance_profile
 from .schema import integer, positive_integer, read_object
@@ -58,7 +59,10 @@ def parse_config(data: Mapping) -> BenchConfig:
     solver_entries = settings.pop("solvers")
     if not isinstance(solver_entries, list) or not solver_entries:
         raise ConfigError("'solvers' must be a non-empty list")
-    base = SolverConfig.from_dict(settings)  # the tol, max_iters and line_search all solvers share
+    # the settings all solvers share; each value is checked by the dataclass that stores it
+    line_search = read_object(settings.pop("line_search", {}),
+                              dict.fromkeys(LineSearchConfig.CHECKS, _as_is), "line_search")
+    base = SolverConfig(**settings, line_search=LineSearchConfig(**line_search))
     solvers = []
     for i, entry in enumerate(solver_entries):
         if not isinstance(entry, str):
@@ -77,7 +81,7 @@ def load_config(path: str | Path) -> BenchConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -88,6 +92,13 @@ def _count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(text)
     return int(text)
+
+
+def _duration(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(text)
+    return value
 
 
 _flag = {"0": False, "1": True}.__getitem__
@@ -105,7 +116,7 @@ class RunRecord:
     solver: str = field(metadata={"csv": ("s", str)})
     converged: bool = field(metadata={"csv": ("d", _flag)})
     iters: int = field(metadata={"csv": ("d", _count)})
-    time_ms: float = field(metadata={"csv": (".3f", float)})
+    time_ms: float = field(metadata={"csv": (".3f", _duration)})
     final_f: float = field(metadata={"csv": (".17g", float)})
     final_gnorm: float = field(metadata={"csv": (".17g", float)})
     failure_reason: str = field(metadata={"csv": ("s", _reason)})

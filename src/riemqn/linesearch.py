@@ -85,7 +85,7 @@ class LineSearchConfig:
     alpha_max: float = 1e10
     max_evals: int = 120
 
-    # field -> check, applied here and by the solver config's JSON reader
+    # field -> check, the one check of each value, a bench config's line_search included
     CHECKS: ClassVar[dict[str, Check]] = {
         "c1": real, "c2": real, "alpha_init": real, "alpha_max": real, "max_evals": at_least(3),
     }

@@ -16,7 +16,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
 from .linesearch import LineSearchConfig, search_step
 from .manifolds import Point, TransportKind, _dot, inner, norm
 from .problems import ProblemInstance
-from .schema import check_fields, choice, flag, positive_integer, read_object, real, reject_unknown
+from .schema import check_fields, choice, flag, positive_integer, real, reject_unknown
 
 _DESCENT_GUARD = 1e-14
 
@@ -61,13 +61,8 @@ _ENUM_FIELDS = {"direction": DirectionKind, "transport": TransportKind, "phi_mod
                 "z_mode": ZMode}
 _TYPED_FIELDS = {**_ENUM_FIELDS, "line_search": LineSearchConfig}  # field -> its type
 
-# field -> check of the other scalar fields but record_trace, for built and parsed
-# configs alike.  No key takes None.
+# field -> check of the scalar fields but record_trace, the one check of each; none takes None
 _SCALAR_KEYS = {"xi": real, "tol": real, "max_iters": positive_integer}
-
-# JSON key -> check: the settings all solvers of a bench config share; the id spells the rest
-_SOLVER_KEYS = {"tol": real, "max_iters": positive_integer,
-                "line_search": lambda value, key: read_object(value, LineSearchConfig.CHECKS, key)}
 
 # solver id field -> parse of its code; float() raises ValueError on a bad xi
 _ID_CODES = {**{key: choice(enum) for key, enum in _ENUM_FIELDS.items()},
@@ -105,17 +100,8 @@ class SolverConfig:
             raise ConfigError("xi must lie in [0, 1]")
 
     def resolved_nu_hat(self) -> float:
-        """The curvature floor of ``z_mode``: ``DEFAULT_NU_HAT[z_mode]``."""
+        """``DEFAULT_NU_HAT[z_mode]``; only the unedited ``tests/test_acceptance.py`` calls it."""
         return DEFAULT_NU_HAT[self.z_mode]
-
-    @classmethod
-    def from_dict(cls, data: Mapping, base: "SolverConfig | None" = None) -> "SolverConfig":
-        """``base`` (default: the defaults) with the tol, max_iters and line_search of ``data``."""
-        base = base if base is not None else cls()
-        fields = read_object(data, _SOLVER_KEYS, "solver config")
-        if "line_search" in fields:
-            fields["line_search"] = dataclasses.replace(base.line_search, **fields["line_search"])
-        return dataclasses.replace(base, **fields)
 
 
 def solver_id(cfg: SolverConfig) -> str:
@@ -304,7 +290,8 @@ def solve(
     ls, kind = cfg.line_search, cfg.direction
     broyden = kind is DirectionKind.BROYDEN
     if broyden:  # the fields only the Broyden memory reads
-        nu_hat, z_mode, phi_mode, xi = cfg.resolved_nu_hat(), cfg.z_mode, cfg.phi_mode, cfg.xi
+        z_mode, phi_mode, xi = cfg.z_mode, cfg.phi_mode, cfg.xi
+        nu_hat = DEFAULT_NU_HAT[z_mode]
     t_start = time.perf_counter()
 
     def now_ms() -> float:

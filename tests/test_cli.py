@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemqn import (
     DirectionKind,
@@ -27,6 +29,12 @@ from riemqn.bench import (
 from riemqn.cli import _build_parser, main
 from riemqn.errors import ConfigError
 from riemqn.solver import SolverConfig
+
+
+def _integers(low: int, high: int):
+    """Integers in [low, high], as Python ints and as numpy ints of two widths."""
+    return st.integers(low, high).flatmap(
+        lambda n: st.sampled_from([n, np.int64(n), np.int32(n)]))
 
 
 def small_config(tmp_path: Path, instances=3, solvers=None) -> Path:
@@ -102,10 +110,28 @@ class TestConfigParsing:
         assert cfg.solver_ids == ("broyden_bfgs_lf_xi0.1234567_dr",
                                   "broyden_bfgs_lf_xi0.1234568_dr")
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match=r"unknown config keys: \['surprise'\] \(accepted: "
-                                              r"line_search, max_iters, problem, solvers, tol\)"):
-            parse_config({"problem": {}, "solvers": ["dy_dr"], "surprise": 1})
+    @pytest.mark.parametrize(
+        "top",
+        [{"surprise": 1}, {"direction": "dy"}, {"direction": "HZ"}, {"transport": "dr"},
+         {"transport": "warp"}, {"phi_mode": "bfgs"}, {"z_mode": 1}, {"xi": 0.5}, {"xi": None},
+         {"record_trace": True}],
+        ids=repr,
+    )
+    def test_unknown_keys_rejected(self, top):
+        # the solver id is the one spelling of a direction; the config keys are the shared settings
+        (key,) = top
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"problem": {}, "solvers": ["dy_dr"], **top})
+        assert str(exc.value) == (f"unknown config keys: ['{key}'] "
+                                  "(accepted: line_search, max_iters, problem, solvers, tol)")
+
+    def test_unknown_line_search_keys_name_the_accepted_keys(self):
+        problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        with pytest.raises(ConfigError, match=r"unknown line_search keys: \['max_ls_evals'\] "
+                                              r"\(accepted: alpha_init, alpha_max, c1, c2, "
+                                              r"max_evals\)"):
+            parse_config({"problem": problem, "solvers": ["dy_dr"],
+                          "line_search": {"max_ls_evals": 40}})
 
     @pytest.mark.parametrize(
         "problem",
@@ -127,12 +153,84 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"problem": {**base, **problem}, "solvers": ["dy_dr"]})
 
-    @pytest.mark.parametrize("top", [{"max_iters": 20.0}, {"tol": "1e-6"},
-                                     {"line_search": {"max_evals": 2.5}}], ids=repr)
+    @pytest.mark.parametrize(
+        "top",
+        [
+            {"max_iters": 20.0},
+            {"max_iters": 2.7},
+            {"max_iters": True},
+            {"max_iters": "10"},
+            {"tol": "1e-6"},
+            {"tol": True},
+            {"line_search": {"max_evals": 2.5}},
+            {"line_search": {"max_evals": 40.5}},
+            {"line_search": {"max_evals": 2}},
+            {"line_search": {"c1": "1e-4"}},
+            {"line_search": {"c2": None}},
+            {"line_search": [0.1, 0.9]},
+            # unknown keys, and the spellings of settings that are gone
+            {"stepper": "newton"},
+            {"line_search": {"c3": 1.0}},
+            {"record_trace": False},
+            {"nu_hat": 0.1},
+            {"nu_hat": None},
+            {"hz_mu": 2.0},
+            {"preconvex_mu_reciprocal": True},
+            {"preconvex_mu_reciprocal": False},
+        ],
+        ids=repr,
+    )
     def test_malformed_solver_defaults_rejected(self, top):
         problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
         with pytest.raises(ConfigError):
             parse_config({"problem": problem, "solvers": ["dy_dr"], **top})
+
+    @pytest.mark.parametrize("key", ["line_search", "max_iters", "tol"])
+    def test_no_key_accepts_null(self, key):
+        problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        with pytest.raises(ConfigError, match=key):
+            parse_config({"problem": problem, "solvers": ["dy_dr"], key: None})
+
+    def test_infinite_alpha_init_rejected(self):
+        # JSON reads 1e400 as inf; an infinite alpha_max stays allowed
+        text = ('{"problem": {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, '
+                '"seed_base": 7}, "solvers": ["dy_dr"], "line_search": %s}')
+        data = json.loads(text % '{"alpha_init": 1e400, "alpha_max": 1e400}')
+        assert data["line_search"]["alpha_init"] == math.inf
+        with pytest.raises(ConfigError, match="alpha_init"):
+            parse_config(data)
+        cfg = parse_config(json.loads(text % '{"alpha_max": 1e400}'))
+        assert cfg.solvers[0].line_search.alpha_max == math.inf
+
+    def test_json_numbers_normalized(self):
+        problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        (cfg,) = parse_config({"problem": problem, "solvers": ["broyden_bfgs_lf_xi1_dr"],
+                               "max_iters": np.int64(50),
+                               "line_search": {"max_evals": np.int32(40), "alpha_max": 10}}).solvers
+        assert type(cfg.xi) is float and cfg.xi == 1.0
+        assert type(cfg.max_iters) is int and cfg.max_iters == 50
+        assert cfg.line_search == LineSearchConfig(max_evals=40, alpha_max=10.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(top=st.fixed_dictionaries({}, optional={
+        "tol": st.floats(min_value=0.0, exclude_min=True) | st.integers(1, 10).map(np.int64),
+        "max_iters": _integers(1, 10**6),
+        "line_search": st.fixed_dictionaries({}, optional={
+            "c1": st.floats(1e-6, 0.4), "c2": st.floats(0.5, 0.999),
+            "alpha_init": st.floats(1e-3, 10.0), "alpha_max": st.sampled_from([10.0, math.inf]),
+            "max_evals": _integers(3, 500),
+        }),
+    }))
+    def test_parsed_settings_equal_built_config(self, top):
+        # each setting is checked once, by the dataclass that stores it, and normalized there
+        problem = {"kind": "rayleigh", "dims": {"n": 10}, "instances": 2, "seed_base": 7}
+        (cfg,) = parse_config({"problem": problem, "solvers": ["dy_dr"], **top}).solvers
+        built = SolverConfig(direction=DirectionKind.DY, tol=top.get("tol", 1e-6),
+                             max_iters=top.get("max_iters", 10000),
+                             line_search=LineSearchConfig(**top.get("line_search", {})))
+        assert cfg == built
+        assert type(cfg.tol) is float and type(cfg.max_iters) is int
+        assert type(cfg.line_search.max_evals) is int
 
     @pytest.mark.parametrize("entry", ["hz_projection", "hz", {"direction": "hz", "hz_mu": 2.0},
                                        {"transport": "projection"}, 3],
@@ -237,12 +335,18 @@ class TestCliCommands:
         for name in ("profile_iters.csv", "profile_time.csv"):
             assert (prof_out / name).read_text() == (out / name).read_text()
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b'{"problem": {}, "solvers": []}', b'["tol"]', b"\xff\xfe{}"],
+        ids=["not-json", "empty-solvers", "not-an-object", "not-utf8"],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_config(bad)
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        bad.write_text(json.dumps({"problem": {}, "solvers": []}))
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_solve_streams_trace(self, capsys):
         code = main(
@@ -381,6 +485,9 @@ class TestRunsFile:
             (HEADER, [ROWS[1].replace(",2,", ",2.5,")]),
             (HEADER, [ROWS[1].replace(",2,", ",-2,")]),
             (HEADER, [ROWS[1].replace("0.480", "fast")]),
+            (HEADER, [ROWS[0].replace("6.608", "inf")]),
+            (HEADER, [ROWS[0].replace("6.608", "nan")]),
+            (HEADER, [ROWS[0].replace("6.608", "-1")]),
             (HEADER, [ROWS[1].replace("max_iters", "gave_up")]),
             (HEADER, [ROWS[1].replace("dy_dr,0,", "dy_dr,1,")]),
             (HEADER, [ROWS[0].replace("_dr,1,", "_dr,0,")]),
@@ -392,9 +499,9 @@ class TestRunsFile:
             (HEADER, []),
         ],
         ids=["short-row", "extra-field", "converged-7", "float-iters", "negative-iters",
-             "text-time", "unknown-reason", "converged-with-reason",
-             "failed-without-reason", "reordered-header", "renamed-header",
-             "extra-column", "duplicate-pair", "empty-file", "header-only"],
+             "text-time", "infinite-time", "nan-time", "negative-time", "unknown-reason",
+             "converged-with-reason", "failed-without-reason", "reordered-header",
+             "renamed-header", "extra-column", "duplicate-pair", "empty-file", "header-only"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, header, rows):
         path = self.write(tmp_path, header, rows)

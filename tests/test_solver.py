@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemqn import (
+    DEFAULT_NU_HAT,
     ConfigError,
     ContractViolationError,
     DirectionKind,
@@ -88,14 +89,8 @@ class TestSolverConfig:
             SolverConfig(xi=1.5)
 
     def test_default_nu_hat_follows_z_mode(self):
-        assert SolverConfig(z_mode=ZMode.LI_FUKUSHIMA).resolved_nu_hat() == 1e-6
-        assert SolverConfig(z_mode=ZMode.POWELL).resolved_nu_hat() == 0.1
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            SolverConfig.from_dict({"stepper": "newton"})
-        with pytest.raises(ConfigError):
-            SolverConfig.from_dict({"line_search": {"c3": 1.0}})
+        assert DEFAULT_NU_HAT[ZMode.LI_FUKUSHIMA] == 1e-6
+        assert DEFAULT_NU_HAT[ZMode.POWELL] == 0.1
 
     def test_solver_id_roundtrip(self):
         for cfg in (
@@ -293,114 +288,23 @@ class TestStrictConfig:
         assert cfg == SolverConfig(xi=1.0, tol=float(np.float32(1e-3)), max_iters=7,
                                    line_search=LineSearchConfig(max_evals=40, alpha_max=10.0))
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"max_iters": 2.7},
-            {"max_iters": 10.0},
-            {"max_iters": True},
-            {"max_iters": "10"},
-            {"max_iters": None},
-            {"tol": True},
-            {"record_trace": True},
-            {"tol": None},
-            {"tol": "1e-6"},
-            {"line_search": {"max_evals": 2.5}},
-            {"line_search": {"max_evals": 40.5}},
-            {"line_search": {"max_evals": 2}},
-            {"line_search": {"c1": "1e-4"}},
-            {"line_search": {"c2": None}},
-            {"line_search": [0.1, 0.9]},
-            ["tol"],
-        ],
-        ids=repr,
-    )
-    def test_malformed_value_rejected(self, data):
-        with pytest.raises(ConfigError):
-            SolverConfig.from_dict(data)
-
-    @pytest.mark.parametrize(
-        "data",
-        [{"direction": "dy"}, {"direction": "HZ"}, {"transport": "dr"}, {"transport": "warp"},
-         {"phi_mode": "bfgs"}, {"z_mode": 1}, {"xi": 0.5}, {"xi": None}],
-        ids=repr,
-    )
-    def test_direction_keys_rejected(self, data):
-        # the solver id is the one spelling of a direction; from_dict reads the shared settings
-        (key,) = data
-        with pytest.raises(ConfigError) as exc:
-            SolverConfig.from_dict(data)
-        assert str(exc.value) == (f"unknown solver config keys: ['{key}'] "
-                                  "(accepted: line_search, max_iters, tol)")
-
     def test_infinite_alpha_init_rejected(self):
         # an infinite first trial step would end every run non_finite at
-        # iteration 0; JSON reads 1e400 as inf
+        # iteration 0; JSON reads 1e400 as inf (see test_cli.py)
         with pytest.raises(ConfigError, match="alpha_init"):
             LineSearchConfig(alpha_init=math.inf, alpha_max=math.inf)
-        data = json.loads('{"line_search": {"alpha_init": 1e400, "alpha_max": 1e400}}')
-        assert data["line_search"]["alpha_init"] == math.inf
-        with pytest.raises(ConfigError, match="alpha_init"):
-            SolverConfig.from_dict(data)
         # an infinite alpha_max stays allowed: no cap on the doubling
         assert LineSearchConfig(alpha_max=math.inf).alpha_max == math.inf
-        assert SolverConfig.from_dict(json.loads('{"line_search": {"alpha_max": 1e400}}'))
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"line_search": {"max_ls_evals": 40}},
-            {"record_trace": False},
-            {"nu_hat": 0.1},
-            {"nu_hat": None},
-            {"hz_mu": 2.0},
-            {"preconvex_mu_reciprocal": True},
-            {"preconvex_mu_reciprocal": False},
-        ],
-        ids=repr,
-    )
-    def test_removed_spellings_rejected(self, data):
-        # each setting has one spelling: the enum value, the field name
-        with pytest.raises(ConfigError):
-            SolverConfig.from_dict(data)
-
-    def test_unknown_keys_name_the_accepted_keys(self):
-        with pytest.raises(ConfigError, match=r"unknown line_search keys: \['max_ls_evals'\] "
-                                              r"\(accepted: alpha_init, alpha_max, c1, c2, "
-                                              r"max_evals\)"):
-            SolverConfig.from_dict({"line_search": {"max_ls_evals": 40}})
-        accepted = ", ".join(sorted(solver_mod._SOLVER_KEYS))
-        with pytest.raises(ConfigError, match=rf"\['record_trace'\] \(accepted: {accepted}\)"):
-            SolverConfig.from_dict({"record_trace": True})
 
     @pytest.mark.parametrize("name", ["nu_hat", "hz_mu", "preconvex_mu_reciprocal"])
     def test_removed_fields_rejected(self, name):
-        # built as from JSON (test_removed_spellings_rejected): nu_hat follows z_mode,
+        # built directly (test_cli.py reads them from JSON): nu_hat follows z_mode,
         # HZ's mu is 2, and the reciprocal mu is the phi_mode preconvexrecip
         value = {"nu_hat": 0.1, "hz_mu": 2.0, "preconvex_mu_reciprocal": True}[name]
         fields = ", ".join(sorted(f.name for f in dataclasses.fields(SolverConfig)))
         with pytest.raises(ConfigError, match=rf"\['{name}'\] \(accepted: {fields}\)"):
             SolverConfig(**{name: value})
         assert not hasattr(SolverConfig(), name)
-
-    @pytest.mark.parametrize("key", sorted(solver_mod._SOLVER_KEYS))
-    def test_no_key_accepts_null(self, key):
-        with pytest.raises(ConfigError, match=key):
-            SolverConfig.from_dict({key: None})
-
-    def test_json_numbers_normalized(self):
-        cfg = SolverConfig.from_dict(
-            {"max_iters": np.int64(50), "line_search": {"max_evals": np.int32(40), "alpha_max": 10}}
-        )
-        xi = config_from_id("broyden_bfgs_lf_xi1_dr").xi
-        assert type(xi) is float and xi == 1.0
-        assert type(cfg.max_iters) is int and cfg.max_iters == 50
-        assert cfg.line_search == LineSearchConfig(max_evals=40, alpha_max=10.0)
-
-    def test_line_search_merges_with_base(self):
-        base = SolverConfig(line_search=LineSearchConfig(c1=1e-3, max_evals=40))
-        cfg = SolverConfig.from_dict({"line_search": {"c2": 0.5}}, base=base)
-        assert cfg.line_search == LineSearchConfig(c1=1e-3, c2=0.5, max_evals=40)
 
     @pytest.mark.parametrize(
         "name,member",
@@ -936,11 +840,13 @@ def _riemqn_frames(run):
 # a step (scaling_sigma, norm, _vector_norm): hz_dr from 10368 frames, and dy_invret
 # from (11649, 314), whose iterates moved.  All four again when grad came to return
 # its array, without the Tangent's __init__ and __post_init__ frames: from 6929, 9708,
-# 19454 and 10639 frames, the iterations unchanged.
+# 19454 and 10639 frames, the iterations unchanged.  The two Broyden rows again when solve
+# came to read DEFAULT_NU_HAT itself, without SolverConfig.resolved_nu_hat's frame: from 6611
+# and 18456 frames, the iterations unchanged.
 FRAMES_PER_RUN = {
-    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (6611, 146),
+    ("broyden_bfgs_lf_xi0.1_dr", "rayleigh 100, seed 20250"): (6610, 146),
     ("hz_dr", "rayleigh 100, seed 20250"): (9238, 220),
-    ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (18456, 464),
+    ("broyden_bfgs_lf_xi0.1_invret", "offdiag 10x5x5, seed 30500"): (18455, 464),
     ("dy_invret", "offdiag 10x5x5, seed 30500"): (10013, 312),
 }
 _FRAME_INSTANCES = {
